@@ -7,7 +7,8 @@ genus h is pinned down by the genus formula
 
     2(g - 1) = d * (2(h - 1) + sum_i k_i (1 - gcd(i, d)/d)),
 
-evaluated here in exact rational arithmetic, never in floats.  A sequence
+evaluated here in exact arithmetic, never in floats: in rationals by the
+public predicates below, in integers inside `enumerate_admissible`.  A sequence
 is admissible when h is a non-negative integer, the total branch degree
 sum_i i*k_i vanishes mod d (so the branch divisor class is divisible by
 d on a curve), and, when the support generates a proper subgroup of
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter, mul
 
 from .combinat import is_prime, units_mod, weighted_compositions
 
@@ -89,23 +91,28 @@ def monodromy_sum_vanishes(seq: BranchingSequence) -> bool:
     return sum(i * k for i, k in enumerate(seq.counts, start=1)) % seq.d == 0
 
 
-def _act_unit(counts: tuple[int, ...], d: int, r: int) -> tuple[int, ...]:
-    out = [0] * (d - 1)
-    for i, c in enumerate(counts, start=1):
-        out[(r * i) % d - 1] = c
-    return tuple(out)
+def _unit_action(d: int, r: int):
+    """The map on count tuples that multiplies every residue by the unit r.
+
+    Residue i moves to r*i, so the image holds counts[r^-1 * j - 1] at
+    residue j: an index table, applied by one itemgetter call.
+    """
+    if d == 2:
+        return tuple  # the only unit is 1
+    inverse = pow(r, -1, d)
+    return itemgetter(*((inverse * j) % d - 1 for j in range(1, d)))
 
 
 def unit_translate(seq: BranchingSequence, r: int) -> BranchingSequence:
     """Multiply every monodromy residue by the unit r mod d."""
     if gcd(r, seq.d) != 1:
         raise ValueError("%d is not a unit mod %d" % (r, seq.d))
-    return BranchingSequence(seq.d, _act_unit(seq.counts, seq.d, r % seq.d))
+    return BranchingSequence(seq.d, _unit_action(seq.d, r % seq.d)(seq.counts))
 
 
 def orbit(seq: BranchingSequence) -> tuple[tuple[int, ...], ...]:
     """All count tuples in the unit orbit of seq, sorted."""
-    return tuple(sorted({_act_unit(seq.counts, seq.d, r) for r in units_mod(seq.d)}))
+    return tuple(sorted({_unit_action(seq.d, r)(seq.counts) for r in units_mod(seq.d)}))
 
 
 def _canonical_key(counts: tuple[int, ...]):
@@ -247,12 +254,23 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingDatum, int], ..
 
     Finite: each branch point contributes d - gcd(i, d) >= d - d/2 >= 1
     to the Hurwitz defect, so k <= 2(g-1) + 2d.  Enumeration runs over
-    quotient genera and solves the weighted defect equation exactly.
+    quotient genera h and solves the weighted defect equation
+    sum_i k_i (d - gcd(i, d)) = 2(g-1) - 2d(h-1) exactly with
+    `weighted_compositions`, whose weights fall into one class per
+    proper divisor gcd(i, d) of d.  Each solution is then tested in integers: the residue
+    sum sum_i i*k_i must vanish mod d, and at h = 0 the support must
+    generate Z/d.  A unit orbit is canonicalised once, at its first
+    admissible member: all of its images go into a seen-set, so the other
+    members are skipped.  The unit action runs through index tables built
+    once per call.
     """
     if g < 2 or d < 2:
         raise ValueError("need g >= 2 and d >= 2")
     weights = tuple(d - gcd(i, d) for i in range(1, d))
+    residues = tuple(range(1, d))
     kbound = 2 * (g - 1) + 2 * d
+    actions = [_unit_action(d, r) for r in units_mod(d)]
+    seen: set[tuple[int, ...]] = set()
     out: dict[tuple[int, ...], int] = {}
     h = 0
     while True:
@@ -260,15 +278,17 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingDatum, int], ..
         if defect < 0:
             break
         for counts in weighted_compositions(defect, weights):
-            seq = BranchingSequence(d, counts)
-            if seq.k > kbound:
+            if sum(counts) > kbound:
                 raise AssertionError("branch count bound violated")
-            got = admissible_quotient_genus(g, seq)
-            if got is None:
+            if sum(map(mul, residues, counts)) % d or counts in seen:
                 continue
-            if got != h:
+            if h == 0 and gcd(d, *(i for i, c in zip(residues, counts) if c)) != 1:
+                continue
+            if 2 * (g - 1) != 2 * d * (h - 1) + sum(map(mul, weights, counts)):
                 raise AssertionError("inconsistent quotient genus")
-            out[canonical_datum(seq).counts] = h
+            images = {act(counts) for act in actions}
+            seen |= images
+            out[min(images, key=_canonical_key)] = h
         h += 1
     ordered = sorted(out, key=_canonical_key)
     return tuple((BranchingDatum(d, c), out[c]) for c in ordered)

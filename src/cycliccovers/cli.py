@@ -10,6 +10,7 @@ constraint violations in input data.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 
@@ -158,19 +159,26 @@ def report_from_doc(doc: dict) -> DecompositionReport:
 
 
 def _assignment_from_doc(doc: dict) -> cover_algebra.BranchAssignment:
+    def mapping(value, what):
+        if not isinstance(value, dict):
+            raise GraphError("malformed cover document: %s must be an object" % what)
+        return value
+
+    picard = mapping(mapping(doc, "the document")["picard"], "picard")
     model = cover_algebra.PicardModel(
-        free_rank=int(doc["picard"]["free_rank"]),
-        torsion=tuple(int(t) for t in doc["picard"].get("torsion", ())),
+        free_rank=int(picard["free_rank"]),
+        torsion=tuple(int(t) for t in picard.get("torsion", ())),
     )
 
     def cls(entry):
+        entry = mapping(entry, "a divisor class")
         return model.element(
             tuple(int(x) for x in entry.get("free", ())),
             tuple(int(x) for x in entry.get("torsion", ())),
         )
 
     divisors = {}
-    for residue, items in doc.get("divisors", {}).items():
+    for residue, items in mapping(doc.get("divisors", {}), "divisors").items():
         divisors[int(residue)] = [(item["symbol"], cls(item["class"])) for item in items]
     return cover_algebra.branch_assignment(
         d=int(doc["order"]), model=model, L=cls(doc["L"]), divisors=divisors
@@ -411,22 +419,54 @@ def cmd_sing_bar(args) -> int:
     return EXIT_OK
 
 
+def _decimal(n: int) -> str:
+    """Exact decimal digits of n >= 0, whatever the int-to-str digit limit.
+
+    str(int) refuses more digits than sys.get_int_max_str_digits() allows,
+    and takes time quadratic in the length besides.  Here n is split on its
+    binary length and the halves are joined in decimal arithmetic, where
+    libmpdec multiplies long numbers fast; Decimal(int) reads the binary
+    digits directly, without a string.
+    """
+    powers = {}
+
+    def join(n, bits):
+        if bits <= 8192:
+            return decimal.Decimal(n)
+        low = bits >> 1
+        if low not in powers:
+            powers[low] = decimal.Decimal(2) ** low
+        return join(n >> low, bits - low) * powers[low] + join(n & ((1 << low) - 1), low)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(join(n, n.bit_length()))
+
+
 def cmd_bounds(args) -> int:
     rep = sing_stable.aut_bounds(args.genus)
+    # 2^g and 2g*6^g outgrow the interpreter's digit limit for str(int) and
+    # hence for json: they are rendered by _decimal instead.
+    exact = {"generic_lower": rep.generic_lower, "special_config": rep.special_config}
     if args.format == "doc":
-        _emit_doc({
+        placeholders = {key: "\0" + key for key in exact}
+        text = json.dumps({
             "genus": rep.g,
-            "generic_lower": rep.generic_lower,
-            "special_config": rep.special_config,
             "hurwitz_smooth": rep.hurwitz_smooth,
             "special_exceeds_hurwitz": rep.special_exceeds_hurwitz,
             "tail_orders": list(rep.tail_orders),
-        })
+            **placeholders,
+        }, sort_keys=True, indent=2)
+        for key, value in exact.items():
+            text = text.replace(json.dumps(placeholders[key]), _decimal(value))
+        print(text)
     else:
         print(
-            "genus=%d generic>=%d special=%d hurwitz=%d special_exceeds=%s"
-            % (rep.g, rep.generic_lower, rep.special_config, rep.hurwitz_smooth,
-               rep.special_exceeds_hurwitz)
+            "genus=%d generic>=%s special=%s hurwitz=%d special_exceeds=%s"
+            % (rep.g, _decimal(rep.generic_lower), _decimal(rep.special_config),
+               rep.hurwitz_smooth, rep.special_exceeds_hurwitz)
         )
     return EXIT_OK
 
@@ -547,3 +587,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

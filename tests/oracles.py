@@ -11,6 +11,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
 
+from cycliccovers.branching import (
+    BranchingDatum,
+    BranchingSequence,
+    admissible_quotient_genus,
+    canonical_datum,
+)
 from cycliccovers.combinat import is_prime, primes_upto, weak_compositions
 from cycliccovers.stable_graphs import (
     I0,
@@ -80,6 +86,49 @@ def brute_admissible_general(g, d):
                 continue
             out[orbit_of(counts, d)] = int(h)
     return out
+
+
+def reference_weighted_compositions(total, weights):
+    """Tuples k >= 0 with sum(k[i] * weights[i]) == total, by plain
+    recursion over every count at every slot."""
+    weights = tuple(weights)
+
+    def rec(i, remaining):
+        if i == len(weights):
+            if remaining == 0:
+                yield ()
+            return
+        w = weights[i]
+        for c in range(remaining // w + 1):
+            for rest in rec(i + 1, remaining - c * w):
+                yield (c,) + rest
+
+    yield from rec(0, total)
+
+
+def reference_admissible(g, d):
+    """The slow path that `branching.enumerate_admissible` replaced: every
+    solution of the defect equation per quotient genus goes through the
+    public rational admissibility test and is canonicalised on its own.
+    Returns the same tuple of (datum, h) pairs, in the same order."""
+    weights = tuple(d - gcd(i, d) for i in range(1, d))
+    out = {}
+    h = 0
+    while True:
+        defect = 2 * (g - 1) - 2 * d * (h - 1)
+        if defect < 0:
+            break
+        for counts in reference_weighted_compositions(defect, weights):
+            seq = BranchingSequence(d, counts)
+            got = admissible_quotient_genus(g, seq)
+            if got is None:
+                continue
+            assert got == h
+            out[canonical_datum(seq).counts] = h
+        h += 1
+    # canonical order: populated low residues first, then the counts
+    ordered = sorted(out, key=lambda c: (tuple(0 if x else 1 for x in c), c))
+    return tuple((BranchingDatum(d, c), out[c]) for c in ordered)
 
 
 # ---------------------------------------------------------------------------

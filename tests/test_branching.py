@@ -144,6 +144,15 @@ class TestEnumeration:
         }
         assert lib == oracles.brute_admissible_general(g, d)
 
+    @pytest.mark.parametrize("d", range(2, 31))
+    def test_matches_reference_path(self, d):
+        for g in range(2, 11):
+            assert br.enumerate_admissible(g, d) == oracles.reference_admissible(g, d)
+
+    @pytest.mark.parametrize("g,d", [(27, 19), (27, 53), (28, 16), (30, 42), (24, 60)])
+    def test_matches_reference_path_large(self, g, d):
+        assert br.enumerate_admissible(g, d) == oracles.reference_admissible(g, d)
+
     def test_hurwitz_roundtrip(self):
         for g in range(2, 7):
             for d in range(2, 8):

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -207,6 +211,31 @@ class TestBoundaryAndBounds:
         assert code == 0
         assert "generic>=8" in out and "special=1296" in out and "hurwitz=168" in out
 
+    @staticmethod
+    def _int_from_digits(digits):
+        # parse in short pieces: int(str) has the same digit limit as str(int)
+        value = 0
+        for i in range(0, len(digits), 400):
+            piece = digits[i:i + 400]
+            value = value * 10 ** len(piece) + int(piece)
+        return value
+
+    @pytest.mark.parametrize("fmt", ["table", "doc"])
+    def test_bounds_past_digit_limit(self, capsys, fmt):
+        g = 100000
+        code, out, err = run(capsys, "bounds", "--genus", str(g), "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "table":
+            generic = re.search(r"generic>=(\d+) ", out).group(1)
+            special = re.search(r"special=(\d+) ", out).group(1)
+        else:
+            generic = re.search(r'"generic_lower": (\d+),', out).group(1)
+            special = re.search(r'"special_config": (\d+),', out).group(1)
+            assert '"hurwitz_smooth": %d,' % (84 * (g - 1)) in out
+        assert len(special) > 4300
+        assert self._int_from_digits(generic) == 2 ** g
+        assert self._int_from_digits(special) == 2 * g * 6 ** g
+
 
 class TestCoverCheck:
     def test_check(self, capsys, tmp_path):
@@ -234,6 +263,26 @@ class TestCoverCheck:
         code, _, err = run(capsys, "cover", "check", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("divisors", [{"symbol": "D", "class": {"free": [2], "torsion": [1]}}]),
+        ("L", [1, 0]),
+        ("picard", [1, [2]]),
+    ])
+    def test_list_in_place_of_object(self, capsys, tmp_path, field, value):
+        doc = {
+            "order": 4,
+            "picard": {"free_rank": 1, "torsion": [2]},
+            "L": {"free": [1], "torsion": [0]},
+            "divisors": {"2": [{"symbol": "D", "class": {"free": [2], "torsion": [1]}}]},
+        }
+        doc[field] = value
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "cover", "check", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed cover document") and err.count("\n") == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -250,3 +299,27 @@ class TestDeterminism:
     )
     def test_byte_identical(self, capsys, argv):
         run_twice_identical(capsys, *argv)
+
+
+def run_module(module, *argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["cycliccovers", "cycliccovers.cli"])
+    def test_python_dash_m(self, capsys, module):
+        _, want, _ = run(capsys, "sing", "--genus", "3")
+        proc = run_module(module, "sing", "--genus", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == want and want
+
+    def test_python_dash_m_usage_error(self):
+        proc = run_module("cycliccovers", "sing", "--genus", "1")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error")

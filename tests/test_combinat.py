@@ -1,0 +1,34 @@
+from math import gcd
+
+from hypothesis import given, strategies as st
+
+import oracles
+from cycliccovers.combinat import weighted_compositions
+
+
+def check_against_reference(total, weights):
+    got = list(weighted_compositions(total, weights))
+    assert len(got) == len(set(got))
+    assert set(got) == set(oracles.reference_weighted_compositions(total, weights))
+
+
+@given(
+    st.integers(min_value=0, max_value=24),
+    st.lists(st.integers(min_value=1, max_value=7), max_size=6),
+)
+def test_weighted_compositions_match_reference(total, weights):
+    check_against_reference(total, weights)
+
+
+@given(st.integers(min_value=2, max_value=13), st.integers(min_value=0, max_value=30))
+def test_divisor_class_weights_match_reference(d, total):
+    # the weights enumerate_admissible uses: one class per divisor of d
+    check_against_reference(total, [d - gcd(i, d) for i in range(1, d)])
+
+
+def test_edge_cases():
+    assert list(weighted_compositions(0, ())) == [()]
+    assert list(weighted_compositions(3, ())) == []
+    assert list(weighted_compositions(0, (2, 2, 3))) == [(0, 0, 0)]
+    assert list(weighted_compositions(5, (4, 6))) == []
+    assert sorted(weighted_compositions(4, (2, 2))) == [(0, 2), (1, 1), (2, 0)]
