@@ -56,7 +56,6 @@ from .stable_graphs import (
     AutoGraph,
     Link,
     Loop,
-    PreGraph,
     Vertex,
     canonical_encoding,
     canonical_form,

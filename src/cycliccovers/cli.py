@@ -333,14 +333,9 @@ def _load_json(path: str) -> dict:
 def cmd_simplify(args) -> int:
     doc = _load_json(args.input)
     G = stable_graphs.graph_from_doc(doc)
-    stable_graphs.check_graph(G, pre=True, require_stable=True)
     trace = []
     cur = G
-    while True:
-        sm = stable_graphs.smoothable_nodes(cur)
-        if not sm:
-            break
-        edge = sm[0]
+    for edge, cur in stable_graphs._smoothing_steps(G, require_stable=True):
         if isinstance(edge, stable_graphs.Link):
             trace.append("smooth link %d-%d labels (%d,%d)"
                          % (edge.u, edge.v, edge.mu, edge.mv))
@@ -348,8 +343,6 @@ def cmd_simplify(args) -> int:
             trace.append("smooth loop at %d pair {%d,%d}%s"
                          % (edge.v, edge.pair[0], edge.pair[1],
                             " swapped" if edge.swapped else ""))
-        cur = stable_graphs.smooth_node(cur, edge)
-    stable_graphs.check_graph(cur, pre=False)
     out = stable_graphs.canonical_form(cur)
     if args.format == "doc":
         _emit_doc({"result": stable_graphs.graph_to_doc(out), "trace": trace})

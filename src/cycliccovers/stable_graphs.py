@@ -47,7 +47,6 @@ __all__ = [
     "Link",
     "Loop",
     "AutoGraph",
-    "PreGraph",
     "GraphError",
     "VertexCoverData",
     "DivisorException",
@@ -74,6 +73,7 @@ __all__ = [
     "exceptional_pattern",
     "graph_to_doc",
     "graph_from_doc",
+    "MAX_DOC_ORDER",
 ]
 
 I0 = "I0"
@@ -127,9 +127,6 @@ class AutoGraph:
 
     def i0_vertices(self) -> tuple[Vertex, ...]:
         return tuple(v for v in self.vertices if v.colour == I0)
-
-
-PreGraph = AutoGraph
 
 
 def _edge_key(e):
@@ -434,15 +431,24 @@ def simplify(G: AutoGraph) -> AutoGraph:
     used so the function is deterministic.  Raises when a branch-swapping
     loop survives at odd order, since no such pair exists.
     """
-    check_graph(G, pre=True)
-    cur = G
+    out = G
+    for _, out in _smoothing_steps(G):
+        pass
+    return out
+
+
+def _smoothing_steps(G: AutoGraph, require_stable: bool = False):
+    """The steps of `simplify`: yields (smoothed edge, resulting graph),
+    after validating the input as a pre graph and before validating the
+    final graph as maximal."""
+    check_graph(G, pre=True, require_stable=require_stable)
     while True:
-        sm = smoothable_nodes(cur)
+        sm = smoothable_nodes(G)
         if not sm:
             break
-        cur = smooth_node(cur, sm[0])
-    check_graph(cur, pre=False)
-    return cur
+        G = smooth_node(G, sm[0])
+        yield sm[0], G
+    check_graph(G, pre=False)
 
 
 def _trivialise(G: AutoGraph, vids: set[int]) -> AutoGraph:
@@ -674,79 +680,109 @@ def _link_pairs(d: int):
     ]
 
 
-def _structures(d, colours, genera, E, max_ends, min_ends):
-    """Edge multisets over the allowed vertex pairs, as a dict slot -> count.
+def _vertex_multisets(g: int, d: int):
+    """(colours, genera, E, opts) for every vertex multiset the search tries.
 
-    Prunes on per-vertex end capacity and on the remaining stability
-    deficit (ends still owed to genus-0 and genus-1 vertices).
+    Vertices enter as a sorted multiset of (colour, genus), identity
+    components first; labelled permutations of equal vertices would only
+    repeat isomorphs.  A stable curve of genus g has at most 2g - 2
+    components, their genera sum to at most g, and the total genus fixes
+    the edge count E = g - sum + V - 1, which is then at most 3g - 3.
+    Every multiset holds an I1 vertex, and opts maps each I1 vertex to
+    its (quotient genus, k) pairs, of which there is at least one.
+    """
+    i1_opts = {gi: _i1_options(d, gi) for gi in range(g + 1)}
+    palette = [(I0, gi) for gi in range(g + 1)]
+    palette += [(I1, gi) for gi in range(g + 1) if i1_opts[gi]]
+
+    def grow(combo, start, gsum):
+        if combo and combo[-1][0] == I1:
+            colours = tuple(c for c, _ in combo)
+            genera = tuple(gi for _, gi in combo)
+            opts = {i: i1_opts[gi] for i, (c, gi) in enumerate(combo) if c == I1}
+            yield colours, genera, g - gsum + len(combo) - 1, opts
+        if len(combo) < 2 * g - 2:
+            for p in range(start, len(palette)):
+                if gsum + palette[p][1] <= g:
+                    yield from grow(combo + [palette[p]], p, gsum + palette[p][1])
+
+    yield from grow([], 0, 0)
+
+
+def _structures(d, colours, genera, E, opts):
+    """Connected edge multisets over the allowed vertex pairs.
+
+    Yields (structure, ends): structure maps a slot, ("loop", i) or
+    ("link", i, j), to its edge count, and ends[v] counts the edge-ends
+    at v.  Every vertex ends with min_ends <= ends <= max_ends: min_ends
+    is the stability threshold, max_ends the largest k of the genus
+    relation at an I1 vertex, and at an I0 vertex what E and the I1
+    capacity leave once the other I0 vertices have their minimum: every
+    I0 end lies on an edge of its own whose other end is on an I1 vertex.
+
+    The search carries the stability deficit (ends still owed to the
+    vertices) and prunes once the remaining edges cannot pay it.  A
+    vertex is closed after its last slot, so that slot takes at least
+    the edges the vertex still lacks.
     """
     V = len(colours)
-    slots = []
-    for i in range(V):
-        if colours[i] == I1 and d >= 3:
-            slots.append(("loop", i))
-    for i in range(V):
-        for j in range(i + 1, V):
-            if colours[i] == I0 and colours[j] == I0:
-                continue
-            if colours[i] == I1 and colours[j] == I1 and d == 2:
-                continue
-            slots.append(("link", i, j))
+    i1 = [c == I1 for c in colours]
+    max_ends = [max(k for _, k in opts[i]) if i1[i] else 0 for i in range(V)]
+    min_ends = [3 if gi == 0 else 1 if gi == 1 or V > 1 else 0 for gi in genera]
+    i0 = [i for i in range(V) if not i1[i]]
+    spare = min(E, sum(max_ends)) - sum(min_ends[i] for i in i0)
+    for i in i0:
+        max_ends[i] = spare + min_ends[i]
 
+    slots = [("loop", i) for i in range(V) if i1[i] and d >= 3]
+    slots += [
+        ("link", i, j)
+        for i in range(V)
+        for j in range(i + 1, V)
+        if (i1[i] or i1[j]) and not (i1[i] and i1[j] and d == 2)
+    ]
+    n = len(slots)
+    last = {v: ix for ix, slot in enumerate(slots) for v in slot[1:]}
+    if any(min_ends[v] > (max_ends[v] if v in last else 0) for v in range(V)):
+        return
+    # plan[ix]: (touched vertices, ends per edge, vertices closing at ix)
+    plan = [
+        (slot[1:], 2 if slot[0] == "loop" else 1,
+         tuple(v for v in slot[1:] if last[v] == ix))
+        for ix, slot in enumerate(slots)
+    ]
     ends = [0] * V
+    counts = [0] * n
 
-    def deficit():
-        return sum(max(0, min_ends[v] - ends[v]) for v in range(V))
+    def connected():
+        comp = list(range(V))
+        for ix in range(n):
+            if counts[ix] and plan[ix][1] == 1:
+                ci, cj = (comp[v] for v in plan[ix][0])
+                comp = [ci if c == cj else c for c in comp]
+        return len(set(comp)) == 1
 
-    def rec(ix, remaining):
-        if deficit() > 2 * remaining:
+    def rec(ix, rem, deficit):
+        if deficit > 2 * rem:
             return
-        if ix == len(slots):
-            if remaining == 0:
-                yield {}
+        if ix == n:
+            if rem == 0 and connected():
+                yield {slots[i]: c for i, c in enumerate(counts) if c}, list(ends)
             return
-        slot = slots[ix]
-        if slot[0] == "loop":
-            touched = (slot[1],)
-            weight = 2
-        else:
-            touched = (slot[1], slot[2])
-            weight = 1
-        cap = remaining
-        for vtx in touched:
-            cap = min(cap, (max_ends[vtx] - ends[vtx]) // weight)
-        for count in range(max(cap, -1) + 1):
-            for vtx in touched:
-                ends[vtx] += count * weight
-            for rest in rec(ix + 1, remaining - count):
-                if count:
-                    rest = dict(rest)
-                    rest[slot] = count
-                yield rest
-            for vtx in touched:
-                ends[vtx] -= count * weight
+        touched, w, closing = plan[ix]
+        cap = min([rem] + [(max_ends[v] - ends[v]) // w for v in touched])
+        low = max([0] + [-((ends[v] - min_ends[v]) // w) for v in closing])
+        for c in range(low, cap + 1):
+            owed = deficit
+            for v in touched:
+                owed -= min(c * w, max(0, min_ends[v] - ends[v]))
+                ends[v] += c * w
+            counts[ix] = c
+            yield from rec(ix + 1, rem - c, owed)
+            for v in touched:
+                ends[v] -= c * w
 
-    yield from rec(0, E)
-
-
-def _structure_connected(V, structure):
-    if V == 1:
-        return True
-    adj = {i: set() for i in range(V)}
-    for slot in structure:
-        if slot[0] == "link":
-            _, i, j = slot
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        for nb in adj[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return len(seen) == V
+    yield from rec(0, E, sum(min_ends))
 
 
 def _free_choices(d, edge_counts, options, ends):
@@ -777,77 +813,14 @@ def enumerate_graphs(g: int, d: int, predicate=None) -> tuple[AutoGraph, ...]:
     if not is_prime(d):
         raise ValueError("order must be a prime number")
     found: dict[tuple, AutoGraph] = {}
-    max_v = 2 * g - 2
-    max_e = 3 * g - 3
-    palette = [(I0, gi) for gi in range(g + 1)] + [(I1, gi) for gi in range(g + 1)]
-    for V in range(1, max_v + 1):
-        # Vertices enter as a sorted multiset of (colour, genus); labeled
-        # permutations of equal vertices would only repeat isomorphs.
-        for combo in itertools.combinations_with_replacement(palette, V):
-            colours = tuple(c for c, _ in combo)
-            genera = tuple(gi for _, gi in combo)
-            if I1 not in colours:
-                continue
-            gsum = sum(genera)
-            if gsum > g:
-                continue
-            b1 = g - gsum
-            E = b1 + V - 1
-            if E > max_e:
-                continue
-            opts = {}
-            ok = True
-            max_ends = [0] * V
-            min_ends = [0] * V
-            i1_capacity = 0
-            for i in range(V):
-                if colours[i] == I1:
-                    o = _i1_options(d, genera[i])
-                    if not o:
-                        ok = False
-                        break
-                    opts[i] = o
-                    max_ends[i] = max(k for _, k in o)
-                    i1_capacity += max_ends[i]
-            if not ok:
-                continue
-            for i in range(V):
-                if colours[i] == I0:
-                    # Identity components meet only nontrivially acted
-                    # ones, whose branching caps the available ends.
-                    max_ends[i] = i1_capacity
-                if genera[i] == 0:
-                    min_ends[i] = 3
-                elif genera[i] == 1 or V > 1:
-                    min_ends[i] = 1
-            if 2 * E > 2 * i1_capacity:
-                continue
-            for structure in _structures(d, colours, genera, E, max_ends, min_ends):
-                if not _structure_connected(V, structure):
+    for colours, genera, E, opts in _vertex_multisets(g, d):
+        for structure, ends in _structures(d, colours, genera, E, opts):
+            for graph in _labelled_graphs(d, colours, genera, structure, opts, ends):
+                if predicate is not None and not predicate(graph):
                     continue
-                ends = [0] * V
-                for slot, count in structure.items():
-                    if slot[0] == "loop":
-                        ends[slot[1]] += 2 * count
-                    else:
-                        ends[slot[1]] += count
-                        ends[slot[2]] += count
-                stable = all(
-                    genera[i] >= 2
-                    or (genera[i] == 1 and ends[i] >= 1)
-                    or (genera[i] == 0 and ends[i] >= 3)
-                    for i in range(V)
-                )
-                if not stable:
-                    continue
-                for graph in _labelled_graphs(
-                    d, colours, genera, structure, opts, ends
-                ):
-                    if predicate is not None and not predicate(graph):
-                        continue
-                    enc = canonical_encoding(graph)
-                    if enc not in found:
-                        found[enc] = canonical_form(graph)
+                enc = canonical_encoding(graph)
+                if enc not in found:
+                    found[enc] = canonical_form(graph)
     return tuple(found[k] for k in sorted(found))
 
 
@@ -1051,9 +1024,20 @@ def graph_to_doc(G: AutoGraph) -> dict:
     return {"order": G.d, "vertices": vertices, "edges": edges}
 
 
+# Largest order a graph document may declare.  Canonicalisation costs
+# O(d^2) per I1 vertex.  A prime-order automorphism of a genus-g curve
+# has order at most 2g + 1, so every order up to genus 499 passes.
+MAX_DOC_ORDER = 1000
+
+
 def graph_from_doc(doc: dict) -> AutoGraph:
+    """Parse a graph document; an order above MAX_DOC_ORDER is refused
+    before anything of size O(order) is built."""
     try:
         d = int(doc["order"])
+        if d > MAX_DOC_ORDER:
+            raise GraphError("order %d exceeds the graph document limit of %d"
+                             % (d, MAX_DOC_ORDER))
         vertices = []
         for entry in doc["vertices"]:
             colour = entry["colour"]

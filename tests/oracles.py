@@ -630,3 +630,129 @@ def all_normal_forms(G, memo=None):
         )
     memo[G] = res
     return res
+
+
+# ---------------------------------------------------------------------------
+# Boundary edge-multiset search: the unpruned path the library replaced
+
+
+def reference_structures(d, colours, genera, E, max_ends, min_ends):
+    """Edge multisets over the allowed vertex pairs, as a dict slot -> count.
+
+    Prunes on per-vertex end capacity and on the remaining stability
+    deficit (ends still owed to genus-0 and genus-1 vertices).
+    """
+    V = len(colours)
+    slots = []
+    for i in range(V):
+        if colours[i] == I1 and d >= 3:
+            slots.append(("loop", i))
+    for i in range(V):
+        for j in range(i + 1, V):
+            if colours[i] == I0 and colours[j] == I0:
+                continue
+            if colours[i] == I1 and colours[j] == I1 and d == 2:
+                continue
+            slots.append(("link", i, j))
+
+    ends = [0] * V
+
+    def deficit():
+        return sum(max(0, min_ends[v] - ends[v]) for v in range(V))
+
+    def rec(ix, remaining):
+        if deficit() > 2 * remaining:
+            return
+        if ix == len(slots):
+            if remaining == 0:
+                yield {}
+            return
+        slot = slots[ix]
+        if slot[0] == "loop":
+            touched = (slot[1],)
+            weight = 2
+        else:
+            touched = (slot[1], slot[2])
+            weight = 1
+        cap = remaining
+        for vtx in touched:
+            cap = min(cap, (max_ends[vtx] - ends[vtx]) // weight)
+        for count in range(max(cap, -1) + 1):
+            for vtx in touched:
+                ends[vtx] += count * weight
+            for rest in rec(ix + 1, remaining - count):
+                if count:
+                    rest = dict(rest)
+                    rest[slot] = count
+                yield rest
+            for vtx in touched:
+                ends[vtx] -= count * weight
+
+    yield from rec(0, E)
+
+
+def reference_structure_connected(V, structure):
+    if V == 1:
+        return True
+    adj = {i: set() for i in range(V)}
+    for slot in structure:
+        if slot[0] == "link":
+            _, i, j = slot
+            adj[i].add(j)
+            adj[j].add(i)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        cur = frontier.pop()
+        for nb in adj[cur]:
+            if nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    return len(seen) == V
+
+
+def reference_vertex_multisets(g, d):
+    """(colours, genera, E, opts) for every vertex multiset the unpruned
+    enumeration handed to its structure search, in its order."""
+    palette = [(I0, gi) for gi in range(g + 1)] + [(I1, gi) for gi in range(g + 1)]
+    for V in range(1, 2 * g - 1):
+        for combo in combinations_with_replacement(palette, V):
+            colours = tuple(c for c, _ in combo)
+            genera = tuple(gi for _, gi in combo)
+            if I1 not in colours or sum(genera) > g:
+                continue
+            E = g - sum(genera) + V - 1
+            if E > 3 * g - 3:
+                continue
+            opts = {i: tuple(_i1_pairs(d, genera[i]))
+                    for i in range(V) if colours[i] == I1}
+            if all(opts.values()):
+                yield colours, genera, E, opts
+
+
+def reference_connected_structures(d, colours, genera, E, opts):
+    """The connected structures the unpruned search yields for one vertex
+    multiset, with the end bounds it was given: the largest k at I1
+    vertices, the whole I1 capacity at I0 vertices, and the stability
+    thresholds as minima."""
+    V = len(colours)
+    max_ends = [0] * V
+    min_ends = [0] * V
+    i1_capacity = 0
+    for i in range(V):
+        if colours[i] == I1:
+            max_ends[i] = max(k for _, k in opts[i])
+            i1_capacity += max_ends[i]
+    for i in range(V):
+        if colours[i] == I0:
+            max_ends[i] = i1_capacity
+        if genera[i] == 0:
+            min_ends[i] = 3
+        elif genera[i] == 1 or V > 1:
+            min_ends[i] = 1
+    if E > i1_capacity:
+        return []
+    return [
+        s for s in reference_structures(d, colours, genera, E, max_ends, min_ends)
+        if reference_structure_connected(V, s)
+    ]

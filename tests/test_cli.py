@@ -161,6 +161,26 @@ class TestGraphDocuments:
         assert code == 2
         assert "identity" in err or "residue" in err
 
+    @pytest.mark.parametrize("order,free", [(1000000007, None), (10**18 + 3, [1, 1])])
+    def test_huge_order_refused_up_front(self, capsys, tmp_path, monkeypatch, order, free):
+        # Building the graph would allocate an O(order) tuple, and checking
+        # the order would trial-divide up to its square root; neither may run.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reached before the order cap")
+
+        monkeypatch.setattr(sg, "make_graph", forbidden)
+        monkeypatch.setattr(sg, "is_prime", forbidden)
+        vertex = {"id": 0, "colour": "I1", "genus": 2}
+        if free is not None:
+            vertex["free_branching"] = free
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"order": order, "vertices": [vertex], "edges": []}),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "simplify", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: order %d exceeds the graph document limit of %d\n" % (
+            order, sg.MAX_DOC_ORDER)
+
     def test_enlarge(self, capsys, tmp_path):
         G = make_graph(
             3,
