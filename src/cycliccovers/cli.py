@@ -24,7 +24,7 @@ from .sing_smooth import (
     Verdict,
 )
 from .sing_stable import BoundaryComponent
-from .stable_graphs import GraphError
+from .stable_graphs import GraphError, doc_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -166,22 +166,22 @@ def _assignment_from_doc(doc: dict) -> cover_algebra.BranchAssignment:
 
     picard = mapping(mapping(doc, "the document")["picard"], "picard")
     model = cover_algebra.PicardModel(
-        free_rank=int(picard["free_rank"]),
-        torsion=tuple(int(t) for t in picard.get("torsion", ())),
+        free_rank=doc_int(picard["free_rank"], "free_rank"),
+        torsion=tuple(doc_int(t, "a torsion factor") for t in picard.get("torsion", ())),
     )
 
     def cls(entry):
         entry = mapping(entry, "a divisor class")
         return model.element(
-            tuple(int(x) for x in entry.get("free", ())),
-            tuple(int(x) for x in entry.get("torsion", ())),
+            tuple(doc_int(x, "a free coordinate") for x in entry.get("free", ())),
+            tuple(doc_int(x, "a torsion coordinate") for x in entry.get("torsion", ())),
         )
 
     divisors = {}
     for residue, items in mapping(doc.get("divisors", {}), "divisors").items():
         divisors[int(residue)] = [(item["symbol"], cls(item["class"])) for item in items]
     return cover_algebra.branch_assignment(
-        d=int(doc["order"]), model=model, L=cls(doc["L"]), divisors=divisors
+        d=doc_int(doc["order"], "order"), model=model, L=cls(doc["L"]), divisors=divisors
     )
 
 
@@ -318,9 +318,12 @@ def cmd_graphs(args) -> int:
 
 
 def _load_json(path: str) -> dict:
+    def refuse(constant: str):
+        raise GraphError("non-finite number %s in %s" % (constant, path))
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse)
     except OSError as exc:
         raise GraphError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:

@@ -9,15 +9,17 @@ sum_i i*[D_i].  Character classes, multiplication sections and the
 irreducibility criterion are pure bookkeeping on these classes.
 
 For a character exponent x the class L_x satisfies d*L_x =
-sum_i ((x*i) mod d) * [D_i].  The recursion steps by L_{x+1} = L_x + L_1
-minus the carry-weighted branch classes; the sign is the one that makes
-d*L_x come out right and puts the product section of two eigensheaves
-in H^0 of L_x + L_y - L_{x+y}.
+sum_i ((x*i) mod d) * [D_i].  It is given in closed form by
+L_x = x*L - sum_i floor(x*i/d) * [D_i]: stepping from L_x to L_{x+1}
+adds L and subtracts [D_i] exactly when (x*i mod d) + i carries, and
+adding i a total of x times carries floor(x*i/d) times.  The sign is the
+one that makes d*L_x come out right and puts the product section of two
+eigensheaves in H^0 of L_x + L_y - L_{x+y}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
 __all__ = [
@@ -174,6 +176,7 @@ class BranchAssignment:
     model: PicardModel
     L: DivisorClass
     divisors: tuple[tuple[int, tuple[tuple[str, DivisorClass], ...]], ...]
+    _classes: dict[int, DivisorClass] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -190,6 +193,11 @@ class BranchAssignment:
                 seen.add(sym)
                 if cls.model != self.model:
                     raise ValueError("class of %r lives in a different group" % sym)
+        classes: dict[int, DivisorClass] = {}
+        for i, items in self.divisors:
+            for _, cls in items:
+                classes[i] = classes.get(i, self.model.zero()) + cls
+        object.__setattr__(self, "_classes", classes)
         total = self.model.zero()
         for i, _ in self.divisors:
             total = total + i * self.branch_class(i)
@@ -197,12 +205,7 @@ class BranchAssignment:
             raise ValueError("d*L differs from the weighted branch class sum")
 
     def branch_class(self, i: int) -> DivisorClass:
-        acc = self.model.zero()
-        for j, items in self.divisors:
-            if j == i:
-                for _, cls in items:
-                    acc = acc + cls
-        return acc
+        return self._classes[i] if i in self._classes else self.model.zero()
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(i for i, items in self.divisors if items))
@@ -217,16 +220,13 @@ def branch_assignment(d, model, L, divisors: dict) -> BranchAssignment:
 
 
 def character_class(ba: BranchAssignment, chi: int) -> DivisorClass:
-    """The class L_chi of the chi-eigensheaf, by the carry recursion."""
+    """The class L_chi = chi*L - sum_i floor(chi*i/d)*[D_i] of the
+    chi-eigensheaf."""
     if not (0 <= chi < ba.d):
         raise ValueError("character exponent out of range")
-    acc = ba.model.zero()
-    for step in range(chi):
-        correction = ba.model.zero()
-        for i in range(1, ba.d):
-            if carry(ba.d, (step * i) % ba.d, i % ba.d):
-                correction = correction + ba.branch_class(i)
-        acc = acc + ba.L - correction
+    acc = chi * ba.L
+    for i, cls in ba._classes.items():
+        acc = acc - (chi * i // ba.d) * cls
     return acc
 
 

@@ -73,6 +73,7 @@ __all__ = [
     "exceptional_pattern",
     "graph_to_doc",
     "graph_from_doc",
+    "doc_int",
     "MAX_DOC_ORDER",
 ]
 
@@ -547,21 +548,22 @@ def stratum_dimension(G: AutoGraph) -> int:
     return total
 
 
+def _act_counts(counts, r: int, d: int) -> tuple[int, ...]:
+    # Free-branching counts after multiplying every residue by the unit r.
+    out = [0] * (d - 1)
+    for i, c in enumerate(counts, start=1):
+        out[(r * i) % d - 1] = c
+    return tuple(out)
+
+
 def unit_transform(G: AutoGraph, r: int) -> AutoGraph:
     """Multiply every label and free-branching index by a unit r mod d."""
     d = G.d
     r = r % d
     if r not in units_mod(d):
         raise ValueError("%d is not a unit mod %d" % (r, d))
-
-    def act_counts(counts):
-        out = [0] * (d - 1)
-        for i, c in enumerate(counts, start=1):
-            out[(r * i) % d - 1] = c
-        return tuple(out)
-
     vertices = [
-        v if v.colour == I0 else replace(v, free=act_counts(v.free))
+        v if v.colour == I0 else replace(v, free=_act_counts(v.free, r, d))
         for v in G.vertices
     ]
     edges = []
@@ -574,74 +576,94 @@ def unit_transform(G: AutoGraph, r: int) -> AutoGraph:
     return make_graph(d, vertices, edges)
 
 
-def _vertex_attr(v: Vertex):
-    return (0 if v.colour == I0 else 1, v.genus, v.free or ())
-
-
-def _orderings(G: AutoGraph):
-    # All vertex orders compatible with sorting by attribute; ties are
-    # broken by trying every arrangement inside an attribute class.
-    groups: dict[tuple, list[int]] = {}
-    for v in G.vertices:
-        groups.setdefault(_vertex_attr(v), []).append(v.vid)
-    keys = sorted(groups)
-    pools = [itertools.permutations(groups[k]) for k in keys]
-    for combo in itertools.product(*pools):
-        order: list[int] = []
-        for part in combo:
-            order.extend(part)
-        yield order
-
-
-def _encode(G: AutoGraph, order: list[int]):
-    pos = {vid: ix for ix, vid in enumerate(order)}
-    vparts = tuple(_vertex_attr(G.vertex(vid)) for vid in order)
-    eparts = []
+def _twin_classes(G: AutoGraph) -> list[list[int]]:
+    # Twins have equal fields and equal labelled links and loops, so
+    # neither is linked to the other and swapping them is an automorphism,
+    # under every unit action alike.
+    ends: dict[int, list] = {v.vid: [] for v in G.vertices}
     for e in G.edges:
         if isinstance(e, Link):
-            pu, pv = pos[e.u], pos[e.v]
-            if pu <= pv:
-                eparts.append((0, pu, pv, e.mu, e.mv))
-            else:
-                eparts.append((0, pv, pu, e.mv, e.mu))
+            ends[e.u].append((0, e.v, e.mu, e.mv))
+            ends[e.v].append((0, e.u, e.mv, e.mu))
         else:
-            eparts.append((1, pos[e.v], e.pair[0], e.pair[1], int(e.swapped)))
-    return (G.d, vparts, tuple(sorted(eparts)))
+            ends[e.v].append((1, *e.pair, int(e.swapped)))
+    classes: dict[tuple, list[int]] = {}
+    for v in G.vertices:
+        key = (v.colour, v.genus, v.free, tuple(sorted(ends[v.vid])))
+        classes.setdefault(key, []).append(v.vid)
+    return list(classes.values())
 
 
-def _best_presentation(G: AutoGraph):
-    best = None
-    best_graph_order = None
-    for r in units_mod(G.d):
-        H = unit_transform(G, r)
-        for order in _orderings(H):
-            enc = _encode(H, order)
-            if best is None or enc < best:
-                best = enc
-                best_graph_order = (H, order)
-    return best, best_graph_order
+def _arrangements(classes: list[list[int]]):
+    # Every vertex order of the union of `classes` up to reordering inside
+    # a class: the multiset permutations of the class tokens.
+    stacks = [cls[::-1] for cls in classes]
+    size = sum(map(len, classes))
+    order: list[int] = []
+
+    def rec():
+        if len(order) == size:
+            yield tuple(order)
+            return
+        for stack in stacks:
+            if stack:
+                order.append(stack.pop())
+                yield from rec()
+                stack.append(order.pop())
+
+    return list(rec())
 
 
 def canonical_encoding(G: AutoGraph):
     """Minimum encoding over relabelings and simultaneous unit actions.
 
     Two graphs describe the same numerical type iff their encodings agree.
+    The encoding is (d, vertex attributes in order, sorted edge tuples);
+    vertex orders sort by attribute and try every arrangement of the twin
+    classes inside an attribute class.
     """
-    return _best_presentation(G)[0]
+    d = G.d
+    twins = _twin_classes(G)
+    best = None
+    for r in units_mod(d):
+        attr = {v.vid: (0, v.genus, ()) if v.colour == I0
+                else (1, v.genus, _act_counts(v.free, r, d)) for v in G.vertices}
+        vparts = tuple(sorted(attr.values()))
+        if best is not None and vparts > best[1]:
+            continue
+        groups: dict[tuple, list[list[int]]] = {}
+        for cls in twins:
+            groups.setdefault(attr[cls[0]], []).append(cls)
+        links = [(e.u, e.v, (r * e.mu) % d, (r * e.mv) % d)
+                 for e in G.edges if isinstance(e, Link)]
+        loops = [(e.v, *sorted(((r * e.pair[0]) % d, (r * e.pair[1]) % d)),
+                  int(e.swapped)) for e in G.edges if isinstance(e, Loop)]
+        pools = [_arrangements(groups[k]) for k in sorted(groups)]
+        for combo in itertools.product(*pools):
+            pos = {vid: ix for ix, vid in enumerate(itertools.chain(*combo))}
+            eparts = [(1, pos[v], a, b, s) for v, a, b, s in loops]
+            for u, v, mu, mv in links:
+                pu, pv = pos[u], pos[v]
+                eparts.append((0, pu, pv, mu, mv) if pu <= pv else (0, pv, pu, mv, mu))
+            enc = (d, vparts, tuple(sorted(eparts)))
+            if best is None or enc < best:
+                best = enc
+    return best
 
 
 def canonical_form(G: AutoGraph) -> AutoGraph:
     """The graph relabelled and unit-translated into its canonical presentation."""
-    _, (H, order) = _best_presentation(G)
-    pos = {vid: ix for ix, vid in enumerate(order)}
-    vertices = [replace(H.vertex(vid), vid=pos[vid]) for vid in order]
-    edges = []
-    for e in H.edges:
-        if isinstance(e, Link):
-            edges.append(make_link(pos[e.u], pos[e.v], e.mu, e.mv))
-        else:
-            edges.append(make_loop(pos[e.v], e.pair[0], e.pair[1], e.swapped))
-    return make_graph(H.d, vertices, edges)
+    return _decode(canonical_encoding(G))
+
+
+def _decode(enc) -> AutoGraph:
+    # The graph an encoding describes, vertex i at position i.
+    d, vparts, eparts = enc
+    vertices = [Vertex(ix, I1, genus, free) if coloured else Vertex(ix, I0, genus)
+                for ix, (coloured, genus, free) in enumerate(vparts)]
+    edges = [make_link(*e[1:]) if e[0] == 0 else make_loop(*e[1:4], bool(e[4]))
+             for e in eparts]
+    return make_graph(d, vertices, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -812,16 +834,13 @@ def enumerate_graphs(g: int, d: int, predicate=None) -> tuple[AutoGraph, ...]:
         raise ValueError("total genus must be at least 2")
     if not is_prime(d):
         raise ValueError("order must be a prime number")
-    found: dict[tuple, AutoGraph] = {}
+    found: set[tuple] = set()
     for colours, genera, E, opts in _vertex_multisets(g, d):
         for structure, ends in _structures(d, colours, genera, E, opts):
             for graph in _labelled_graphs(d, colours, genera, structure, opts, ends):
-                if predicate is not None and not predicate(graph):
-                    continue
-                enc = canonical_encoding(graph)
-                if enc not in found:
-                    found[enc] = canonical_form(graph)
-    return tuple(found[k] for k in sorted(found))
+                if predicate is None or predicate(graph):
+                    found.add(canonical_encoding(graph))
+    return tuple(_decode(enc) for enc in sorted(found))
 
 
 def _labelled_graphs(d, colours, genera, structure, opts, ends):
@@ -1030,11 +1049,19 @@ def graph_to_doc(G: AutoGraph) -> dict:
 MAX_DOC_ORDER = 1000
 
 
+def doc_int(value, what: str) -> int:
+    """An integer field of an input document.  Only a JSON integer passes:
+    a bool, a float or a string is refused, never truncated or parsed."""
+    if type(value) is not int:
+        raise TypeError("%s must be an integer, not %s" % (what, type(value).__name__))
+    return value
+
+
 def graph_from_doc(doc: dict) -> AutoGraph:
     """Parse a graph document; an order above MAX_DOC_ORDER is refused
     before anything of size O(order) is built."""
     try:
-        d = int(doc["order"])
+        d = doc_int(doc["order"], "order")
         if d > MAX_DOC_ORDER:
             raise GraphError("order %d exceeds the graph document limit of %d"
                              % (d, MAX_DOC_ORDER))
@@ -1044,22 +1071,23 @@ def graph_from_doc(doc: dict) -> AutoGraph:
             free = entry.get("free_branching")
             vertices.append(
                 Vertex(
-                    vid=int(entry["id"]),
+                    vid=doc_int(entry["id"], "a vertex id"),
                     colour=colour,
-                    genus=int(entry["genus"]),
-                    free=tuple(int(c) for c in free) if free is not None else None,
+                    genus=doc_int(entry["genus"], "a genus"),
+                    free=(tuple(doc_int(c, "a free-branching count") for c in free)
+                          if free is not None else None),
                 )
             )
         edges = []
         for entry in doc.get("edges", ()):
             if entry["type"] == "link":
-                (u, v) = entry["ends"]
-                (mu, mv) = entry["labels"]
-                edges.append(make_link(int(u), int(v), int(mu), int(mv)))
+                (u, v) = (doc_int(x, "a link end") for x in entry["ends"])
+                (mu, mv) = (doc_int(x, "a link label") for x in entry["labels"])
+                edges.append(make_link(u, v, mu, mv))
             elif entry["type"] == "loop":
-                (a, b) = entry["pair"]
+                (a, b) = (doc_int(x, "a loop label") for x in entry["pair"])
                 edges.append(
-                    make_loop(int(entry["vertex"]), int(a), int(b),
+                    make_loop(doc_int(entry["vertex"], "a loop vertex"), a, b,
                               bool(entry.get("branch_swapped", False)))
                 )
             else:

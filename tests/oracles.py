@@ -7,6 +7,8 @@ for the boundary enumeration.  Only graph containers and the canonical
 encoding are shared, so set comparisons are possible.
 """
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
@@ -17,15 +19,19 @@ from cycliccovers.branching import (
     admissible_quotient_genus,
     canonical_datum,
 )
-from cycliccovers.combinat import is_prime, primes_upto, weak_compositions
+from cycliccovers.cover_algebra import carry
+from cycliccovers.combinat import is_prime, primes_upto, units_mod, weak_compositions
 from cycliccovers.stable_graphs import (
     I0,
     I1,
+    AutoGraph,
+    Link,
     Vertex,
     canonical_encoding,
     make_graph,
     make_link,
     make_loop,
+    unit_transform,
 )
 
 
@@ -756,3 +762,104 @@ def reference_connected_structures(d, colours, genera, E, opts):
         s for s in reference_structures(d, colours, genera, E, max_ends, min_ends)
         if reference_structure_connected(V, s)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Canonical labelling: the exhaustive minimiser over every vertex order
+# inside each attribute class, for every unit
+
+
+def _vertex_attr(v: Vertex):
+    return (0 if v.colour == I0 else 1, v.genus, v.free or ())
+
+
+def _orderings(G: AutoGraph):
+    # All vertex orders compatible with sorting by attribute; ties are
+    # broken by trying every arrangement inside an attribute class.
+    groups: dict[tuple, list[int]] = {}
+    for v in G.vertices:
+        groups.setdefault(_vertex_attr(v), []).append(v.vid)
+    keys = sorted(groups)
+    pools = [itertools.permutations(groups[k]) for k in keys]
+    for combo in itertools.product(*pools):
+        order: list[int] = []
+        for part in combo:
+            order.extend(part)
+        yield order
+
+
+def _encode(G: AutoGraph, order: list[int]):
+    pos = {vid: ix for ix, vid in enumerate(order)}
+    vparts = tuple(_vertex_attr(G.vertex(vid)) for vid in order)
+    eparts = []
+    for e in G.edges:
+        if isinstance(e, Link):
+            pu, pv = pos[e.u], pos[e.v]
+            if pu <= pv:
+                eparts.append((0, pu, pv, e.mu, e.mv))
+            else:
+                eparts.append((0, pv, pu, e.mv, e.mu))
+        else:
+            eparts.append((1, pos[e.v], e.pair[0], e.pair[1], int(e.swapped)))
+    return (G.d, vparts, tuple(sorted(eparts)))
+
+
+def _best_presentation(G: AutoGraph):
+    best = None
+    best_graph_order = None
+    for r in units_mod(G.d):
+        H = unit_transform(G, r)
+        for order in _orderings(H):
+            enc = _encode(H, order)
+            if best is None or enc < best:
+                best = enc
+                best_graph_order = (H, order)
+    return best, best_graph_order
+
+
+def reference_canonical_encoding(G: AutoGraph):
+    """Minimum encoding over relabelings and simultaneous unit actions."""
+    return _best_presentation(G)[0]
+
+
+def reference_canonical_form(G: AutoGraph) -> AutoGraph:
+    """The graph relabelled and unit-translated into its canonical presentation."""
+    _, (H, order) = _best_presentation(G)
+    pos = {vid: ix for ix, vid in enumerate(order)}
+    vertices = [replace(H.vertex(vid), vid=pos[vid]) for vid in order]
+    edges = []
+    for e in H.edges:
+        if isinstance(e, Link):
+            edges.append(make_link(pos[e.u], pos[e.v], e.mu, e.mv))
+        else:
+            edges.append(make_loop(pos[e.v], e.pair[0], e.pair[1], e.swapped))
+    return make_graph(H.d, vertices, edges)
+
+
+# ---------------------------------------------------------------------------
+# Cover algebra: character classes by the carry recursion
+
+
+def reference_branch_class(ba, i):
+    """[D_i], summed afresh from the divisor list."""
+    acc = ba.model.zero()
+    for j, items in ba.divisors:
+        if j == i:
+            for _, cls in items:
+                acc = acc + cls
+    return acc
+
+
+def reference_character_class(ba, chi):
+    """The class L_chi of the chi-eigensheaf, by the carry recursion:
+    L_{x+1} = L_x + L minus the branch classes whose residue carries."""
+    if not (0 <= chi < ba.d):
+        raise ValueError("character exponent out of range")
+    acc = ba.model.zero()
+    for step in range(chi):
+        correction = ba.model.zero()
+        for i in range(1, ba.d):
+            if carry(ba.d, (step * i) % ba.d, i % ba.d):
+                correction = correction + reference_branch_class(ba, i)
+        acc = acc + ba.L - correction
+    return acc

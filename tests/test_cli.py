@@ -304,6 +304,94 @@ class TestCoverCheck:
         assert err.startswith("error: malformed cover document") and err.count("\n") == 1
 
 
+# Valid documents of each kind, whose numbers the tests below spoil.
+TAIL_GRAPH_DOC = {
+    "order": 2,
+    "vertices": [
+        {"id": 0, "colour": "I0", "genus": 1},
+        {"id": 1, "colour": "I1", "genus": 1, "free_branching": [3]},
+    ],
+    "edges": [{"type": "link", "ends": [0, 1], "labels": [0, 1]}],
+}
+COVER_DOC = {
+    "order": 4,
+    "picard": {"free_rank": 1, "torsion": [2]},
+    "L": {"free": [1], "torsion": [0]},
+    "divisors": {"2": [{"symbol": "D", "class": {"free": [2], "torsion": [1]}}]},
+}
+
+
+def spoiled(doc, path, value):
+    """A deep copy of doc with the entry at path (keys and list indices)
+    replaced by value."""
+    out = json.loads(json.dumps(doc))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+class TestDocumentNumbers:
+    def refused(self, capsys, tmp_path, command, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *command, "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_valid_documents_pass(self, capsys, tmp_path):
+        for command, doc in ((("simplify",), TAIL_GRAPH_DOC),
+                             (("cover", "check"), COVER_DOC)):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert run(capsys, *command, "--input", str(path))[0] == 0
+
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("command,doc,path", [
+        pytest.param(("simplify",), TAIL_GRAPH_DOC, ("order",), id="graph-order"),
+        pytest.param(("simplify",), TAIL_GRAPH_DOC, ("vertices", 1, "free_branching", 0),
+                     id="graph-free"),
+        pytest.param(("cover", "check"), COVER_DOC, ("L", "free", 0), id="cover-L"),
+        pytest.param(("cover", "check"), COVER_DOC, ("order",), id="cover-order"),
+    ])
+    def test_non_finite_number(self, capsys, tmp_path, constant, command, doc, path):
+        text = json.dumps(spoiled(doc, path, "CONSTANT")).replace('"CONSTANT"', constant)
+        err = self.refused(capsys, tmp_path, command, text)
+        assert "non-finite number %s" % constant in err
+
+    @pytest.mark.parametrize("path,value", [
+        (("order",), 2.0),
+        (("order",), "2"),
+        (("vertices", 0, "id"), False),
+        (("vertices", 0, "genus"), 1.5),
+        (("vertices", 1, "free_branching"), "3"),
+        (("edges", 0, "ends"), [0, 1.0]),
+        (("edges", 0, "labels", 1), True),
+    ])
+    def test_graph_numbers_are_integers(self, capsys, tmp_path, path, value):
+        err = self.refused(capsys, tmp_path, ("simplify",),
+                           json.dumps(spoiled(TAIL_GRAPH_DOC, path, value)))
+        assert err.startswith("error: malformed graph document: ")
+        assert "must be an integer" in err
+
+    @pytest.mark.parametrize("path,value", [
+        (("order",), 4.5),
+        (("order",), True),
+        (("picard", "free_rank"), "1"),
+        (("picard", "torsion"), "2"),
+        (("L", "free"), "1"),
+        (("L", "torsion", 0), 0.0),
+        (("divisors", "2", 0, "class", "free", 0), 2.0),
+    ])
+    def test_cover_numbers_are_integers(self, capsys, tmp_path, path, value):
+        err = self.refused(capsys, tmp_path, ("cover", "check"),
+                           json.dumps(spoiled(COVER_DOC, path, value)))
+        assert err.startswith("error: malformed cover document: ")
+        assert "must be an integer" in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from cycliccovers import cover_algebra as ca
 
 
@@ -178,6 +180,20 @@ class TestCharacterClasses:
                 - ca.character_class(ba, (chi + xi) % ba.d)
             )
             assert section == lhs
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.randoms(use_true_random=False))
+    def test_matches_carry_recursion(self, d, rng):
+        ba = random_assignment(rng, d)
+        for i in range(1, d):
+            assert ba.branch_class(i) == oracles.reference_branch_class(ba, i)
+        for chi in range(d):
+            got = ca.character_class(ba, chi)
+            assert got == oracles.reference_character_class(ba, chi)
+            rhs = ba.model.zero()
+            for i in range(1, d):
+                rhs = rhs + ((chi * i) % d) * oracles.reference_branch_class(ba, i)
+            assert d * got == rhs
 
     def test_out_of_range(self):
         rng = random.Random(3)

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from cycliccovers import stable_graphs as sg
+from cycliccovers.combinat import units_mod
 from cycliccovers.stable_graphs import (
     I0,
     I1,
@@ -310,6 +311,99 @@ class TestCanonical:
             C = sg.canonical_form(G)
             assert sg.canonical_form(C) == C
             assert sg.canonical_encoding(C) == sg.canonical_encoding(G)
+
+
+def relabelled(G, perm, r):
+    """G with vertex ids mapped by perm, then every residue multiplied by
+    the unit r: the same numerical type."""
+    vertices = [Vertex(perm[v.vid], v.colour, v.genus, v.free) for v in G.vertices]
+    edges = [make_link(perm[e.u], perm[e.v], e.mu, e.mv) if isinstance(e, sg.Link)
+             else make_loop(perm[e.v], *e.pair, e.swapped) for e in G.edges]
+    return sg.unit_transform(make_graph(G.d, vertices, edges), r)
+
+
+def spine_graph(d, tails):
+    """A rational I1 spine with the given tails, each (genus, labels): an
+    identity component joined to the spine by one link per label."""
+    residues = [m for _, labels in tails for m in labels]
+    free = [0] * (d - 1)
+    if sum(residues) % d:
+        free[d - sum(residues) % d - 1] += 1
+    k = len(residues) + sum(free)
+    vertices = [Vertex(0, I1, 1 - d + k * (d - 1) // 2, tuple(free))]
+    edges = []
+    for vid, (genus, labels) in enumerate(tails, start=1):
+        vertices.append(Vertex(vid, I0, genus))
+        edges.extend(make_link(0, vid, m, 0) for m in labels)
+    return make_graph(d, vertices, edges)
+
+
+def assert_matches_reference(G):
+    assert sg.canonical_encoding(G) == oracles.reference_canonical_encoding(G)
+    assert sg.canonical_form(G) == oracles.reference_canonical_form(G)
+
+
+class TestCanonicalOracle:
+    @pytest.mark.parametrize("g,d", [
+        (g, d) for g in (2, 3, 4) for d in (2, 3, 5, 7) if d <= 2 * g + 1
+    ])
+    def test_enumeration_candidates(self, g, d):
+        for colours, genera, E, opts in sg._vertex_multisets(g, d):
+            for structure, ends in sg._structures(d, colours, genera, E, opts):
+                for G in sg._labelled_graphs(d, colours, genera, structure, opts, ends):
+                    assert_matches_reference(G)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_relabelled_spines(self, d):
+        rng = random.Random(d)
+        for n in (5, 6, 7):
+            G = spine_graph(d, [(1, [rng.randrange(1, d)]) for _ in range(n)])
+            sg.check_graph(G, require_stable=True)
+            want = oracles.reference_canonical_encoding(G)
+            for _ in range(2):
+                perm = list(range(n + 1))
+                rng.shuffle(perm)
+                H = relabelled(G, perm, rng.randrange(1, d))
+                assert_matches_reference(H)
+                assert sg.canonical_encoding(H) == want
+
+    def test_twins_with_loops_and_parallel_links(self):
+        # Order 2: four I1 leaves on an identity hub, two with a swapped
+        # loop and two with a plain one, so only the loops tell the pairs
+        # apart.  Order 3: tails joined to the spine by parallel links
+        # with equal or different labels.
+        hub = [Vertex(0, I0, 0)]
+        leaves = [Vertex(v, I1, 2, (2,)) for v in range(1, 5)]
+        order2 = make_graph(2, hub + leaves, [
+            *(make_link(0, v, 0, 1) for v in range(1, 5)),
+            make_loop(1, 1, 1, swapped=True), make_loop(2, 1, 1, swapped=True),
+            make_loop(3, 1, 1), make_loop(4, 1, 1),
+        ])
+        order3 = spine_graph(3, [(1, [1, 1]), (1, [1, 2]), (1, [2, 1]), (1, [1, 1]),
+                                 (1, [1]), (2, [1])])
+        # Two linked vertices with equal attributes and equal links
+        # elsewhere are not twins.
+        linked = make_graph(3, [Vertex(0, I1, 1, (2, 0)), Vertex(1, I1, 1, (2, 0)),
+                                Vertex(2, I0, 1)],
+                            [make_link(0, 1, 1, 1), make_link(0, 2, 2, 0),
+                             make_link(1, 2, 2, 0)])
+        rng = random.Random(7)
+        for G in (order2, order3, linked):
+            assert_matches_reference(G)
+            for _ in range(3):
+                perm = list(range(len(G.vertices)))
+                rng.shuffle(perm)
+                H = relabelled(G, perm, rng.choice(units_mod(G.d)))
+                assert_matches_reference(H)
+                assert sg.canonical_encoding(H) == sg.canonical_encoding(G)
+
+    def test_arrangements_are_the_distinct_orders(self):
+        classes = [[0, 1, 2], [3], [4, 5]]
+        got = sg._arrangements(classes)
+        token = {v: ix for ix, cls in enumerate(classes) for v in cls}
+        want = {tuple(token[v] for v in p) for p in itertools.permutations(range(6))}
+        assert len(got) == len(want) == 60
+        assert {tuple(token[v] for v in order) for order in got} == want
 
 
 class TestEnumeration:
