@@ -5,10 +5,9 @@ the genus g of C, and the sequence (k_1, ..., k_{d-1}) counting branch
 points of C' by the residue i of their local monodromy.  The quotient
 genus h is pinned down by the genus formula
 
-    2(g - 1) = d * (2(h - 1) + sum_i k_i (1 - gcd(i, d)/d)),
+    2(g - 1) = 2d(h - 1) + sum_i k_i (d - gcd(i, d)),
 
-evaluated here in exact arithmetic, never in floats: in rationals by the
-public predicates below, in integers inside `enumerate_admissible`.  A sequence
+evaluated in integers throughout (`combinat.genus_relation`).  A sequence
 is admissible when h is a non-negative integer, the total branch degree
 sum_i i*k_i vanishes mod d (so the branch divisor class is divisible by
 d on a curve), and, when the support generates a proper subgroup of
@@ -25,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
-from operator import itemgetter, mul
 
-from .combinat import is_prime, units_mod, weighted_compositions
+from .combinat import (branch_weights, branching_term, genus_relation, is_prime,
+                       prime_shapes, quotient_genus_for, residue_sum, unit_action,
+                       units_mod, weighted_compositions)
 
 __all__ = [
     "BranchingSequence",
@@ -88,31 +87,19 @@ class BranchingSequence:
 
 def monodromy_sum_vanishes(seq: BranchingSequence) -> bool:
     """Whether sum_i i*k_i == 0 mod d, i.e. the branch degree is divisible by d."""
-    return sum(i * k for i, k in enumerate(seq.counts, start=1)) % seq.d == 0
-
-
-def _unit_action(d: int, r: int):
-    """The map on count tuples that multiplies every residue by the unit r.
-
-    Residue i moves to r*i, so the image holds counts[r^-1 * j - 1] at
-    residue j: an index table, applied by one itemgetter call.
-    """
-    if d == 2:
-        return tuple  # the only unit is 1
-    inverse = pow(r, -1, d)
-    return itemgetter(*((inverse * j) % d - 1 for j in range(1, d)))
+    return residue_sum(seq.counts) % seq.d == 0
 
 
 def unit_translate(seq: BranchingSequence, r: int) -> BranchingSequence:
     """Multiply every monodromy residue by the unit r mod d."""
     if gcd(r, seq.d) != 1:
         raise ValueError("%d is not a unit mod %d" % (r, seq.d))
-    return BranchingSequence(seq.d, _unit_action(seq.d, r % seq.d)(seq.counts))
+    return BranchingSequence(seq.d, unit_action(seq.d, r % seq.d)(seq.counts))
 
 
 def orbit(seq: BranchingSequence) -> tuple[tuple[int, ...], ...]:
     """All count tuples in the unit orbit of seq, sorted."""
-    return tuple(sorted({_unit_action(seq.d, r)(seq.counts) for r in units_mod(seq.d)}))
+    return tuple(sorted({unit_action(seq.d, r)(seq.counts) for r in units_mod(seq.d)}))
 
 
 def _canonical_key(counts: tuple[int, ...]):
@@ -144,37 +131,22 @@ def canonical_datum(seq: BranchingSequence) -> BranchingDatum:
 def quotient_genus(g: int, seq: BranchingSequence) -> int | None:
     """Quotient genus h determined by the genus formula, or None.
 
-    Returns None when h is not a non-negative integer.  Exact rational
-    arithmetic throughout.
+    Returns None when h is not a non-negative integer.
     """
     if g < 2:
         raise ValueError("covering genus must be at least 2")
-    d = seq.d
-    h = Fraction(1) + Fraction(g - 1, d)
-    for i, k in enumerate(seq.counts, start=1):
-        h -= Fraction(k, 2) * (1 - Fraction(gcd(i, d), d))
-    if h.denominator != 1 or h < 0:
-        return None
-    return int(h)
+    return quotient_genus_for(g, seq.d, branching_term(seq.counts))
 
 
 def hurwitz_genus(h: int, seq: BranchingSequence) -> int | None:
     """Covering genus from quotient genus and branching, or None if fractional."""
-    d = seq.d
-    g = Fraction(1) + d * Fraction(h - 1)
-    for i, k in enumerate(seq.counts, start=1):
-        g += Fraction(k * (d - gcd(i, d)), 2)
-    if g.denominator != 1:
-        return None
-    return int(g)
+    twice, odd = divmod(2 * seq.d * (h - 1) + branching_term(seq.counts), 2)
+    return None if odd else twice + 1
 
 
 def etale_part_order(seq: BranchingSequence) -> int:
     """gcd of the support as a subgroup generator of Z/d; d when unramified."""
-    m = seq.d
-    for i in seq.support():
-        m = gcd(m, i)
-    return m
+    return gcd(seq.d, *seq.support())
 
 
 def admissible_quotient_genus(g: int, seq: BranchingSequence) -> int | None:
@@ -225,9 +197,7 @@ class SmoothLocus:
 def smooth_locus(g: int, datum: BranchingDatum | BranchingSequence) -> SmoothLocus:
     """Build the locus record for an admissible datum.
 
-    Rejects inadmissible input.  For prime order the codimension is also
-    recomputed through the closed form 3(p-1)(h-1) + k(3(p-1)/2 - 1),
-    which must agree exactly with 3(g-1) - dim.
+    Rejects inadmissible input.
     """
     seq = datum.sequence() if isinstance(datum, BranchingDatum) else datum
     h = admissible_quotient_genus(g, seq)
@@ -235,28 +205,30 @@ def smooth_locus(g: int, datum: BranchingDatum | BranchingSequence) -> SmoothLoc
         raise ValueError(
             "inadmissible branching for g=%d, d=%d: %r" % (g, seq.d, seq.counts)
         )
-    can = canonical_datum(seq)
-    k = seq.k
+    return _locus(g, canonical_datum(seq), h)
+
+
+def _locus(g: int, datum: BranchingDatum, h: int) -> SmoothLocus:
+    # The record of a canonical admissible datum with quotient genus h.  For
+    # prime order p the codimension is also recomputed through the closed
+    # form 3(p-1)(h-1) + k(3(p-1)/2 - 1), which must agree exactly.
+    d, k = datum.d, datum.k
     dim = 3 * (h - 1) + k
     codim = 3 * (g - 1) - dim
-    if is_prime(seq.d):
-        p = seq.d
-        closed = 3 * (p - 1) * (h - 1) + k * (Fraction(3 * (p - 1), 2) - 1)
-        if closed != codim:
-            raise AssertionError(
-                "codimension cross-check failed for g=%d, p=%d, %r" % (g, p, can.counts)
-            )
-    return SmoothLocus(g=g, d=seq.d, counts=can.counts, h=h, k=k, dim=dim, codim=codim)
+    if is_prime(d) and 2 * codim != 6 * (d - 1) * (h - 1) + k * (3 * (d - 1) - 2):
+        raise AssertionError(
+            "codimension cross-check failed for g=%d, p=%d, %r" % (g, d, datum.counts)
+        )
+    return SmoothLocus(g=g, d=d, counts=datum.counts, h=h, k=k, dim=dim, codim=codim)
 
 
 def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingDatum, int], ...]:
     """All admissible canonical data for (g, d) with their quotient genera.
 
     Finite: each branch point contributes d - gcd(i, d) >= d - d/2 >= 1
-    to the Hurwitz defect, so k <= 2(g-1) + 2d.  Enumeration runs over
-    quotient genera h and solves the weighted defect equation
-    sum_i k_i (d - gcd(i, d)) = 2(g-1) - 2d(h-1) exactly with
-    `weighted_compositions`, whose weights fall into one class per
+    to the branching term B, so k is at most B at h = 0.  Enumeration runs
+    over quotient genera h and solves sum_i k_i (d - gcd(i, d)) = B exactly
+    with `weighted_compositions`, whose weights fall into one class per
     proper divisor gcd(i, d) of d.  Each solution is then tested in integers: the residue
     sum sum_i i*k_i must vanish mod d, and at h = 0 the support must
     generate Z/d.  A unit orbit is canonicalised once, at its first
@@ -266,36 +238,30 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingDatum, int], ..
     """
     if g < 2 or d < 2:
         raise ValueError("need g >= 2 and d >= 2")
-    weights = tuple(d - gcd(i, d) for i in range(1, d))
-    residues = tuple(range(1, d))
-    kbound = 2 * (g - 1) + 2 * d
-    actions = [_unit_action(d, r) for r in units_mod(d)]
+    weights = branch_weights(d)
+    terms = genus_relation(g, d)
+    actions = [unit_action(d, r) for r in units_mod(d)]
     seen: set[tuple[int, ...]] = set()
     out: dict[tuple[int, ...], int] = {}
-    h = 0
-    while True:
-        defect = 2 * (g - 1) - 2 * d * (h - 1)
-        if defect < 0:
-            break
-        for counts in weighted_compositions(defect, weights):
-            if sum(counts) > kbound:
+    for h, term in enumerate(terms):
+        for counts in weighted_compositions(term, weights):
+            if sum(counts) > terms[0]:
                 raise AssertionError("branch count bound violated")
-            if sum(map(mul, residues, counts)) % d or counts in seen:
+            if residue_sum(counts) % d or counts in seen:
                 continue
-            if h == 0 and gcd(d, *(i for i, c in zip(residues, counts) if c)) != 1:
+            if h == 0 and gcd(d, *(i for i, c in enumerate(counts, 1) if c)) != 1:
                 continue
-            if 2 * (g - 1) != 2 * d * (h - 1) + sum(map(mul, weights, counts)):
+            if quotient_genus_for(g, d, branching_term(counts)) != h:
                 raise AssertionError("inconsistent quotient genus")
             images = {act(counts) for act in actions}
             seen |= images
             out[min(images, key=_canonical_key)] = h
-        h += 1
     ordered = sorted(out, key=_canonical_key)
     return tuple((BranchingDatum(d, c), out[c]) for c in ordered)
 
 
 def enumerate_loci(g: int, d: int) -> tuple[SmoothLocus, ...]:
-    return tuple(smooth_locus(g, datum) for datum, _ in enumerate_admissible(g, d))
+    return tuple(_locus(g, datum, h) for datum, h in enumerate_admissible(g, d))
 
 
 def _shape_realizable(p: int, h: int, k: int) -> bool:
@@ -318,16 +284,7 @@ def iter_admissible_shapes(g: int, p: int):
     """
     if not is_prime(p):
         raise ValueError("prime order required")
-    h = 0
-    while True:
-        defect = 2 * (g - 1) - 2 * p * (h - 1)
-        if defect < 0:
-            return
-        if defect % (p - 1) == 0:
-            k = defect // (p - 1)
-            if _shape_realizable(p, h, k):
-                yield (h, k)
-        h += 1
+    yield from (shape for shape in prime_shapes(g, p) if _shape_realizable(p, *shape))
 
 
 class ExtraAutomorphismRisk(Enum):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import sys
 
 from . import branching, cover_algebra, sing_smooth, sing_stable, stable_graphs
@@ -179,6 +180,11 @@ def _assignment_from_doc(doc: dict) -> cover_algebra.BranchAssignment:
 
     divisors = {}
     for residue, items in mapping(doc.get("divisors", {}), "divisors").items():
+        # Keys are text: only the canonical decimal of an integer names a
+        # residue, so "02" or " 2" cannot stand in for (and overwrite) "2".
+        if not residue.removeprefix("-").isdecimal() or str(int(residue)) != residue:
+            raise GraphError("malformed cover document: divisor residue %r is not "
+                             "a canonical decimal integer" % residue)
         divisors[int(residue)] = [(item["symbol"], cls(item["class"])) for item in items]
     return cover_algebra.branch_assignment(
         d=doc_int(doc["order"], "order"), model=model, L=cls(doc["L"]), divisors=divisors
@@ -321,11 +327,24 @@ def _load_json(path: str) -> dict:
     def refuse(constant: str):
         raise GraphError("non-finite number %s in %s" % (constant, path))
 
+    def unique(pairs):
+        # A repeated key would otherwise silently keep only its last value.
+        out = dict(pairs)
+        if len(out) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise GraphError("repeated key %r in %s" % (key, path))
+                seen.add(key)
+        return out
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=refuse)
+            return json.load(fh, parse_constant=refuse, object_pairs_hook=unique)
     except OSError as exc:
         raise GraphError("cannot read %s: %s" % (path, exc)) from exc
+    except RecursionError as exc:
+        raise GraphError("%s is nested too deeply to parse" % path) from exc
     except json.JSONDecodeError as exc:
         raise GraphError(
             "parse error in %s at line %d column %d: %s"
@@ -364,8 +383,8 @@ def cmd_enlarge(args) -> int:
         "attached": stable_graphs.enlarge_attached,
         "max": stable_graphs.enlarge_max,
     }[args.kind]
+    out = op(G, args.vertex)  # validates G before anything reads it
     before = stable_graphs.stratum_dimension(G)
-    out = op(G, args.vertex)
     after = stable_graphs.stratum_dimension(out)
     if args.format == "doc":
         _emit_doc({
@@ -582,7 +601,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`... | head`): stop quietly, and point
+        # stdout at devnull so that the exit flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -248,9 +248,7 @@ def irreducibility(ba: BranchAssignment) -> IrreducibilityResult:
     the class L' = (d/m)L - sum_i (i/m)[D_i] has order exactly m; for
     m = 1 the class vanishes by validity, so the test is uniform.
     """
-    m = ba.d
-    for i in ba.support():
-        m = gcd(m, i)
+    m = gcd(ba.d, *ba.support())
     lp = (ba.d // m) * ba.L
     for i in ba.support():
         lp = lp - (i // m) * ba.branch_class(i)
@@ -269,7 +267,4 @@ def component_count(d: int, monodromy_images, etale_order: int) -> int:
     """
     if etale_order <= 0 or d % etale_order != 0:
         raise ValueError("etale_order must divide d")
-    g0 = gcd(d, d // etale_order)
-    for i in monodromy_images:
-        g0 = gcd(g0, i % d)
-    return g0
+    return gcd(d, d // etale_order, *(i % d for i in monodromy_images))

@@ -19,12 +19,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .branching import (
-    SmoothLocus,
     BranchingSequence,
+    ExtraAutomorphismRisk,
+    SmoothLocus,
     enumerate_loci,
+    iter_admissible_shapes,
+    maximal_cyclic_exception,
     smooth_locus,
 )
-from .combinat import is_prime, primes_upto, units_mod
+from .combinat import is_prime, primes_upto, unit_action
 
 __all__ = [
     "Verdict",
@@ -127,18 +130,6 @@ class DecompositionReport:
         return tuple(r for r in self.records if r.verdict is Verdict.MANUAL_REVIEW)
 
 
-def _negated(multiset: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return tuple(sorted((-m) % p for m in multiset))
-
-
-def _unit_equivalent(multiset: tuple[int, ...], target: tuple[int, ...], p: int) -> bool:
-    target = tuple(sorted(target))
-    for r in units_mod(p):
-        if tuple(sorted((r * m) % p for m in multiset)) == target:
-            return True
-    return False
-
-
 def _cube_root_coset(multiset: tuple[int, ...], p: int) -> bool:
     roots = sorted(m for m in range(1, p) if (m * m * m) % p == 1)
     if len(roots) != 3:
@@ -158,21 +149,23 @@ def case_pattern(locus: SmoothLocus) -> tuple[CaseTag | None, NormalizerShape | 
         raise ValueError("prime order required")
     if locus.g < 3:
         raise ValueError("classification requires genus at least 3")
-    h, k = locus.h, locus.k
-    monod = locus.sequence().monodromies()
-    if (h, k) == (2, 0):
+    risk = maximal_cyclic_exception(locus.h, locus.k)
+    if risk is ExtraAutomorphismRisk.GENUS_TWO_QUOTIENT:
         shape = NormalizerShape.KLEIN_FOUR if p == 2 else NormalizerShape.DIHEDRAL
         return CaseTag.GENUS2_QUOTIENT, shape
-    if (h, k) == (1, 2):
+    if risk is ExtraAutomorphismRisk.ELLIPTIC_TWO_POINTS:
         shape = NormalizerShape.KLEIN_FOUR if p == 2 else NormalizerShape.DIHEDRAL
         return CaseTag.ELLIPTIC_QUOTIENT, shape
-    if h == 0 and k == 4 and tuple(sorted(monod)) == _negated(monod, p):
-        # Negation-symmetric quadruple: {1, 1, -1, -1} up to a unit, or
-        # {1, -1, n, -n} with n not a unit multiple of 1.
-        if _unit_equivalent(monod, (1, 1, p - 1, p - 1), p):
+    if risk is not ExtraAutomorphismRisk.RATIONAL_FEW_POINTS:
+        return None, None
+    if locus.k == 4 and unit_action(p, p - 1)(locus.counts) == locus.counts:
+        # Negation-symmetric quadruple: {a, a, -a, -a}, which is the unit
+        # multiple a of {1, 1, -1, -1}, or {a, -a, b, -b} with b != +-a.
+        if len(locus.sequence().support()) <= 2:
             return CaseTag.RATIONAL_FOUR_POINTS, NormalizerShape.DIHEDRAL_X2
         return CaseTag.RATIONAL_FOUR_POINTS, NormalizerShape.DIHEDRAL
-    if h == 0 and k == 3:
+    if locus.k == 3:
+        monod = locus.sequence().monodromies()
         if len(set(monod)) < len(monod):
             return CaseTag.RATIONAL_INVOLUTION, NormalizerShape.CYCLIC_2P
         if p % 3 == 1 and _cube_root_coset(monod, p):
@@ -181,10 +174,7 @@ def case_pattern(locus: SmoothLocus) -> tuple[CaseTag | None, NormalizerShape | 
 
 
 def _min_locus_dim(g: int, q: int) -> int | None:
-    loci = enumerate_loci(g, q)
-    if not loci:
-        return None
-    return min(l.dim for l in loci)
+    return min((3 * (h - 1) + k for h, k in iter_admissible_shapes(g, q)), default=None)
 
 
 def container_info(locus: SmoothLocus, tag: CaseTag) -> ContainerInfo:

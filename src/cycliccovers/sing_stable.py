@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .branching import ExtraAutomorphismRisk, maximal_cyclic_exception
 from .combinat import primes_upto
 from .sing_smooth import DecompositionReport, decompose_sing
 from .stable_graphs import (
@@ -44,8 +45,6 @@ __all__ = [
 
 RIGID_FLAG = "rigid_I1_cover"
 REVIEW_FLAG = "manual_review"
-
-_SPECIAL_SHAPES = {(2, 0), (1, 2), (0, 3), (0, 4)}
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def _flags_for(G: AutoGraph, jvid: int) -> tuple[str, ...]:
     shape = (data.quotient_genus, data.k)
     if shape == (0, 3):
         return (RIGID_FLAG,)
-    if shape in _SPECIAL_SHAPES:
+    if maximal_cyclic_exception(*shape) is not ExtraAutomorphismRisk.NONE:
         return (REVIEW_FLAG,)
     return ()
 

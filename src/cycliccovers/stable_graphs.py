@@ -38,7 +38,9 @@ import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .combinat import is_prime, units_mod, weak_compositions
+from .combinat import (connects, is_prime, min_marks, prime_shapes,
+                       quotient_genus_for, residue_sum, unit_action, units_mod,
+                       weak_compositions)
 
 __all__ = [
     "I0",
@@ -185,20 +187,6 @@ def _neighbours(G: AutoGraph, vid: int) -> set[int]:
     return out
 
 
-def is_connected(G: AutoGraph) -> bool:
-    if not G.vertices:
-        return False
-    seen = {G.vertices[0].vid}
-    frontier = [G.vertices[0].vid]
-    while frontier:
-        cur = frontier.pop()
-        for nb in _neighbours(G, cur):
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return len(seen) == len(G.vertices)
-
-
 @dataclass(frozen=True)
 class VertexCoverData:
     """Branching bookkeeping of one vertex.
@@ -249,20 +237,22 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
             for label in e.pair:
                 counts[label - 1] += 1
     k = sum(counts)
-    if sum(i * c for i, c in enumerate(counts, start=1)) % d != 0:
+    total = residue_sum(counts) % d
+    if total:
         raise GraphError(
             "vertex %d: branch residues sum to %d mod %d, no vertex cover exists"
-            % (vid, sum(i * c for i, c in enumerate(counts, start=1)) % d, d)
+            % (vid, total, d)
         )
-    num = 2 * (v.genus - 1) + 2 * d - k * (d - 1)
-    if num % (2 * d) != 0 or num < 0:
+    # Every residue is a unit mod the prime d: each point weighs d - 1.
+    h = quotient_genus_for(v.genus, d, k * (d - 1))
+    if h is None:
         raise GraphError(
             "vertex %d: genus relation has no non-negative integer quotient genus "
             "(genus %d, k %d, order %d)" % (vid, v.genus, k, d)
         )
     return VertexCoverData(
         vid=vid, colour=I1, genus=v.genus, loops=loops, counts=tuple(counts),
-        k=k, quotient_genus=num // (2 * d), marked_genus=v.genus + loops, ends=ends,
+        k=k, quotient_genus=h, marked_genus=v.genus + loops, ends=ends,
     )
 
 
@@ -337,7 +327,9 @@ def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -
                 if (e.pair[0] + e.pair[1]) % d == 0 and not pre:
                     raise GraphError("maximal graphs admit no loop with labels "
                                      "summing to 0 mod %d" % d)
-    if not is_connected(G):
+    index = {vid: i for i, vid in enumerate(vids)}
+    links = [(index[e.u], index[e.v]) for e in G.edges if isinstance(e, Link)]
+    if not connects(len(vids), links):
         raise GraphError("graph is not connected")
     for v in G.vertices:
         vertex_data(G, v.vid)
@@ -353,12 +345,8 @@ def graph_genus(G: AutoGraph) -> int:
 
 def is_stable(G: AutoGraph) -> bool:
     """Genus-0 components need 3 nodes, genus-1 components 1; total genus >= 2."""
-    for v in G.vertices:
-        ends = _ends_at(G, v.vid)
-        if v.genus == 0 and ends < 3:
-            return False
-        if v.genus == 1 and ends < 1:
-            return False
+    if any(_ends_at(G, v.vid) < min_marks(v.genus) for v in G.vertices):
+        return False
     return graph_genus(G) >= 2
 
 
@@ -515,16 +503,6 @@ def enlarge_max(G: AutoGraph, j: int) -> AutoGraph:
     return _check_enlargement(G, simplify(_trivialise(G, others)))
 
 
-def _stable_range(genus: int, marks: int) -> bool:
-    if 3 * genus - 3 + marks < 0:
-        return False
-    if genus == 0 and marks < 3:
-        return False
-    if genus == 1 and marks < 1:
-        return False
-    return True
-
-
 def stratum_dimension(G: AutoGraph) -> int:
     """Moduli dimension of the stratum: sum of 3g - 3 + n over the factors.
 
@@ -539,7 +517,7 @@ def stratum_dimension(G: AutoGraph) -> int:
             pair = (v.genus, data.ends)
         else:
             pair = (data.quotient_genus, data.k)
-        if not _stable_range(*pair):
+        if pair[1] < min_marks(pair[0]):
             raise GraphError(
                 "unstable summand at vertex %d: genus %d with %d marks"
                 % (v.vid, pair[0], pair[1])
@@ -548,24 +526,14 @@ def stratum_dimension(G: AutoGraph) -> int:
     return total
 
 
-def _act_counts(counts, r: int, d: int) -> tuple[int, ...]:
-    # Free-branching counts after multiplying every residue by the unit r.
-    out = [0] * (d - 1)
-    for i, c in enumerate(counts, start=1):
-        out[(r * i) % d - 1] = c
-    return tuple(out)
-
-
 def unit_transform(G: AutoGraph, r: int) -> AutoGraph:
     """Multiply every label and free-branching index by a unit r mod d."""
     d = G.d
     r = r % d
     if r not in units_mod(d):
         raise ValueError("%d is not a unit mod %d" % (r, d))
-    vertices = [
-        v if v.colour == I0 else replace(v, free=_act_counts(v.free, r, d))
-        for v in G.vertices
-    ]
+    act = unit_action(d, r)
+    vertices = [v if v.colour == I0 else replace(v, free=act(v.free)) for v in G.vertices]
     edges = []
     for e in G.edges:
         if isinstance(e, Link):
@@ -626,8 +594,9 @@ def canonical_encoding(G: AutoGraph):
     twins = _twin_classes(G)
     best = None
     for r in units_mod(d):
-        attr = {v.vid: (0, v.genus, ()) if v.colour == I0
-                else (1, v.genus, _act_counts(v.free, r, d)) for v in G.vertices}
+        act = unit_action(d, r)
+        attr = {v.vid: (0, v.genus, ()) if v.colour == I0 else (1, v.genus, act(v.free))
+                for v in G.vertices}
         vparts = tuple(sorted(attr.values()))
         if best is not None and vparts > best[1]:
             continue
@@ -670,20 +639,6 @@ def _decode(enc) -> AutoGraph:
 # Enumeration
 
 
-def _i1_options(d: int, genus: int) -> tuple[tuple[int, int], ...]:
-    # Feasible (quotient genus, k) pairs at a nontrivially acted vertex.
-    out = []
-    gq = 0
-    while True:
-        num = 2 * (genus - 1) - 2 * d * (gq - 1)
-        if num < 0:
-            break
-        if num % (d - 1) == 0:
-            out.append((gq, num // (d - 1)))
-        gq += 1
-    return tuple(out)
-
-
 def _loop_pairs(d: int):
     return [
         (a, b)
@@ -713,7 +668,7 @@ def _vertex_multisets(g: int, d: int):
     Every multiset holds an I1 vertex, and opts maps each I1 vertex to
     its (quotient genus, k) pairs, of which there is at least one.
     """
-    i1_opts = {gi: _i1_options(d, gi) for gi in range(g + 1)}
+    i1_opts = {gi: prime_shapes(gi, d) for gi in range(g + 1)}
     palette = [(I0, gi) for gi in range(g + 1)]
     palette += [(I1, gi) for gi in range(g + 1) if i1_opts[gi]]
 
@@ -737,7 +692,8 @@ def _structures(d, colours, genera, E, opts):
     Yields (structure, ends): structure maps a slot, ("loop", i) or
     ("link", i, j), to its edge count, and ends[v] counts the edge-ends
     at v.  Every vertex ends with min_ends <= ends <= max_ends: min_ends
-    is the stability threshold, max_ends the largest k of the genus
+    is the stability threshold, and at least one end when the graph has
+    another vertex to connect to; max_ends the largest k of the genus
     relation at an I1 vertex, and at an I0 vertex what E and the I1
     capacity leave once the other I0 vertices have their minimum: every
     I0 end lies on an edge of its own whose other end is on an I1 vertex.
@@ -750,7 +706,7 @@ def _structures(d, colours, genera, E, opts):
     V = len(colours)
     i1 = [c == I1 for c in colours]
     max_ends = [max(k for _, k in opts[i]) if i1[i] else 0 for i in range(V)]
-    min_ends = [3 if gi == 0 else 1 if gi == 1 or V > 1 else 0 for gi in genera]
+    min_ends = [max(min_marks(gi), 1 if V > 1 else 0) for gi in genera]
     i0 = [i for i in range(V) if not i1[i]]
     spare = min(E, sum(max_ends)) - sum(min_ends[i] for i in i0)
     for i in i0:
@@ -776,19 +732,12 @@ def _structures(d, colours, genera, E, opts):
     ends = [0] * V
     counts = [0] * n
 
-    def connected():
-        comp = list(range(V))
-        for ix in range(n):
-            if counts[ix] and plan[ix][1] == 1:
-                ci, cj = (comp[v] for v in plan[ix][0])
-                comp = [ci if c == cj else c for c in comp]
-        return len(set(comp)) == 1
-
     def rec(ix, rem, deficit):
         if deficit > 2 * rem:
             return
         if ix == n:
-            if rem == 0 and connected():
+            if rem == 0 and connects(V, [plan[s][0] for s in range(n)
+                                         if counts[s] and plan[s][1] == 1]):
                 yield {slots[i]: c for i, c in enumerate(counts) if c}, list(ends)
             return
         touched, w, closing = plan[ix]
@@ -810,14 +759,13 @@ def _structures(d, colours, genera, E, opts):
 def _free_choices(d, edge_counts, options, ends):
     # All (free tuple) completions compatible with some (g', k) option.
     out = []
-    base = sum(i * c for i, c in enumerate(edge_counts, start=1))
+    base = residue_sum(edge_counts)
     for _, k in options:
         rest = k - ends
         if rest < 0:
             continue
         for free in weak_compositions(rest, d - 1):
-            tot = base + sum(i * c for i, c in enumerate(free, start=1))
-            if tot % d == 0:
+            if (base + residue_sum(free)) % d == 0:
                 out.append(free)
     return out
 
@@ -1086,9 +1034,12 @@ def graph_from_doc(doc: dict) -> AutoGraph:
                 edges.append(make_link(u, v, mu, mv))
             elif entry["type"] == "loop":
                 (a, b) = (doc_int(x, "a loop label") for x in entry["pair"])
+                swapped = entry.get("branch_swapped", False)
+                if type(swapped) is not bool:
+                    raise TypeError("branch_swapped must be true or false, not %s"
+                                    % type(swapped).__name__)
                 edges.append(
-                    make_loop(doc_int(entry["vertex"], "a loop vertex"), a, b,
-                              bool(entry.get("branch_swapped", False)))
+                    make_loop(doc_int(entry["vertex"], "a loop vertex"), a, b, swapped)
                 )
             else:
                 raise GraphError("unknown edge type %r" % entry["type"])

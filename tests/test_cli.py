@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycliccovers import cli
 from cycliccovers import stable_graphs as sg
@@ -320,6 +324,14 @@ COVER_DOC = {
     "divisors": {"2": [{"symbol": "D", "class": {"free": [2], "torsion": [1]}}]},
 }
 
+# An order-2 loop whose two branches the involution swaps; as a plain loop
+# the vertex would fail the genus relation.
+SWAPPED_LOOP_DOC = {
+    "order": 2,
+    "vertices": [{"id": 0, "colour": "I1", "genus": 1, "free_branching": [4]}],
+    "edges": [{"type": "loop", "vertex": 0, "pair": [1, 1], "branch_swapped": True}],
+}
+
 
 def spoiled(doc, path, value):
     """A deep copy of doc with the entry at path (keys and list indices)
@@ -392,6 +404,60 @@ class TestDocumentNumbers:
         assert "must be an integer" in err
 
 
+    @pytest.mark.parametrize("command,text", [
+        pytest.param(("cover", "check"), json.dumps(COVER_DOC)[:-1] + ', "order": 2}',
+                     id="repeated-top-key"),
+        pytest.param(("cover", "check"), json.dumps(COVER_DOC).replace(
+            '"divisors": {', '"divisors": {"2": [{"symbol": "E", "class": '
+            '{"free": [2], "torsion": [1]}}], '), id="repeated-residue"),
+        pytest.param(("simplify",), json.dumps(TAIL_GRAPH_DOC).replace(
+            '"genus": 1,', '"genus": 1, "genus": 2,', 1), id="repeated-graph-key"),
+    ])
+    def test_repeated_key(self, capsys, tmp_path, command, text):
+        err = self.refused(capsys, tmp_path, command, text)
+        assert "repeated key" in err
+
+    @pytest.mark.parametrize("key", ["02", "+2", " 2", "2 ", "-02", "\u0662", "1_0", ""])
+    def test_residue_key_is_canonical_decimal(self, capsys, tmp_path, key):
+        # "02" ahead of "2" used to name residue 2 twice, the later entry
+        # silently replacing the earlier one.
+        doc = {**COVER_DOC, "divisors": {
+            key: [{"symbol": "E", "class": {"free": [2], "torsion": [1]}}],
+            **COVER_DOC["divisors"]}}
+        err = self.refused(capsys, tmp_path, ("cover", "check"), json.dumps(doc))
+        assert err.startswith("error: malformed cover document: divisor residue ")
+
+    @pytest.mark.parametrize("command", [("simplify",), ("cover", "check")])
+    @pytest.mark.parametrize("opening", ["[", '{"a": '])
+    def test_nested_too_deeply(self, capsys, tmp_path, command, opening):
+        closing = "]" if opening == "[" else "}"
+        err = self.refused(capsys, tmp_path, command,
+                           opening * 200000 + "0" + closing * 200000)
+        assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("label", [2, 5, -1])
+    @pytest.mark.parametrize("kind", ["detached", "attached", "max"])
+    def test_enlarge_label_out_of_range(self, capsys, tmp_path, label, kind):
+        # enlarge used to read the vertex data of the unchecked input graph,
+        # and a label past the free-branching entries raised an IndexError.
+        err = self.refused(capsys, tmp_path, ("enlarge", "--vertex", "1", "--kind", kind),
+                           json.dumps(spoiled(TAIL_GRAPH_DOC, ("edges", 0, "labels", 1),
+                                              label)))
+        assert "needs a nonzero residue" in err
+
+    def test_swapped_loop_document_passes(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(SWAPPED_LOOP_DOC), encoding="utf-8")
+        assert run(capsys, "simplify", "--input", str(path))[0] == 0
+
+    @pytest.mark.parametrize("value", ["no", "yes", 1, 0, None, [], {}])
+    def test_branch_swapped_is_boolean(self, capsys, tmp_path, value):
+        # bool("no") is True: a string used to mark the loop as swapped.
+        err = self.refused(capsys, tmp_path, ("simplify",), json.dumps(
+            spoiled(SWAPPED_LOOP_DOC, ("edges", 0, "branch_swapped"), value)))
+        assert err.startswith("error: malformed graph document: branch_swapped ")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -431,3 +497,86 @@ class TestModuleEntryPoints:
         proc = run_module("cycliccovers", "sing", "--genus", "1")
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage error")
+
+
+class TestClosedStdout:
+    def test_reader_closes_pipe_early(self):
+        # bounds --genus 100000 prints about 108 kB, more than a pipe buffer
+        # holds, so the writer is still writing when the reader goes away.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cycliccovers", "bounds", "--genus", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(16) == b"genus=100000 gen"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+
+
+# Arbitrary JSON values: wrong types, lists in place of maps, huge and
+# negative integers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers() | st.integers(min_value=-2, max_value=4)
+    | st.sampled_from([997, 10**6 + 3, -10**30, 10**30]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, the empty path included."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def broken_documents(draw, doc):
+    """doc with one entry replaced by an arbitrary JSON value, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if path and draw(st.booleans()):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        return doc
+    value = draw(JSON_VALUES)
+    return spoiled(doc, path, value) if path else value
+
+
+class TestDocumentFuzz:
+    @pytest.mark.parametrize("command,doc", [
+        (("simplify",), TAIL_GRAPH_DOC),
+        (("enlarge",), TAIL_GRAPH_DOC),
+        (("cover", "check"), COVER_DOC),
+    ])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_is_clean(self, command, doc, data):
+        doc = data.draw(broken_documents(doc))
+        argv = list(command) + ["--format", data.draw(st.sampled_from(["table", "doc"]))]
+        if command[0] == "enlarge":
+            argv += ["--vertex", str(data.draw(st.integers(min_value=-1, max_value=2))),
+                     "--kind", data.draw(st.sampled_from(["detached", "attached", "max"]))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out, err = io.StringIO(), io.StringIO()
+            # An exception that escapes main would end the command in a
+            # traceback; here it fails the test.
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv + ["--input", path])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            assert out.getvalue() == ""

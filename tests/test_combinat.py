@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from cycliccovers.combinat import weighted_compositions
+from cycliccovers.combinat import min_marks
 
 
 def check_against_reference(total, weights):
@@ -32,3 +33,9 @@ def test_edge_cases():
     assert list(weighted_compositions(0, (2, 2, 3))) == [(0, 0, 0)]
     assert list(weighted_compositions(5, (4, 6))) == []
     assert sorted(weighted_compositions(4, (2, 2))) == [(0, 2), (1, 1), (2, 0)]
+
+
+def test_min_marks_is_the_stability_threshold():
+    # A genus-g curve with n marked points is stable iff 2g - 2 + n > 0.
+    for genus in range(10):
+        assert min_marks(genus) == min(n for n in range(4) if 2 * genus - 2 + n > 0)
