@@ -17,7 +17,12 @@ g >= 2 the last condition is automatic.
 Changing the chosen generator of the covering group multiplies all
 monodromy residues by a unit r mod d; sequences in the same unit orbit
 describe the same cover.  Loci in moduli are therefore indexed by a
-canonical orbit representative.
+canonical orbit representative, the member whose zero pattern (populated
+low residues first) and then counts are least, and `enumerate_admissible`
+generates only candidates for it.  The orbit of a residue s is the set of
+residues with gcd(s, d), whose least member is that gcd, so the first
+populated residue of a representative is the least gcd(s, d) over its
+support (the first residue rule): every candidate starts at a divisor of d.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from operator import not_
 
 from .combinat import (branch_weights, branching_term, genus_relation, is_prime,
                        prime_shapes, quotient_genus_for, residue_sum, unit_action,
-                       units_mod, weighted_compositions)
+                       units_mod)
 
 __all__ = [
     "BranchingSequence",
@@ -104,8 +110,8 @@ def orbit(seq: BranchingSequence) -> tuple[tuple[int, ...], ...]:
 
 def _canonical_key(counts: tuple[int, ...]):
     # Orbit representative: prefer populated low residues (compare the
-    # zero-pattern first), then compare the counts themselves.
-    return (tuple(0 if c else 1 for c in counts), counts)
+    # zero-pattern, False where populated, first), then compare the counts.
+    return (tuple(map(not_, counts)), counts)
 
 
 @dataclass(frozen=True, order=True)
@@ -225,39 +231,96 @@ def _locus(g: int, datum: BranchingDatum, h: int) -> SmoothLocus:
 def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingDatum, int], ...]:
     """All admissible canonical data for (g, d) with their quotient genera.
 
-    Finite: each branch point contributes d - gcd(i, d) >= d - d/2 >= 1
-    to the branching term B, so k is at most B at h = 0.  Enumeration runs
-    over quotient genera h and solves sum_i k_i (d - gcd(i, d)) = B exactly
-    with `weighted_compositions`, whose weights fall into one class per
-    proper divisor gcd(i, d) of d.  Each solution is then tested in integers: the residue
-    sum sum_i i*k_i must vanish mod d, and at h = 0 the support must
-    generate Z/d.  A unit orbit is canonicalised once, at its first
-    admissible member: all of its images go into a seen-set, so the other
-    members are skipped.  The unit action runs through index tables built
-    once per call.
+    Generates only candidates for unit-orbit representatives: count tuples,
+    filled in increasing residue order, with a branching term B of
+    genus_relation and residue sum 0 mod d.  By the first residue rule (see
+    the module docstring) a point goes at a divisor e of d first, and after
+    it only residues r with gcd(r, d) >= e whose weight fits some solution.
+    A table over (residue position, remaining term) holds, as a bitmask mod
+    d, the residue sums the residues from there on can still make, so the
+    search enters only nodes it can complete.  A leaf is kept when no unit
+    image has a smaller canonical key and, at h = 0, its support generates
+    Z/d; then the branch-count bound (each point adds at least d - d/2 >= 1
+    to B, so k <= B at h = 0), the residue sum and the quotient genus are
+    checked again.
     """
     if g < 2 or d < 2:
         raise ValueError("need g >= 2 and d >= 2")
     weights = branch_weights(d)
     terms = genus_relation(g, d)
-    actions = [unit_action(d, r) for r in units_mod(d)]
-    seen: set[tuple[int, ...]] = set()
-    out: dict[tuple[int, ...], int] = {}
-    for h, term in enumerate(terms):
-        for counts in weighted_compositions(term, weights):
-            if sum(counts) > terms[0]:
-                raise AssertionError("branch count bound violated")
-            if residue_sum(counts) % d or counts in seen:
-                continue
-            if h == 0 and gcd(d, *(i for i, c in enumerate(counts, 1) if c)) != 1:
-                continue
-            if quotient_genus_for(g, d, branching_term(counts)) != h:
-                raise AssertionError("inconsistent quotient genus")
-            images = {act(counts) for act in actions}
-            seen |= images
-            out[min(images, key=_canonical_key)] = h
-    ordered = sorted(out, key=_canonical_key)
-    return tuple((BranchingDatum(d, c), out[c]) for c in ordered)
+    actions = None
+    buf = [0] * (d - 1)
+    out: list[tuple[tuple[int, ...], int]] = []
+
+    def leaf(h, e):
+        # No residue below e is populated in any image, so an image that
+        # leaves e empty has a larger key.
+        nonlocal actions
+        if actions is None:
+            actions = [unit_action(d, r) for r in units_mod(d)[1:]]
+        counts = tuple(buf)
+        key = _canonical_key(counts)
+        if any(image[e - 1] and _canonical_key(image) < key
+               for image in (act(counts) for act in actions)):
+            return
+        if h == 0 and gcd(d, *(i for i, c in enumerate(counts, 1) if c)) != 1:
+            return
+        if sum(counts) > terms[0]:
+            raise AssertionError("branch count bound violated")
+        if residue_sum(counts) % d or quotient_genus_for(g, d, branching_term(counts)) != h:
+            raise AssertionError("inconsistent quotient genus")
+        out.append((counts, h))
+
+    if terms[-1] == 0:
+        leaf(len(terms) - 1, 1)  # unramified
+    for e in sorted({d - w for w in weights}):  # d - weights[r - 1] = gcd(r, d)
+        residues = [r for r in range(e, d) if d - weights[r - 1] >= e]
+        unit = gcd(*(weights[r - 1] for r in residues))  # weights below count in units
+        step = {r: weights[r - 1] // unit for r in residues}
+        top, first = terms[0] // unit, step[e]
+        totals = 1  # bit t: some points at these residues weigh t
+        for w in set(step.values()):
+            while w <= top:
+                totals = (totals | totals << w) & ((2 << top) - 1)
+                w *= 2
+        starts = [(h, b // unit) for h, b in enumerate(terms)
+                  if b % unit == 0 and b >= first * unit and totals >> (b // unit - first) & 1]
+        if not starts:
+            continue
+        fits = {w for w in step.values() for _, t in starts
+                if t >= first + w and totals >> (t - first - w) & 1}
+        residues = [r for r in residues if r == e or step[r] in fits]
+        # reach[j][t], bit s: points at residues[j:] can weigh t with residue
+        # sum s mod d.  An unbounded knapsack per residue, built from the end.
+        reach = [[1] + [0] * starts[0][1]]
+        for a in reversed(residues):
+            row, w = reach[0][:], step[a]
+            for t in range(w, len(row)):
+                if row[t - w]:
+                    row[t] |= (row[t - w] << a | row[t - w] >> (d - a)) & ((1 << d) - 1)
+            reach.insert(0, row)
+
+        def place(j, end, t, s, h):
+            # Residues before position j are placed; weight t and residue
+            # sum s remain, and the next point goes at a position in [j, end).
+            if t == 0:
+                return leaf(h, e)
+            for i in range(j, end):
+                if not reach[i][t] >> s & 1:
+                    break
+                a = residues[i]
+                w, last = step[a], i + 1 == len(residues)
+                for c in range(t // w if last else 1, t // w + 1):  # the last takes all
+                    rest, rem = t - c * w, (s - c * a) % d
+                    if reach[i + 1][rest] >> rem & 1:
+                        buf[a - 1] = c
+                        place(i + 1, len(residues), rest, rem, h)
+                buf[a - 1] = 0
+
+        for h, t in starts:
+            place(0, 1, t, 0, h)
+    out.sort(key=lambda item: _canonical_key(item[0]))
+    return tuple((BranchingDatum(d, c), h) for c, h in out)
 
 
 def enumerate_loci(g: int, d: int) -> tuple[SmoothLocus, ...]:

@@ -25,7 +25,7 @@ from .sing_smooth import (
     Verdict,
 )
 from .sing_stable import BoundaryComponent
-from .stable_graphs import GraphError, doc_int
+from .stable_graphs import GraphError, clipped, doc_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -183,8 +183,8 @@ def _assignment_from_doc(doc: dict) -> cover_algebra.BranchAssignment:
         # Keys are text: only the canonical decimal of an integer names a
         # residue, so "02" or " 2" cannot stand in for (and overwrite) "2".
         if not residue.removeprefix("-").isdecimal() or str(int(residue)) != residue:
-            raise GraphError("malformed cover document: divisor residue %r is not "
-                             "a canonical decimal integer" % residue)
+            raise GraphError("malformed cover document: divisor residue %s is not "
+                             "a canonical decimal integer" % clipped(residue))
         divisors[int(residue)] = [(item["symbol"], cls(item["class"])) for item in items]
     return cover_algebra.branch_assignment(
         d=doc_int(doc["order"], "order"), model=model, L=cls(doc["L"]), divisors=divisors
@@ -334,7 +334,7 @@ def _load_json(path: str) -> dict:
             seen = set()
             for key, _ in pairs:
                 if key in seen:
-                    raise GraphError("repeated key %r in %s" % (key, path))
+                    raise GraphError("repeated key %s in %s" % (clipped(key), path))
                 seen.add(key)
         return out
 

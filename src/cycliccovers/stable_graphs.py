@@ -35,6 +35,7 @@ so the marked genus g_i + loops is reported but never used to validate.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -76,6 +77,7 @@ __all__ = [
     "graph_to_doc",
     "graph_from_doc",
     "doc_int",
+    "clipped",
     "MAX_DOC_ORDER",
 ]
 
@@ -221,6 +223,7 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
             marked_genus=v.genus + loops, ends=ends,
         )
     counts = list(v.free or (0,) * (d - 1))
+    labels = []
     for e in G.edges:
         if isinstance(e, Link):
             for end, label in ((e.u, e.mu), (e.v, e.mv)):
@@ -230,12 +233,15 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
                             "vertex %d: zero label on a branch of a nontrivially "
                             "acted component" % vid
                         )
-                    counts[label - 1] += 1
+                    labels.append(label)
         elif e.v == vid and not e.swapped:
             # A swapped loop's two preimages form one orbit and are not
             # fixed points, so it contributes nothing here.
-            for label in e.pair:
-                counts[label - 1] += 1
+            labels.extend(e.pair)
+    for label in labels:
+        if not 0 < label < d:
+            raise GraphError("vertex %d: branch label %d outside 1..%d" % (vid, label, d - 1))
+        counts[label - 1] += 1
     k = sum(counts)
     total = residue_sum(counts) % d
     if total:
@@ -273,7 +279,7 @@ def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -
         raise GraphError("duplicate vertex ids")
     for v in G.vertices:
         if v.colour not in (I0, I1):
-            raise GraphError("vertex %d: unknown colour %r" % (v.vid, v.colour))
+            raise GraphError("vertex %d: unknown colour %s" % (v.vid, clipped(v.colour)))
         if v.genus < 0:
             raise GraphError("vertex %d: negative genus" % v.vid)
         if v.colour == I1:
@@ -1005,6 +1011,12 @@ def doc_int(value, what: str) -> int:
     return value
 
 
+def clipped(value) -> str:
+    """A document value for an error line: reprlib's short repr, cut to 60."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def graph_from_doc(doc: dict) -> AutoGraph:
     """Parse a graph document; an order above MAX_DOC_ORDER is refused
     before anything of size O(order) is built."""
@@ -1042,7 +1054,7 @@ def graph_from_doc(doc: dict) -> AutoGraph:
                     make_loop(doc_int(entry["vertex"], "a loop vertex"), a, b, swapped)
                 )
             else:
-                raise GraphError("unknown edge type %r" % entry["type"])
+                raise GraphError("unknown edge type %s" % clipped(entry["type"]))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, GraphError):
             raise

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import gcd
+from math import comb, gcd
 
 from cycliccovers.branching import (
     BranchingDatum,
@@ -20,7 +20,9 @@ from cycliccovers.branching import (
     canonical_datum,
 )
 from cycliccovers.cover_algebra import carry
-from cycliccovers.combinat import is_prime, primes_upto, units_mod, weak_compositions
+from cycliccovers.combinat import (branch_weights, branching_term, genus_relation, is_prime,
+                                   primes_upto, quotient_genus_for, residue_sum, unit_action,
+                                   units_mod, weak_compositions)
 from cycliccovers.stable_graphs import (
     I0,
     I1,
@@ -135,6 +137,156 @@ def reference_admissible(g, d):
     # canonical order: populated low residues first, then the counts
     ordered = sorted(out, key=lambda c: (tuple(0 if x else 1 for x in c), c))
     return tuple((BranchingDatum(d, c), out[c]) for c in ordered)
+
+
+def weighted_compositions(total: int, weights):
+    """Yield tuples k >= 0 with sum(k[i] * weights[i]) == total.
+
+    Weights must be positive integers.  Equal weights form one class: the
+    class totals t_w with sum(t_w * w) == total are solved first, over the
+    distinct weights only, and each class total is then spread over the
+    slots of its class.  The last distinct weight takes its total
+    directly, and a remainder that the gcd of the weights still to come
+    cannot divide is pruned, so the search never reaches the last weight
+    with a remainder it cannot take.  Tuples are streamed from one
+    buffer; nothing is materialised.
+    """
+    weights = tuple(weights)
+    if not weights:
+        if total == 0:
+            yield ()
+        return
+    slots: dict[int, list[int]] = {}
+    for pos, w in enumerate(weights):
+        slots.setdefault(w, []).append(pos)
+    classes = tuple(slots.items())
+    n = len(classes)
+    # suffix[j]: gcd of the distinct weights from j on (0 past the end)
+    suffix = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix[j] = gcd(classes[j][0], suffix[j + 1])
+    if total % suffix[0]:
+        return
+    totals = [0] * n
+    buf = [0] * len(weights)
+
+    def solve(j, remaining):
+        w = classes[j][0]
+        if j == n - 1:
+            totals[j] = remaining // w
+            yield
+            return
+        step = suffix[j + 1]
+        for c in range(remaining // w + 1):
+            rest = remaining - c * w
+            if rest % step == 0:
+                totals[j] = c
+                yield from solve(j + 1, rest)
+
+    def spread(j):
+        # Every weak composition of totals[j] over the slots of class j,
+        # written into buf; later classes vary faster.  NEXCOM (Nijenhuis
+        # and Wilf, Combinatorial Algorithms, 1978): O(1) per step.
+        pos = classes[j][1]
+        top = totals[j]
+        r = [0] * len(pos)
+        r[0] = top
+        for q in pos:
+            buf[q] = 0
+        buf[pos[0]] = top
+        inner = j + 1 < n
+        t, h = top, -1
+        while True:
+            if inner:
+                yield from spread(j + 1)
+            else:
+                yield tuple(buf)
+            if r[-1] == top:
+                return
+            if t > 1:
+                h = -1
+            h += 1
+            t = r[h]
+            r[h] = 0
+            r[0] = t - 1
+            r[h + 1] += 1
+            buf[pos[h]] = r[h]
+            buf[pos[0]] = r[0]
+            buf[pos[h + 1]] = r[h + 1]
+
+    for _ in solve(0, total):
+        yield from spread(0)
+
+
+def seen_set_admissible(g, d):
+    """The generate-then-filter path that `branching.enumerate_admissible`
+    replaced: every solution of the genus relation over divisor-class
+    compositions, a residue-sum filter, and one canonicalisation per unit
+    orbit, whose other members go into a seen-set.  Returns the same tuple
+    of (datum, h) pairs, in the same order."""
+    weights = branch_weights(d)
+    terms = genus_relation(g, d)
+    actions = [unit_action(d, r) for r in units_mod(d)]
+    key = lambda c: (tuple(0 if x else 1 for x in c), c)  # noqa: E731
+    seen = set()
+    out = {}
+    for h, term in enumerate(terms):
+        for counts in weighted_compositions(term, weights):
+            assert sum(counts) <= terms[0]
+            if residue_sum(counts) % d or counts in seen:
+                continue
+            if h == 0 and gcd(d, *(i for i, c in enumerate(counts, 1) if c)) != 1:
+                continue
+            assert quotient_genus_for(g, d, branching_term(counts)) == h
+            images = {act(counts) for act in actions}
+            seen |= images
+            out[min(images, key=key)] = h
+    return tuple((BranchingDatum(d, c), out[c]) for c in sorted(out, key=key))
+
+
+def _phi(m):
+    return sum(1 for r in range(1, m + 1) if gcd(r, m) == 1)
+
+
+def prime_multiset_orbits(k, p):
+    """Unit orbits of k-point multisets of nonzero residues mod the prime p
+    with residue sum 0, by Burnside's lemma over the cyclic unit group of
+    order p - 1.  A unit of order m > 1 fixes the multisets made of whole
+    cosets of its subgroup, (p - 1)/m of them taken k/m times with
+    repetition; every such coset sums to 0.  The identity fixes all of
+    them, counted by the roots-of-unity filter: the generating function
+    of a nonzero-residue multiset twisted by a nontrivial p-th root of
+    unity is (1 - x)/(1 - x^p)."""
+    if k == 0:
+        return 1
+    eps = 1 if k % p == 0 else -1 if k % p == 1 else 0
+    total = (comb(k + p - 2, p - 2) + (p - 1) * eps) // p
+    for m in range(2, p):
+        if (p - 1) % m == 0 and k % m == 0:
+            n = (p - 1) // m
+            total += _phi(m) * comb(k // m + n - 1, n - 1)
+    assert total % (p - 1) == 0
+    return total // (p - 1)
+
+
+def prime_shape_counts(g, p):
+    """{(h, k): number of admissible loci} for prime p, over every
+    quotient genus h >= 0 that leaves a whole number k of branch points in
+    2(g - 1) = 2p(h - 1) + k(p - 1).  Every nonzero residue generates Z/p,
+    so the generation condition at h = 0 is void."""
+    out = {}
+    h = 0
+    while 2 * (g - 1) - 2 * p * (h - 1) >= 0:
+        k, odd = divmod(2 * (g - 1) - 2 * p * (h - 1), p - 1)
+        if not odd:
+            out[(h, k)] = prime_multiset_orbits(k, p)
+        h += 1
+    return out
+
+
+def prime_orbit_count(g, p):
+    """The number of admissible loci of order p at genus g, in closed form."""
+    return sum(prime_shape_counts(g, p).values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 import oracles
 from cycliccovers import branching as br
 from cycliccovers.branching import BranchingSequence, ExtraAutomorphismRisk
+from cycliccovers.combinat import primes_upto
 
 
 def seq(d, *counts):
@@ -153,6 +155,15 @@ class TestEnumeration:
     def test_matches_reference_path_large(self, g, d):
         assert br.enumerate_admissible(g, d) == oracles.reference_admissible(g, d)
 
+    @pytest.mark.parametrize("d", range(2, 31))
+    def test_matches_seen_set_path(self, d):
+        for g in range(2, 11):
+            assert br.enumerate_admissible(g, d) == oracles.seen_set_admissible(g, d)
+
+    @pytest.mark.parametrize("g,d", [(27, 19), (27, 53), (28, 16), (30, 42), (24, 60)])
+    def test_matches_seen_set_path_large(self, g, d):
+        assert br.enumerate_admissible(g, d) == oracles.seen_set_admissible(g, d)
+
     def test_hurwitz_roundtrip(self):
         for g in range(2, 7):
             for d in range(2, 8):
@@ -167,6 +178,29 @@ class TestEnumeration:
                     {(h, datum.k) for datum, h in br.enumerate_admissible(g, p)}
                 )
                 assert shapes == full, (g, p)
+
+
+class TestPrimeOrbitCount:
+    @pytest.mark.parametrize("g", [*range(2, 31), 40])
+    def test_count_matches_enumeration(self, g):
+        for p in primes_upto(2 * g + 1):
+            loci = br.enumerate_admissible(g, p)
+            assert len(loci) == oracles.prime_orbit_count(g, p), (g, p)
+            shapes = Counter((h, datum.k) for datum, h in loci)
+            counted = {shape: n for shape, n in oracles.prime_shape_counts(g, p).items() if n}
+            assert shapes == counted, (g, p)
+
+    def test_nonzero_shapes_are_admissible_shapes(self):
+        for g in range(2, 201):
+            for p in primes_upto(2 * g + 1):
+                counted = {shape for shape, n in oracles.prime_shape_counts(g, p).items() if n}
+                assert counted == set(br.iter_admissible_shapes(g, p)), (g, p)
+
+    def test_known_values(self):
+        # genus 2: the orders 2, 3 and 5 of test_frozen_values_genus2
+        assert [oracles.prime_orbit_count(2, p) for p in (2, 3, 5, 7)] == [2, 1, 1, 0]
+        assert sum(oracles.prime_orbit_count(1000, p) for p in primes_upto(2001)) == (
+            50229560218662665711563)
 
 
 class TestLocus:

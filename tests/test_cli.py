@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -427,6 +428,26 @@ class TestDocumentNumbers:
         err = self.refused(capsys, tmp_path, ("cover", "check"), json.dumps(doc))
         assert err.startswith("error: malformed cover document: divisor residue ")
 
+    @pytest.mark.parametrize("command,text,message", [
+        pytest.param(("simplify",), json.dumps(TAIL_GRAPH_DOC).replace(
+            '"I1"', "[" * 900 + "]" * 900), "unknown colour", id="nested-colour"),
+        pytest.param(("simplify",), json.dumps(TAIL_GRAPH_DOC).replace(
+            '"I1"', json.dumps("I" * 5000)), "unknown colour", id="long-colour"),
+        pytest.param(("simplify",), json.dumps(TAIL_GRAPH_DOC).replace(
+            '"link"', "[" * 900 + "]" * 900), "unknown edge type", id="nested-edge-type"),
+        pytest.param(("simplify",), json.dumps(TAIL_GRAPH_DOC).replace(
+            '"genus": 1,', '"%s": 1, "%s": 2,' % ("k" * 5000, "k" * 5000), 1),
+            "repeated key", id="long-repeated-key"),
+        pytest.param(("cover", "check"), json.dumps(COVER_DOC).replace(
+            '"2":', json.dumps("0" * 4000 + "2") + ":"), "divisor residue",
+            id="long-residue-key"),
+    ])
+    def test_echoed_value_is_clipped(self, capsys, tmp_path, command, text, message):
+        # The value used to be echoed whole: a 900-deep colour printed 1,800
+        # brackets on the one error line.
+        err = self.refused(capsys, tmp_path, command, text)
+        assert message in err and len(err.rstrip("\n")) <= 200
+
     @pytest.mark.parametrize("command", [("simplify",), ("cover", "check")])
     @pytest.mark.parametrize("opening", ["[", '{"a": '])
     def test_nested_too_deeply(self, capsys, tmp_path, command, opening):
@@ -473,6 +494,73 @@ class TestDeterminism:
     )
     def test_byte_identical(self, capsys, argv):
         run_twice_identical(capsys, *argv)
+
+
+# SHA-1 of the stdout of `sing --genus g` and of `admissible --genus g
+# --order d` at the interior benchmark's (g, d) pairs, taken before the
+# enumerator generated orbit representatives directly.
+SING_SHA1 = {
+    3: "6097a6c71f9a51b33c334439d640074497f9e4c7",
+    4: "9b005364fe2c804a01064283f8e31fb4991f979f",
+    5: "2672184ac18a960390fce4ad1d7dfd36b60dd813",
+    6: "dbded88fdc81befaf827044245446e0a480e6c3c",
+    7: "766d0ef91e7d1ed888f90bc4b35d7efe00065066",
+    8: "519af6afc4e4f79b039542aa1cc384d502dc9f4d",
+    9: "02106258aa5b4ad6cad2661d525b3f7bb7db65c1",
+    10: "11fd769ffd5906c15e822657565e0843d76eeae9",
+    11: "77226e5f8559a7a4d107359522f8f6d33c3596df",
+    12: "d8bd08d3c454c83133934968e1d55a473fd049cf",
+    13: "1657a97dca280059b72160fb97cb0ccef6a2bffe",
+    14: "46c68b9988b7a3673f06420c0e1eefe032c02ce5",
+    15: "2b030b7c6b6604573ce41e783a5964bfc0b88270",
+    16: "ad7bcfe14dead030343fe3c9a76f734b5f9a7adf",
+    17: "be0c1af0aa4b5e91368486ec72ed9591a71eccdf",
+    18: "e8e4c9dd3e4a16f4fa389d8e43a4fdca5f031329",
+    19: "b0936b87e77d86d635088561f67ce62764825fef",
+    20: "2dfa5e97a58757dcbdf289914f85e9b4ccf594ab",
+    21: "de24fccec0f5b3fa10dd6cccf04bfc84d8193681",
+    22: "96ee3b8dd4626ed49af8adcf0c4b2619817a1ef6",
+    23: "7488e6fe5e304868a896ae7f50c91f66db3c010e",
+    24: "c2a88e039e2889d3bd9f5b55c69906f84e3f2419",
+    25: "326ce310f7c9d563e4ae6dc53c004b8211d3c91e",
+    26: "26bc0a3cc5b0543fbfd9d8c0b912ae2bf8d8a6d1",
+    27: "aef3d9825d3e5f6984b0671258d4628fdf76ac2f",
+}
+ADMISSIBLE_SHA1 = {
+    (4, 4): "b830a7c025e22f7068070cc4d505649bf6f736ec",
+    (8, 4): "e59718e4daeb575b29a0f6bdd0513681b21944b0",
+    (4, 6): "bc99cddcdee1466789688094a6a7cdd194da24a1",
+    (5, 6): "91d3e2042ff45b6fa02fcd37787a586c18a87596",
+    (20, 6): "269c01896e50791e2e7ab98f5b4a81e9f9166794",
+    (20, 10): "823e3a012cd397d52489d0dc25cef2ec8325d63b",
+    (36, 6): "f05651564b4627ed6f22b298a736b1f5e3fda866",
+    (32, 9): "087fc05aef5612e58d0deb1a040bd3ce481afcbf",
+    (29, 10): "7551a01c0d518f81a5637b13bb9ffab0260bca6b",
+    (28, 16): "fabf80a46215ce8edc7ed461cafcf67846acf87d",
+    (29, 20): "3ea46265486a29b5ed8dbd9a37349d97dbedbcbf",
+    (27, 21): "4738345d8d46c7da06b90e972c866442af7c8947",
+    (27, 24): "d624b09f86ee319dacd03f3495e62d957e52d908",
+    (30, 26): "723082e2447abf307a696c23efbb836e713aaef5",
+    (27, 30): "e7fac6223632e5cf5f9833113b7b41ee02b0c299",
+    (27, 36): "7e01161ae4cb7cb16c568eab07edab2cce48318a",
+    (30, 42): "ab49b0dbd4cf1f1d566c4d5ad224ccbaf5a71b5b",
+    (24, 60): "067adee078b4b2b9ac0f6f12d598960516a4873f",
+}
+
+
+class TestFrozenStdout:
+    def check(self, capsys, digest, *argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("g", sorted(SING_SHA1))
+    def test_sing(self, capsys, g):
+        self.check(capsys, SING_SHA1[g], "sing", "--genus", str(g))
+
+    @pytest.mark.parametrize("g,d", sorted(ADMISSIBLE_SHA1))
+    def test_admissible(self, capsys, g, d):
+        self.check(capsys, ADMISSIBLE_SHA1[g, d], "admissible", "--genus", str(g), "--order", str(d))
 
 
 def run_module(module, *argv):

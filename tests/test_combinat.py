@@ -3,7 +3,7 @@ from math import gcd
 from hypothesis import given, strategies as st
 
 import oracles
-from cycliccovers.combinat import weighted_compositions
+from oracles import weighted_compositions
 from cycliccovers.combinat import min_marks
 
 

@@ -559,6 +559,25 @@ class TestDocumentFormat:
         with pytest.raises(GraphError):
             sg.graph_from_doc({"order": 2, "vertices": [{"id": 0}], "edges": []})
 
+    @pytest.mark.parametrize("edges", [
+        [{"type": "link", "ends": [0, 1], "labels": [0, 5]}],
+        [{"type": "link", "ends": [0, 1], "labels": [0, 1]},
+         {"type": "loop", "vertex": 1, "pair": [0, 5]}],
+    ])
+    def test_label_out_of_range_is_graph_error(self, edges):
+        # vertex_data indexed the free branching by the label, so on an
+        # unchecked graph it raised IndexError (or wrapped round at 0).
+        G = sg.graph_from_doc({
+            "order": 2,
+            "vertices": [{"id": 0, "colour": "I0", "genus": 1},
+                         {"id": 1, "colour": "I1", "genus": 1, "free_branching": [3]}],
+            "edges": edges,
+        })
+        with pytest.raises(GraphError, match="outside 1..1"):
+            sg.vertex_data(G, 1)
+        with pytest.raises(GraphError, match="outside 1..1"):
+            sg.stratum_dimension(G)
+
     def test_validation_messages(self):
         G = make_graph(
             2,
