@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import branching, cover_algebra, sing_smooth, sing_stable, stable_graphs
+from .combinat import clipped
 from .sing_smooth import (
     CaseTag,
     ClassificationRecord,
@@ -25,7 +26,7 @@ from .sing_smooth import (
     Verdict,
 )
 from .sing_stable import BoundaryComponent
-from .stable_graphs import GraphError, clipped, doc_int
+from .stable_graphs import GraphError, doc_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -591,6 +592,8 @@ def main(argv=None) -> int:
             raise UsageError("genus must be at least 2")
         if getattr(args, "need_d2", False) and args.order < 2:
             raise UsageError("order must be at least 2")
+        if getattr(args, "dmax", 2) < 2:
+            raise UsageError("dmax must be at least 2")
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

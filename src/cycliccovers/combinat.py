@@ -1,12 +1,14 @@
 """Shared integer arithmetic: primality, unit groups, weak compositions,
 and the one definition each of the residue sum, the unit action on count
 tuples, the genus relation of a cyclic cover, the stability threshold of
-a marked curve and graph connectivity.
+a marked curve and graph connectivity.  Also the one form in which an
+error line echoes a document value.
 
 A count tuple (k_1, ..., k_{d-1}) counts points by residue i mod d; its
 length fixes d.
 """
 
+import reprlib
 from math import gcd
 from operator import itemgetter, mul
 
@@ -116,3 +118,9 @@ def weak_compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in weak_compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def clipped(value) -> str:
+    """A document value for an error line: reprlib's short repr, cut to 60."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."

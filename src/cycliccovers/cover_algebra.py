@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
+from .combinat import clipped
+
 __all__ = [
     "PicardModel",
     "DivisorClass",
@@ -127,7 +129,7 @@ class RootDatum:
         seen = set()
         for sym, e in self.factors:
             if sym in seen:
-                raise ValueError("repeated prime symbol %r" % sym)
+                raise ValueError("repeated prime symbol %s" % clipped(sym))
             seen.add(sym)
             if e == 0:
                 raise ValueError("exponents must be nonzero")
@@ -189,10 +191,10 @@ class BranchAssignment:
                 raise ValueError("divisor residue %d out of range" % i)
             for sym, cls in items:
                 if sym in seen:
-                    raise ValueError("symbol %r appears in two divisors" % sym)
+                    raise ValueError("symbol %s appears in two divisors" % clipped(sym))
                 seen.add(sym)
                 if cls.model != self.model:
-                    raise ValueError("class of %r lives in a different group" % sym)
+                    raise ValueError("class of %s lives in a different group" % clipped(sym))
         classes: dict[int, DivisorClass] = {}
         for i, items in self.divisors:
             for _, cls in items:

@@ -191,31 +191,19 @@ def container_info(locus: SmoothLocus, tag: CaseTag) -> ContainerInfo:
     """
     p = locus.d
     g = locus.g
-    if tag is CaseTag.GENUS2_QUOTIENT:
-        if p == 2:
-            cont = smooth_locus(3, BranchingSequence(2, (4,)))
-        else:
-            cont = smooth_locus(p + 1, BranchingSequence(2, (6,)))
-            if cont.h != 1 + (p - 3) // 2:
-                raise AssertionError("container quotient genus mismatch")
-        return ContainerInfo(
-            q=2, g=cont.g, exact=True, dim_lower_bound=cont.dim,
-            counts=cont.counts, h=cont.h, k=cont.k, dim=cont.dim,
-        )
-    if tag is CaseTag.ELLIPTIC_QUOTIENT:
-        cont = smooth_locus(p, BranchingSequence(2, (4,)))
-        if cont.h != 1 + (p - 3) // 2:
+    # (genus, order-2 branch points, quotient genus) of the exact containers
+    exact = {
+        CaseTag.GENUS2_QUOTIENT: (3, 4, 1) if p == 2 else (p + 1, 6, 1 + (p - 3) // 2),
+        CaseTag.ELLIPTIC_QUOTIENT: (p, 4, 1 + (p - 3) // 2),
+        CaseTag.RATIONAL_INVOLUTION: (g, p + 1, 0),
+    }
+    if tag in exact:
+        genus, points, h = exact[tag]
+        cont = smooth_locus(genus, BranchingSequence(2, (points,)))
+        if cont.h != h:
             raise AssertionError("container quotient genus mismatch")
         return ContainerInfo(
             q=2, g=cont.g, exact=True, dim_lower_bound=cont.dim,
-            counts=cont.counts, h=cont.h, k=cont.k, dim=cont.dim,
-        )
-    if tag is CaseTag.RATIONAL_INVOLUTION:
-        cont = smooth_locus(g, BranchingSequence(2, (p + 1,)))
-        if cont.h != 0:
-            raise AssertionError("container quotient genus mismatch")
-        return ContainerInfo(
-            q=2, g=g, exact=True, dim_lower_bound=cont.dim,
             counts=cont.counts, h=cont.h, k=cont.k, dim=cont.dim,
         )
     if tag is CaseTag.RATIONAL_FOUR_POINTS:

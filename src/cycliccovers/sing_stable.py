@@ -25,7 +25,6 @@ from .stable_graphs import (
     AutoGraph,
     ExceptionalPattern,
     canonical_encoding,
-    canonical_form,
     enumerate_graphs,
     exceptional_pattern,
     is_elliptic_tail_vertex,
@@ -131,17 +130,18 @@ def boundary_survey(g: int, d_max: int):
             dim = stratum_dimension(G)
             components.append(
                 BoundaryComponent(
-                    graph=canonical_form(G),
+                    graph=G,
                     d=p,
                     dim=dim,
                     codim=3 * g - 3 - dim,
                     flags=_flags_for(G, j.vid),
                 )
             )
-    components.sort(key=lambda c: (c.d, c.encoding()))
+    # enumerate_graphs returns canonical graphs in encoding order and the
+    # order leads the encoding, so the components arrive sorted.
     encodings = [c.encoding() for c in components]
-    if len(set(encodings)) != len(encodings):
-        raise AssertionError("boundary components are not pairwise distinct")
+    if encodings != sorted(set(encodings)):
+        raise AssertionError("boundary components are not distinct and sorted")
     return components, warnings, notes
 
 

@@ -35,11 +35,10 @@ so the marked genus g_i + loops is reported but never used to validate.
 from __future__ import annotations
 
 import itertools
-import reprlib
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .combinat import (connects, is_prime, min_marks, prime_shapes,
+from .combinat import (clipped, connects, is_prime, min_marks, prime_shapes,
                        quotient_genus_for, residue_sum, unit_action, units_mod,
                        weak_compositions)
 
@@ -77,7 +76,6 @@ __all__ = [
     "graph_to_doc",
     "graph_from_doc",
     "doc_int",
-    "clipped",
     "MAX_DOC_ORDER",
 ]
 
@@ -762,27 +760,15 @@ def _structures(d, colours, genera, E, opts):
     yield from rec(0, E, sum(min_ends))
 
 
-def _free_choices(d, edge_counts, options, ends):
-    # All (free tuple) completions compatible with some (g', k) option.
-    out = []
-    base = residue_sum(edge_counts)
-    for _, k in options:
-        rest = k - ends
-        if rest < 0:
-            continue
-        for free in weak_compositions(rest, d - 1):
-            if (base + residue_sum(free)) % d == 0:
-                out.append(free)
-    return out
-
-
 def enumerate_graphs(g: int, d: int, predicate=None) -> tuple[AutoGraph, ...]:
     """All admissible stable maximal graphs of total genus g and order d,
     one per canonical class, in canonical-encoding order.
 
     Search is bounded by the stable-curve limits of at most 2g - 2
     vertices and 3g - 3 edges, with per-vertex end counts capped by the
-    genus relation.
+    genus relation.  Every labelled candidate is valid by construction
+    (see `_labelled_graphs`) and is canonicalised without a re-check;
+    TestLabelledGraphs.test_candidates_pass_check_graph holds this.
     """
     if g < 2:
         raise ValueError("total genus must be at least 2")
@@ -798,60 +784,56 @@ def enumerate_graphs(g: int, d: int, predicate=None) -> tuple[AutoGraph, ...]:
 
 
 def _labelled_graphs(d, colours, genera, structure, opts, ends):
+    """Every labelled graph on one edge structure, valid by construction:
+    the label pools put 0 exactly at I0 ends and no pair summing to 0 mod
+    d, `_structures` gives a stable connected structure with no I0-I0
+    link and no loop at d = 2 or on I0, and each free tuple completes its
+    vertex's residue sum to 0 mod d with a k of `prime_shapes`.  The test
+    TestLabelledGraphs.test_candidates_pass_check_graph in
+    tests/test_stable_graphs.py runs `check_graph` on every candidate.
+    """
     V = len(colours)
-    loop_slots = [s for s in structure if s[0] == "loop"]
-    link_slots = [s for s in structure if s[0] == "link"]
-    loop_pool = _loop_pairs(d)
-    link_pool = _link_pairs(d)
-
+    i1_list = [i for i in range(V) if colours[i] == I1]
+    # menus[i][r]: the free tuples of I1 vertex i, over all its (h, k)
+    # options, whose residue sum is r mod d.
+    menus = {}
+    for i in i1_list:
+        menus[i] = [[] for _ in range(d)]
+        for _, k in opts[i]:
+            if k >= ends[i]:
+                for free in weak_compositions(k - ends[i], d - 1):
+                    menus[i][residue_sum(free) % d].append(free)
+    # per slot: (edges, residue added at each end vertex) per label choice
     per_slot_choices = []
-    for s in loop_slots:
-        per_slot_choices.append(
-            list(itertools.combinations_with_replacement(loop_pool, structure[s]))
-        )
-    for s in link_slots:
-        _, i, j = s
-        ci, cj = colours[i], colours[j]
-        if ci == I1 and cj == I1:
-            pool = link_pool
-        elif ci == I1:
+    for slot, count in structure.items():
+        if slot[0] == "loop":
+            i = slot[1]
+            per_slot_choices.append([
+                ([make_loop(i, a, b) for a, b in chosen], ((i, sum(map(sum, chosen))),))
+                for chosen in itertools.combinations_with_replacement(_loop_pairs(d), count)
+            ])
+            continue
+        _, i, j = slot
+        if colours[i] == I1 and colours[j] == I1:
+            pool = _link_pairs(d)
+        elif colours[i] == I1:
             pool = [(m, 0) for m in range(1, d)]
         else:
             pool = [(0, m) for m in range(1, d)]
-        per_slot_choices.append(
-            list(itertools.combinations_with_replacement(pool, structure[s]))
-        )
+        per_slot_choices.append([
+            ([make_link(i, j, a, b) for a, b in chosen],
+             ((i, sum(a for a, _ in chosen)), (j, sum(b for _, b in chosen))))
+            for chosen in itertools.combinations_with_replacement(pool, count)
+        ])
 
-    all_slots = loop_slots + link_slots
     for assignment in itertools.product(*per_slot_choices):
-        edge_counts = [[0] * (d - 1) for _ in range(V)]
+        residues = [0] * V
         edges = []
-        for s, chosen in zip(all_slots, assignment):
-            if s[0] == "loop":
-                i = s[1]
-                for (a, b) in chosen:
-                    edges.append(make_loop(i, a, b))
-                    edge_counts[i][a - 1] += 1
-                    edge_counts[i][b - 1] += 1
-            else:
-                _, i, j = s
-                for (a, b) in chosen:
-                    edges.append(make_link(i, j, a, b))
-                    if a:
-                        edge_counts[i][a - 1] += 1
-                    if b:
-                        edge_counts[j][b - 1] += 1
-        free_menus = []
-        feasible = True
-        i1_list = [i for i in range(V) if colours[i] == I1]
-        for i in i1_list:
-            menu = _free_choices(d, edge_counts[i], opts[i], ends[i])
-            if not menu:
-                feasible = False
-                break
-            free_menus.append(menu)
-        if not feasible:
-            continue
+        for slot_edges, added in assignment:
+            edges += slot_edges
+            for v, r in added:
+                residues[v] += r
+        free_menus = [menus[i][-residues[i] % d] for i in i1_list]
         for frees in itertools.product(*free_menus):
             free_of = dict(zip(i1_list, frees))
             vertices = [
@@ -859,12 +841,7 @@ def _labelled_graphs(d, colours, genera, structure, opts, ends):
                        free=free_of.get(i))
                 for i in range(V)
             ]
-            graph = make_graph(d, vertices, edges)
-            try:
-                check_graph(graph, pre=False, require_stable=True)
-            except GraphError:
-                continue
-            yield graph
+            yield make_graph(d, vertices, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,12 +986,6 @@ def doc_int(value, what: str) -> int:
     if type(value) is not int:
         raise TypeError("%s must be an integer, not %s" % (what, type(value).__name__))
     return value
-
-
-def clipped(value) -> str:
-    """A document value for an error line: reprlib's short repr, cut to 60."""
-    text = reprlib.repr(value)
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def graph_from_doc(doc: dict) -> AutoGraph:

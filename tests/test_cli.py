@@ -231,6 +231,14 @@ class TestBoundaryAndBounds:
         assert code == 0
         assert "boundary" in out
 
+    @pytest.mark.parametrize("dmax", ["1", "-5"])
+    @pytest.mark.parametrize("command", ["boundary", "sing-bar"])
+    def test_dmax_below_two_is_usage_error(self, capsys, command, dmax):
+        # `boundary` used to exit 2 here, `sing-bar` 1.
+        code, out, err = run(capsys, command, "--genus", "3", "--dmax", dmax)
+        assert (code, out) == (1, "")
+        assert err == "usage error: dmax must be at least 2\n"
+
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "bounds", "--genus", "3")
         assert code == 0
@@ -441,6 +449,12 @@ class TestDocumentNumbers:
         pytest.param(("cover", "check"), json.dumps(COVER_DOC).replace(
             '"2":', json.dumps("0" * 4000 + "2") + ":"), "divisor residue",
             id="long-residue-key"),
+        pytest.param(("cover", "check"), json.dumps(dict(COVER_DOC, divisors={
+            str(i): [{"symbol": "S" * 5000, "class": {"free": [0], "torsion": [0]}}]
+            for i in (1, 2)})), "appears in two divisors", id="long-symbol"),
+        pytest.param(("cover", "check"), json.dumps(dict(COVER_DOC, divisors={
+            str(i): [{"symbol": int("7" * 4001), "class": {"free": [0], "torsion": [0]}}]
+            for i in (1, 2)})), "appears in two divisors", id="long-integer-symbol"),
     ])
     def test_echoed_value_is_clipped(self, capsys, tmp_path, command, text, message):
         # The value used to be echoed whole: a 900-deep colour printed 1,800
@@ -546,6 +560,28 @@ ADMISSIBLE_SHA1 = {
     (30, 42): "ab49b0dbd4cf1f1d566c4d5ad224ccbaf5a71b5b",
     (24, 60): "067adee078b4b2b9ac0f6f12d598960516a4873f",
 }
+# SHA-1 of the boundary commands' stdout, taken before the labelled-graph
+# search stopped re-validating its candidates: `graphs` at every prime
+# order for g <= 4, keyed by (g, d, format), and the two surveys at genus 4.
+GRAPHS_SHA1 = {
+    (2, 2, "table"): "09f3173e11672863d45c00427dc1872b2ac1f383",
+    (2, 3, "table"): "edc8b37d7b29167f6908b47965c0a734b472e5fb",
+    (2, 5, "table"): "ed9058ea49bdf169ebb3c5bed335730998a74192",
+    (3, 2, "table"): "9512a55f15633b965d40d389de114e803c3cc690",
+    (3, 3, "table"): "c51bdbfbb9d4999bdbb54a767f855166a9a4fb87",
+    (3, 5, "table"): "e9f06f1bcb85a41a3fc38571f4187918b1487204",
+    (3, 7, "table"): "5b3afd190f0d2a541729b77046a1ce5ed6596d1c",
+    (4, 2, "table"): "b5035219c527f3ccd45fe740d698cedb6be2c28c",
+    (4, 3, "table"): "71b2c4b50e5f31ebbac3236a30acd9784d0944b5",
+    (4, 5, "table"): "6ee472e4beb8ade898167cf7af0d408fc47f8406",
+    (4, 7, "table"): "9ec822d4f3ebc2db6938048cb7adc292b0ff2671",
+    (3, 3, "doc"): "b37785ffce7f7ecf571bd2b143e5293d8f0bcc9d",
+    (4, 5, "doc"): "9333db8332cf1fa6590739495e100b0281246f74",
+}
+SURVEY_SHA1 = {
+    "boundary": "bf9849dbaece279d03dea700e1b16ee047145223",
+    "sing-bar": "e821d3a933ecbe3de7e18804ecdd34dc72ae5e92",
+}
 
 
 class TestFrozenStdout:
@@ -561,6 +597,15 @@ class TestFrozenStdout:
     @pytest.mark.parametrize("g,d", sorted(ADMISSIBLE_SHA1))
     def test_admissible(self, capsys, g, d):
         self.check(capsys, ADMISSIBLE_SHA1[g, d], "admissible", "--genus", str(g), "--order", str(d))
+
+    @pytest.mark.parametrize("g,d,fmt", sorted(GRAPHS_SHA1))
+    def test_graphs(self, capsys, g, d, fmt):
+        self.check(capsys, GRAPHS_SHA1[g, d, fmt], "graphs", "--genus", str(g),
+                   "--order", str(d), "--format", fmt)
+
+    @pytest.mark.parametrize("command", sorted(SURVEY_SHA1))
+    def test_survey(self, capsys, command):
+        self.check(capsys, SURVEY_SHA1[command], command, "--genus", "4", "--dmax", "9")
 
 
 def run_module(module, *argv):

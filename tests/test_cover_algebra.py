@@ -218,6 +218,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             ca.branch_assignment(2, M, z, {1: [("D", z), ("D", z)]})
 
+    def test_echoed_symbol_is_clipped(self):
+        # A document symbol used to be echoed whole in the error message.
+        M = model_z()
+        z = M.zero()
+        other = ca.PicardModel(free_rank=2).zero()
+        sym = "S" * 5000
+        for build, message in (
+            (lambda: ca.RootDatum(3, ((sym, 1), (sym, 2))), "repeated prime symbol"),
+            (lambda: ca.branch_assignment(2, M, z, {1: [(sym, z), (sym, z)]}),
+             "appears in two divisors"),
+            (lambda: ca.branch_assignment(2, M, z, {1: [(sym, other)]}),
+             "lives in a different group"),
+        ):
+            with pytest.raises(ValueError, match=message) as info:
+                build()
+            assert len(str(info.value)) <= 100
+
 
 class TestIrreducibility:
     def test_unit_support(self):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from cycliccovers import stable_graphs as sg
-from cycliccovers.combinat import units_mod
+from cycliccovers.combinat import primes_upto, units_mod
 from cycliccovers.stable_graphs import (
     I0,
     I1,
@@ -446,11 +446,14 @@ class TestEnumeration:
 # Genus <= 4 and the genus-5 orders except 3 run in under a second each;
 # (5, 3) -> 625 was checked against the unpruned search once, outside
 # this suite: it takes 5 s with the pruned search and minutes without.
+# At genus 6 the orders except 3 take about 2.5 s together; (6, 3) ->
+# 4,258 was checked once outside this suite.
 CLASS_COUNTS = {
     (2, 2): 3, (2, 3): 4, (2, 5): 1,
     (3, 2): 12, (3, 3): 20, (3, 5): 4, (3, 7): 2,
     (4, 2): 39, (4, 3): 106, (4, 5): 19, (4, 7): 6,
     (5, 2): 151, (5, 5): 86, (5, 7): 14, (5, 11): 2,
+    (6, 2): 617, (6, 5): 433, (6, 7): 49, (6, 11): 10, (6, 13): 3,
 }
 
 
@@ -481,6 +484,23 @@ class TestStructureSearch:
     @pytest.mark.parametrize("g,d", sorted(CLASS_COUNTS))
     def test_class_counts(self, g, d):
         assert len(sg.enumerate_graphs(g, d)) == CLASS_COUNTS[(g, d)]
+
+
+class TestLabelledGraphs:
+    @pytest.mark.parametrize("g,d", [
+        (g, d) for g in (2, 3, 4, 5) for d in primes_upto(2 * g + 1)
+    ])
+    def test_candidates_pass_check_graph(self, g, d):
+        # The search yields admissible, stable, connected maximal graphs
+        # by construction and checks none of them itself.
+        n = 0
+        for colours, genera, E, opts in sg._vertex_multisets(g, d):
+            for structure, ends in sg._structures(d, colours, genera, E, opts):
+                for G in sg._labelled_graphs(d, colours, genera, structure, opts, ends):
+                    sg.check_graph(G, pre=False, require_stable=True)
+                    assert sg.graph_genus(G) == g
+                    n += 1
+        assert n > 0
 
 
 class TestPatternDetectors:
