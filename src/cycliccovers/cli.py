@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import os
 import sys
@@ -517,7 +518,9 @@ def _add_format(p):
     p.add_argument("--format", choices=("table", "doc"), default="table")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="cycliccovers")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
+from operator import add, mod
 
 from .combinat import clipped
 
@@ -56,48 +57,59 @@ class PicardModel:
             if prev is not None and t % prev != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
             prev = t
+        object.__setattr__(self, "_zero", self.combination(()))
 
     def element(self, free=(), torsion=()) -> DivisorClass:
         free = tuple(free)
         torsion = tuple(torsion)
         if len(free) != self.free_rank or len(torsion) != len(self.torsion):
             raise ValueError("coordinate lengths do not match the group")
-        torsion = tuple(a % t for a, t in zip(torsion, self.torsion))
-        return DivisorClass(self, free, torsion)
+        return self._reduce(free, torsion)
 
     def zero(self) -> DivisorClass:
-        return self.element((0,) * self.free_rank, (0,) * len(self.torsion))
+        return self._zero
+
+    def _reduce(self, free, torsion) -> DivisorClass:
+        """The class of integer coordinates of the right lengths."""
+        return DivisorClass(self, tuple(free), tuple(map(mod, torsion, self.torsion)))
+
+    def _holds(self, cls: DivisorClass) -> bool:
+        """Whether cls is a class of this group in the coordinates _reduce gives."""
+        return (cls.model == self and len(cls.free) == self.free_rank
+                and len(cls.torsion) == len(self.torsion)
+                and tuple(map(mod, cls.torsion, self.torsion)) == cls.torsion)
+
+    def combination(self, terms) -> DivisorClass:
+        """sum n*c over a sequence of (n, c) pairs of classes of this group."""
+        return self._reduce(
+            [sum(n * c.free[k] for n, c in terms) for k in range(self.free_rank)],
+            [sum(n * c.torsion[k] for n, c in terms) for k in range(len(self.torsion))])
 
 
 @dataclass(frozen=True)
 class DivisorClass:
+    """A class in reduced coordinates; model.element() builds one checked."""
+
     model: PicardModel
     free: tuple[int, ...]
     torsion: tuple[int, ...]
 
-    def _check(self, other: "DivisorClass"):
-        if self.model != other.model:
-            raise ValueError("classes live in different groups")
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return self.model.element(
-            tuple(a + b for a, b in zip(self.free, other.free)),
-            tuple(a + b for a, b in zip(self.torsion, other.torsion)),
-        )
+        model = self.model
+        if model is not other.model and model != other.model:
+            raise ValueError("classes live in different groups")
+        return DivisorClass(model, tuple(map(add, self.free, other.free)), tuple(
+            map(mod, map(add, self.torsion, other.torsion), model.torsion)))
 
     def __neg__(self) -> "DivisorClass":
-        return self.model.element(
-            tuple(-a for a in self.free), tuple(-a for a in self.torsion)
-        )
+        return -1 * self
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
+        return self + -1 * other
 
     def __rmul__(self, n: int) -> "DivisorClass":
-        return self.model.element(
-            tuple(n * a for a in self.free), tuple(n * a for a in self.torsion)
-        )
+        return DivisorClass(self.model, tuple([n * a for a in self.free]), tuple(
+            map(mod, [n * a for a in self.torsion], self.model.torsion)))
 
     def is_zero(self) -> bool:
         return not any(self.free) and not any(self.torsion)
@@ -183,9 +195,11 @@ class BranchAssignment:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("order must be at least 2")
-        if self.L.model != self.model:
+        model = self.model
+        if not model._holds(self.L):
             raise ValueError("L does not live in the given group")
         seen: set[str] = set()
+        terms: dict[int, list] = {}
         for i, items in self.divisors:
             if not (1 <= i <= self.d - 1):
                 raise ValueError("divisor residue %d out of range" % i)
@@ -193,17 +207,13 @@ class BranchAssignment:
                 if sym in seen:
                     raise ValueError("symbol %s appears in two divisors" % clipped(sym))
                 seen.add(sym)
-                if cls.model != self.model:
+                if not model._holds(cls):
                     raise ValueError("class of %s lives in a different group" % clipped(sym))
-        classes: dict[int, DivisorClass] = {}
-        for i, items in self.divisors:
-            for _, cls in items:
-                classes[i] = classes.get(i, self.model.zero()) + cls
+                terms.setdefault(i, []).append((1, cls))
+        classes = {i: model.combination(ts) for i, ts in terms.items()}
         object.__setattr__(self, "_classes", classes)
-        total = self.model.zero()
-        for i, _ in self.divisors:
-            total = total + i * self.branch_class(i)
-        if (self.d * self.L) != total:
+        if not model.combination(
+                [(self.d, self.L)] + [(-i, cls) for i, cls in classes.items()]).is_zero():
             raise ValueError("d*L differs from the weighted branch class sum")
 
     def branch_class(self, i: int) -> DivisorClass:
@@ -226,10 +236,8 @@ def character_class(ba: BranchAssignment, chi: int) -> DivisorClass:
     chi-eigensheaf."""
     if not (0 <= chi < ba.d):
         raise ValueError("character exponent out of range")
-    acc = chi * ba.L
-    for i, cls in ba._classes.items():
-        acc = acc - (chi * i // ba.d) * cls
-    return acc
+    return ba.model.combination(
+        [(chi, ba.L)] + [(-(chi * i // ba.d), cls) for i, cls in ba._classes.items()])
 
 
 @dataclass(frozen=True)
@@ -250,10 +258,9 @@ def irreducibility(ba: BranchAssignment) -> IrreducibilityResult:
     the class L' = (d/m)L - sum_i (i/m)[D_i] has order exactly m; for
     m = 1 the class vanishes by validity, so the test is uniform.
     """
-    m = gcd(ba.d, *ba.support())
-    lp = (ba.d // m) * ba.L
-    for i in ba.support():
-        lp = lp - (i // m) * ba.branch_class(i)
+    m = gcd(ba.d, *ba._classes)
+    lp = ba.model.combination(
+        [(ba.d // m, ba.L)] + [(-(i // m), cls) for i, cls in ba._classes.items()])
     order = lp.order()
     if order is None:
         raise AssertionError("m*L' must vanish, so L' has finite order")

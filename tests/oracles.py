@@ -1015,3 +1015,31 @@ def reference_character_class(ba, chi):
                 correction = correction + reference_branch_class(ba, i)
         acc = acc + ba.L - correction
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Cover algebra on plain coordinate lists (free part first, torsion last)
+
+
+def _weighted_sum(terms, torsion):
+    """sum n*x over (n, x) pairs, torsion coordinates reduced at the end."""
+    total = [sum(n * x[k] for n, x in terms) for k in range(len(terms[0][1]))]
+    s = len(total) - len(torsion)
+    return total[:s] + [a % t for a, t in zip(total[s:], torsion)]
+
+
+def reference_cover_valid(d, torsion, L, divisors):
+    """Whether d*L = sum_i i*[D_i]; divisors maps residue i to class lists."""
+    terms = [(d, L)] + [(-i, x) for i, xs in divisors.items() for x in xs]
+    return not any(_weighted_sum(terms, torsion))
+
+
+def reference_irreducibility(d, torsion, L, divisors):
+    """(irreducible, m, order of L') for a valid cover, the order found by
+    trying multiples: L' = (d/m)L - sum_i (i/m)[D_i] must have order m."""
+    m = gcd(d, *(i for i, xs in divisors.items() if xs))
+    terms = [(d // m, L)] + [(-(i // m), x) for i, xs in divisors.items() for x in xs]
+    witness = _weighted_sum(terms, torsion)[len(L) - len(torsion):]
+    order = next(k for k in itertools.count(1)
+                 if all(k * a % t == 0 for a, t in zip(witness, torsion)))
+    return order == m, m, order

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -583,6 +584,44 @@ SURVEY_SHA1 = {
     "sing-bar": "e821d3a933ecbe3de7e18804ecdd34dc72ae5e92",
 }
 
+# (order d, inertia gcd m, symbols, k) of the frozen cover documents: the
+# witness class L' is 2k in the torsion factor Z/2m, so a cover is reducible
+# unless gcd(k, m) = 1.
+COVER_SPECS = ((12, 1, 8, 0), (12, 2, 10, 0), (18, 3, 12, 1), (24, 4, 16, 2),
+               (30, 5, 20, 3), (36, 6, 24, 3), (60, 2, 30, 1), (120, 3, 40, 0),
+               (120, 4, 40, 3), (210, 5, 50, 0), (240, 6, 60, 5), (300, 6, 60, 4))
+# SHA-1 of `cover check` stdout over all of COVER_SPECS, taken before class
+# arithmetic stopped going through `PicardModel.element`.
+COVER_SHA1 = {
+    "table": "f8f2ecd1832a90b09b5c4e5b980d98c233a6f2ea",
+    "doc": "48e4ef92fb5cfa6f624537080580fd16c4f89ea5",
+}
+
+
+def cover_document(rng, d, m, nsym, k):
+    """A valid cover document of order d whose populated residues span the
+    subgroup of index m.  The symbol at residue m closes d*L = sum_i i*[D_i]
+    with the witness class L' = (d/m)L - sum_i (i/m)[D_i] = (2k, 0)."""
+    torsion = [2 * m, 4 * m]
+
+    def rand_class():
+        return ([rng.randint(-9, 9), rng.randint(-9, 9)],
+                [rng.randrange(t) for t in torsion])
+
+    L = rand_class()
+    items = [(rng.randrange(m, d, m), rand_class()) for _ in range(nsym - 1)]
+    terms = [(d // m, L)] + [(-(i // m), c) for i, c in items]
+    free = [sum(n * c[0][j] for n, c in terms) for j in range(2)]
+    tors = [(sum(n * c[1][j] for n, c in terms) - (2 * k, 0)[j]) % t
+            for j, t in enumerate(torsion)]
+    items.append((m, (free, tors)))
+    divisors: dict = {}
+    for s, (i, (cf, ct)) in enumerate(items):
+        divisors.setdefault(str(i), []).append(
+            {"symbol": "D%d" % s, "class": {"free": cf, "torsion": ct}})
+    return {"order": d, "picard": {"free_rank": 2, "torsion": torsion},
+            "L": {"free": L[0], "torsion": L[1]}, "divisors": divisors}
+
 
 class TestFrozenStdout:
     def check(self, capsys, digest, *argv):
@@ -606,6 +645,60 @@ class TestFrozenStdout:
     @pytest.mark.parametrize("command", sorted(SURVEY_SHA1))
     def test_survey(self, capsys, command):
         self.check(capsys, SURVEY_SHA1[command], command, "--genus", "4", "--dmax", "9")
+
+    @pytest.mark.parametrize("fmt", sorted(COVER_SHA1))
+    def test_cover_check(self, capsys, tmp_path, fmt):
+        rng = random.Random(2010)
+        out = ""
+        for spec in COVER_SPECS:
+            path = tmp_path / "cover.json"
+            path.write_text(json.dumps(cover_document(rng, *spec)), encoding="utf-8")
+            code, text, _ = run(capsys, "cover", "check", "--input", str(path),
+                                "--format", fmt)
+            assert code == 0
+            out += text
+        assert out.count("inertia") == 12
+        assert len(re.findall(r'"irreducible": false|^reducible', out, re.M)) == 6
+        assert hashlib.sha1(out.encode()).hexdigest() == COVER_SHA1[fmt]
+
+
+class TestReentrantMain:
+    """main shares one parser per process: interleaved commands, errors among
+    them, must behave byte for byte as on a freshly built parser."""
+
+    def test_shared_parser(self, capsys, tmp_path, monkeypatch):
+        graph, pair, cover, bad = (tmp_path / name for name in
+                                   ("g.json", "p.json", "c.json", "bad.json"))
+        graph.write_text(json.dumps(TAIL_GRAPH_DOC), encoding="utf-8")
+        pair.write_text(json.dumps(sg.graph_to_doc(make_graph(
+            3, [Vertex(0, I1, 1, (2, 0)), Vertex(1, I1, 1, (2, 0))],
+            [make_link(0, 1, 1, 1)]))), encoding="utf-8")
+        cover.write_text(json.dumps(COVER_DOC), encoding="utf-8")
+        bad.write_text(json.dumps(spoiled(COVER_DOC, ("L", "free", 0), 2)), encoding="utf-8")
+        commands = [
+            ["admissible", "--genus", "3", "--order", "2"],
+            ["locus", "--genus", "3", "--order", "2", "--counts", "8"],
+            ["sing", "--genus", "3"],
+            ["graphs", "--genus", "2", "--order", "3"],
+            ["simplify", "--input", str(graph)],
+            ["enlarge", "--input", str(pair), "--vertex", "1", "--kind", "detached"],
+            ["boundary", "--genus", "2", "--dmax", "3"],
+            ["sing-bar", "--genus", "3", "--dmax", "3"],
+            ["bounds", "--genus", "5"],
+            ["cover", "check", "--input", str(cover)],
+        ]
+        errors = [["sing", "--genus", "1"], ["sing", "--genus", "3", "--colour", "red"],
+                  ["cover", "check", "--input", str(bad)]]
+        argvs = []
+        for k, argv in enumerate(commands):
+            argvs += [argv + ["--format", "table"], errors[k % 3], argv + ["--format", "doc"]]
+        shared = [run(capsys, *argv) for argv in argvs]
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in argvs]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [
+            code for k in range(10) for code in (0, (1, 1, 2)[k % 3], 0)]
 
 
 def run_module(module, *argv):

@@ -235,6 +235,65 @@ class TestValidation:
                 build()
             assert len(str(info.value)) <= 100
 
+    @pytest.mark.parametrize("free,torsion", [((), (2,)), ((), (-1,)), ((0,), (0,)), ((), ())])
+    def test_rejects_unreduced_classes(self, free, torsion):
+        # Built directly, not through element(): DivisorClass(M, (), (2,))
+        # has order 1 yet is not zero, and a missing or extra coordinate was
+        # silently dropped by the zip of the class arithmetic.
+        M = ca.PicardModel(0, (2,))
+        bad = ca.DivisorClass(M, free, torsion)
+        with pytest.raises(ValueError, match="L does not live in the given group"):
+            ca.branch_assignment(2, M, bad, {})
+        with pytest.raises(ValueError, match="class of .D. lives in a different group"):
+            ca.branch_assignment(2, M, M.zero(), {1: [("D", bad)]})
+
+
+# (d, free rank, torsion, L, divisors) as plain coordinate lists, free part
+# first: classes sit at multiples of an inertia gcd m, and the class closing
+# the last divisor leaves the witness L' equal to a drawn defect, so d*L =
+# sum_i i*[D_i] fails in the free part, fails only in torsion, or holds.
+@st.composite
+def plain_cover_data(draw):
+    d = draw(st.integers(min_value=2, max_value=24))
+    m = draw(st.sampled_from([x for x in range(1, d + 1) if d % x == 0]))
+    rank = draw(st.integers(min_value=0, max_value=3))
+    torsion = draw(st.sampled_from([(), (2,), (2, 4), (3, 6, 12)]))
+    coords = st.lists(st.integers(min_value=-30, max_value=30),
+                      min_size=rank + len(torsion), max_size=rank + len(torsion))
+    L = draw(coords)
+    divisors = {}
+    if m < d:
+        for i in draw(st.lists(st.sampled_from(range(m, d, m)), max_size=6)):
+            divisors.setdefault(i, []).append(draw(coords))
+        terms = [(d // m, L)] + [(-(i // m), x) for i, xs in divisors.items() for x in xs]
+        defect = draw(coords)
+        if draw(st.booleans()):
+            defect[:rank] = [0] * rank
+        divisors.setdefault(m, []).append(
+            [sum(n * x[k] for n, x in terms) - defect[k] for k in range(len(L))])
+    return d, rank, torsion, L, divisors
+
+
+class TestPlainListOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(plain_cover_data())
+    def test_validity_and_irreducibility(self, data):
+        d, rank, torsion, L, divisors = data
+        M = ca.PicardModel(rank, torsion)
+
+        def cls(x):
+            return M.element(x[:rank], x[rank:])
+
+        items = {i: [("s%d_%d" % (i, j), cls(x)) for j, x in enumerate(xs)]
+                 for i, xs in divisors.items()}
+        if not oracles.reference_cover_valid(d, torsion, L, divisors):
+            with pytest.raises(ValueError, match=r"d\*L differs"):
+                ca.branch_assignment(d, M, cls(L), items)
+            return
+        res = ca.irreducibility(ca.branch_assignment(d, M, cls(L), items))
+        assert (res.irreducible, res.inertia_gcd, res.torsion_order) == \
+            oracles.reference_irreducibility(d, torsion, L, divisors)
+
 
 class TestIrreducibility:
     def test_unit_support(self):
