@@ -518,9 +518,8 @@ def _add_format(p):
     p.add_argument("--format", choices=("table", "doc"), default="table")
 
 
-@functools.cache
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> _Parser:
-    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="cycliccovers")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -57,7 +57,6 @@ class PicardModel:
             if prev is not None and t % prev != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
             prev = t
-        object.__setattr__(self, "_zero", self.combination(()))
 
     def element(self, free=(), torsion=()) -> DivisorClass:
         free = tuple(free)
@@ -67,17 +66,10 @@ class PicardModel:
         return self._reduce(free, torsion)
 
     def zero(self) -> DivisorClass:
-        return self._zero
+        return DivisorClass(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
     def _reduce(self, free, torsion) -> DivisorClass:
-        """The class of integer coordinates of the right lengths."""
         return DivisorClass(self, tuple(free), tuple(map(mod, torsion, self.torsion)))
-
-    def _holds(self, cls: DivisorClass) -> bool:
-        """Whether cls is a class of this group in the coordinates _reduce gives."""
-        return (cls.model == self and len(cls.free) == self.free_rank
-                and len(cls.torsion) == len(self.torsion)
-                and tuple(map(mod, cls.torsion, self.torsion)) == cls.torsion)
 
     def combination(self, terms) -> DivisorClass:
         """sum n*c over a sequence of (n, c) pairs of classes of this group."""
@@ -88,18 +80,17 @@ class PicardModel:
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """A class in reduced coordinates; model.element() builds one checked."""
+    """Reduced coordinates; operands must come from model.element() or combination()."""
 
     model: PicardModel
     free: tuple[int, ...]
     torsion: tuple[int, ...]
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        model = self.model
-        if model is not other.model and model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ValueError("classes live in different groups")
-        return DivisorClass(model, tuple(map(add, self.free, other.free)), tuple(
-            map(mod, map(add, self.torsion, other.torsion), model.torsion)))
+        return self.model._reduce(map(add, self.free, other.free),
+                                  map(add, self.torsion, other.torsion))
 
     def __neg__(self) -> "DivisorClass":
         return -1 * self
@@ -108,8 +99,7 @@ class DivisorClass:
         return self + -1 * other
 
     def __rmul__(self, n: int) -> "DivisorClass":
-        return DivisorClass(self.model, tuple([n * a for a in self.free]), tuple(
-            map(mod, [n * a for a in self.torsion], self.model.torsion)))
+        return self.model._reduce([n * a for a in self.free], [n * a for a in self.torsion])
 
     def is_zero(self) -> bool:
         return not any(self.free) and not any(self.torsion)
@@ -195,8 +185,8 @@ class BranchAssignment:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("order must be at least 2")
-        model = self.model
-        if not model._holds(self.L):
+        if (self.L.model != self.model
+                or self.L != self.model.element(self.L.free, self.L.torsion)):
             raise ValueError("L does not live in the given group")
         seen: set[str] = set()
         terms: dict[int, list] = {}
@@ -207,12 +197,12 @@ class BranchAssignment:
                 if sym in seen:
                     raise ValueError("symbol %s appears in two divisors" % clipped(sym))
                 seen.add(sym)
-                if not model._holds(cls):
+                if cls.model != self.model or cls != self.model.element(cls.free, cls.torsion):
                     raise ValueError("class of %s lives in a different group" % clipped(sym))
                 terms.setdefault(i, []).append((1, cls))
-        classes = {i: model.combination(ts) for i, ts in terms.items()}
+        classes = {i: self.model.combination(ts) for i, ts in terms.items()}
         object.__setattr__(self, "_classes", classes)
-        if not model.combination(
+        if not self.model.combination(
                 [(self.d, self.L)] + [(-i, cls) for i, cls in classes.items()]).is_zero():
             raise ValueError("d*L differs from the weighted branch class sum")
 

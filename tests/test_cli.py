@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +317,23 @@ class TestCoverCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error: malformed cover document") and err.count("\n") == 1
+
+    def test_huge_free_rank_with_short_classes(self, capsys, tmp_path):
+        # A short document naming a vast free rank is refused at its first
+        # class, before any work of the size of the free rank.
+        doc = {"order": 2, "picard": {"free_rank": 10**7},
+               "L": {"free": [0]}, "divisors": {}}
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "cover", "check", "--input", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "coordinate lengths do not match the group" in err
+        assert peak < 10**6
 
 
 # Valid documents of each kind, whose numbers the tests below spoil.

@@ -235,16 +235,21 @@ class TestValidation:
                 build()
             assert len(str(info.value)) <= 100
 
-    @pytest.mark.parametrize("free,torsion", [((), (2,)), ((), (-1,)), ((0,), (0,)), ((), ())])
-    def test_rejects_unreduced_classes(self, free, torsion):
+    @pytest.mark.parametrize("free,torsion,message", [
+        ((), (2,), "L does not live|class of .D. lives in a different group"),
+        ((), (-1,), "L does not live|class of .D. lives in a different group"),
+        ((0,), (0,), "coordinate lengths do not match the group"),
+        ((), (), "coordinate lengths do not match the group"),
+    ])
+    def test_rejects_unreduced_classes(self, free, torsion, message):
         # Built directly, not through element(): DivisorClass(M, (), (2,))
         # has order 1 yet is not zero, and a missing or extra coordinate was
         # silently dropped by the zip of the class arithmetic.
         M = ca.PicardModel(0, (2,))
         bad = ca.DivisorClass(M, free, torsion)
-        with pytest.raises(ValueError, match="L does not live in the given group"):
+        with pytest.raises(ValueError, match=message):
             ca.branch_assignment(2, M, bad, {})
-        with pytest.raises(ValueError, match="class of .D. lives in a different group"):
+        with pytest.raises(ValueError, match=message):
             ca.branch_assignment(2, M, M.zero(), {1: [("D", bad)]})
 
 
