@@ -23,6 +23,8 @@ generates only candidates for it.  The orbit of a residue s is the set of
 residues with gcd(s, d), whose least member is that gcd, so the first
 populated residue of a representative is the least gcd(s, d) over its
 support (the first residue rule): every candidate starts at a divisor of d.
+By Wiman's bound a cyclic automorphism of a curve of genus g >= 2 has order
+at most 4g + 2, so above it `enumerate_admissible` returns () unsearched.
 """
 
 from __future__ import annotations
@@ -246,6 +248,8 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingDatum, int], ..
     """
     if g < 2 or d < 2:
         raise ValueError("need g >= 2 and d >= 2")
+    if d > 4 * g + 2:  # Wiman's bound (module docstring); the tables are O(d)
+        return ()
     weights = branch_weights(d)
     terms = genus_relation(g, d)
     actions = None

@@ -59,37 +59,37 @@ class PicardModel:
             prev = t
 
     def element(self, free=(), torsion=()) -> DivisorClass:
-        free = tuple(free)
+        # map() stops at the shorter tuple; extra coordinates stay for DivisorClass to refuse.
         torsion = tuple(torsion)
-        if len(free) != self.free_rank or len(torsion) != len(self.torsion):
-            raise ValueError("coordinate lengths do not match the group")
-        return self._reduce(free, torsion)
+        return DivisorClass(self, tuple(free),
+                            tuple(map(mod, torsion, self.torsion)) + torsion[len(self.torsion):])
 
     def zero(self) -> DivisorClass:
         return DivisorClass(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
-    def _reduce(self, free, torsion) -> DivisorClass:
-        return DivisorClass(self, tuple(free), tuple(map(mod, torsion, self.torsion)))
-
     def combination(self, terms) -> DivisorClass:
         """sum n*c over a sequence of (n, c) pairs of classes of this group."""
-        return self._reduce(
+        return self.element(
             [sum(n * c.free[k] for n, c in terms) for k in range(self.free_rank)],
             [sum(n * c.torsion[k] for n, c in terms) for k in range(len(self.torsion))])
 
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Reduced coordinates; operands must come from model.element() or combination()."""
+    """Coordinates of the model's lengths, checked when built; element() reduces them."""
 
     model: PicardModel
     free: tuple[int, ...]
     torsion: tuple[int, ...]
 
+    def __post_init__(self):
+        if len(self.free) != self.model.free_rank or len(self.torsion) != len(self.model.torsion):
+            raise ValueError("coordinate lengths do not match the group")
+
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if self.model is not other.model and self.model != other.model:
             raise ValueError("classes live in different groups")
-        return self.model._reduce(map(add, self.free, other.free),
+        return self.model.element(map(add, self.free, other.free),
                                   map(add, self.torsion, other.torsion))
 
     def __neg__(self) -> "DivisorClass":
@@ -99,7 +99,7 @@ class DivisorClass:
         return self + -1 * other
 
     def __rmul__(self, n: int) -> "DivisorClass":
-        return self.model._reduce([n * a for a in self.free], [n * a for a in self.torsion])
+        return self.model.element([n * a for a in self.free], [n * a for a in self.torsion])
 
     def is_zero(self) -> bool:
         return not any(self.free) and not any(self.torsion)
@@ -197,7 +197,8 @@ class BranchAssignment:
                 if sym in seen:
                     raise ValueError("symbol %s appears in two divisors" % clipped(sym))
                 seen.add(sym)
-                if cls.model != self.model or cls != self.model.element(cls.free, cls.torsion):
+                if ((cls.model is not self.model and cls.model != self.model)
+                        or cls != self.model.element(cls.free, cls.torsion)):
                     raise ValueError("class of %s lives in a different group" % clipped(sym))
                 terms.setdefault(i, []).append((1, cls))
         classes = {i: self.model.combination(ts) for i, ts in terms.items()}

@@ -15,6 +15,7 @@ flag instead of being silently kept or dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .branching import ExtraAutomorphismRisk, maximal_cyclic_exception
 from .combinat import primes_upto
@@ -92,8 +93,20 @@ def _flags_for(G: AutoGraph, jvid: int) -> tuple[str, ...]:
     return ()
 
 
+def _boundary_multiset(p: int, colours, genera, E: int) -> bool:
+    """Whether a vertex multiset of order p holds boundary components: one
+    I1 vertex, some I0 vertex and, at p = 2, no elliptic tail.  At p = 2 a
+    graph has no loops and no I0-I0 or I1-I1 links, so with one I1 vertex
+    every edge is an I1-I0 link and that vertex has E ends: it is an
+    elliptic tail exactly when it has genus 1 and E == 1."""
+    if colours.count(I1) != 1 or I0 not in colours:
+        return False
+    return not (p == 2 and E == 1 and genera[colours.index(I1)] == 1)
+
+
 def boundary_survey(g: int, d_max: int):
-    """(components, warnings, notes) of the boundary enumeration."""
+    """(components, warnings, notes) of the boundary enumeration, whose
+    selection is made on vertex multisets by `_boundary_multiset`."""
     if g < 2 or d_max < 2:
         raise ValueError("need g >= 2 and d_max >= 2")
     notes: list[str] = []
@@ -107,18 +120,7 @@ def boundary_survey(g: int, d_max: int):
     components: list[BoundaryComponent] = []
     warnings: list[str] = []
     for p in primes_upto(d_max):
-
-        def keep(G: AutoGraph) -> bool:
-            i1 = G.i1_vertices()
-            if len(i1) != 1:
-                return False
-            if not G.i0_vertices():
-                return False
-            if p == 2 and is_elliptic_tail_vertex(G, i1[0].vid):
-                return False
-            return True
-
-        for G in enumerate_graphs(g, p, predicate=keep):
+        for G in enumerate_graphs(g, p, keep=partial(_boundary_multiset, p)):
             patt = exceptional_pattern(G)
             if patt is not ExceptionalPattern.NONE:
                 warnings.append(
@@ -126,17 +128,10 @@ def boundary_survey(g: int, d_max: int):
                     % (patt.value, p, _summary(G))
                 )
                 continue
-            j = G.i1_vertices()[0]
             dim = stratum_dimension(G)
-            components.append(
-                BoundaryComponent(
-                    graph=G,
-                    d=p,
-                    dim=dim,
-                    codim=3 * g - 3 - dim,
-                    flags=_flags_for(G, j.vid),
-                )
-            )
+            components.append(BoundaryComponent(
+                graph=G, d=p, dim=dim, codim=3 * g - 3 - dim,
+                flags=_flags_for(G, G.i1_vertices()[0].vid)))
     # enumerate_graphs returns canonical graphs in encoding order and the
     # order leads the encoding, so the components arrive sorted.
     encodings = [c.encoding() for c in components]

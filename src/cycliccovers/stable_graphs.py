@@ -128,9 +128,6 @@ class AutoGraph:
     def i1_vertices(self) -> tuple[Vertex, ...]:
         return tuple(v for v in self.vertices if v.colour == I1)
 
-    def i0_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if v.colour == I0)
-
 
 def _edge_key(e):
     if isinstance(e, Link):
@@ -760,7 +757,7 @@ def _structures(d, colours, genera, E, opts):
     yield from rec(0, E, sum(min_ends))
 
 
-def enumerate_graphs(g: int, d: int, predicate=None) -> tuple[AutoGraph, ...]:
+def enumerate_graphs(g: int, d: int, keep=None) -> tuple[AutoGraph, ...]:
     """All admissible stable maximal graphs of total genus g and order d,
     one per canonical class, in canonical-encoding order.
 
@@ -769,6 +766,8 @@ def enumerate_graphs(g: int, d: int, predicate=None) -> tuple[AutoGraph, ...]:
     genus relation.  Every labelled candidate is valid by construction
     (see `_labelled_graphs`) and is canonicalised without a re-check;
     TestLabelledGraphs.test_candidates_pass_check_graph holds this.
+    keep(colours, genera, E), if given, selects the `_vertex_multisets`
+    searched: it runs once per multiset, never on a labelled candidate.
     """
     if g < 2:
         raise ValueError("total genus must be at least 2")
@@ -776,9 +775,9 @@ def enumerate_graphs(g: int, d: int, predicate=None) -> tuple[AutoGraph, ...]:
         raise ValueError("order must be a prime number")
     found: set[tuple] = set()
     for colours, genera, E, opts in _vertex_multisets(g, d):
-        for structure, ends in _structures(d, colours, genera, E, opts):
-            for graph in _labelled_graphs(d, colours, genera, structure, opts, ends):
-                if predicate is None or predicate(graph):
+        if keep is None or keep(colours, genera, E):
+            for structure, ends in _structures(d, colours, genera, E, opts):
+                for graph in _labelled_graphs(d, colours, genera, structure, opts, ends):
                     found.add(canonical_encoding(graph))
     return tuple(_decode(enc) for enc in sorted(found))
 

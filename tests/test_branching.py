@@ -164,6 +164,13 @@ class TestEnumeration:
     def test_matches_seen_set_path_large(self, g, d):
         assert br.enumerate_admissible(g, d) == oracles.seen_set_admissible(g, d)
 
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_wiman_bound(self, g):
+        # The largest order with data is 4g + 2; above it the search is skipped.
+        assert len(oracles.seen_set_admissible(g, 4 * g + 2)) == 1
+        for d in range(4 * g + 2, 4 * g + 13):
+            assert br.enumerate_admissible(g, d) == oracles.seen_set_admissible(g, d)
+
     def test_hurwitz_roundtrip(self):
         for g in range(2, 7):
             for d in range(2, 8):

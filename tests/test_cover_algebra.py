@@ -243,14 +243,35 @@ class TestValidation:
     ])
     def test_rejects_unreduced_classes(self, free, torsion, message):
         # Built directly, not through element(): DivisorClass(M, (), (2,))
-        # has order 1 yet is not zero, and a missing or extra coordinate was
-        # silently dropped by the zip of the class arithmetic.
+        # has order 1 yet is not zero, and a class with a missing or extra
+        # coordinate is refused when it is built.
         M = ca.PicardModel(0, (2,))
-        bad = ca.DivisorClass(M, free, torsion)
         with pytest.raises(ValueError, match=message):
-            ca.branch_assignment(2, M, bad, {})
+            ca.branch_assignment(2, M, ca.DivisorClass(M, free, torsion), {})
         with pytest.raises(ValueError, match=message):
-            ca.branch_assignment(2, M, M.zero(), {1: [("D", bad)]})
+            ca.branch_assignment(2, M, M.zero(), {1: [("D", ca.DivisorClass(M, free, torsion))]})
+
+    @pytest.mark.parametrize("op", [
+        lambda M, bad: bad + M.element((1,), ()),
+        lambda M, bad: M.element((1,), ()) + bad,
+        lambda M, bad: bad - M.element((1,), ()),
+        lambda M, bad: M.element((1,), ()) - bad,
+        lambda M, bad: 2 * bad,
+        lambda M, bad: -bad,
+        lambda M, bad: M.combination([(1, bad)]),
+    ], ids=["add", "radd", "sub", "rsub", "mul", "neg", "combination"])
+    @pytest.mark.parametrize("free,torsion", [((1, 5), ()), ((), ()), ((1,), (0,))])
+    def test_operators_refuse_wrong_lengths(self, op, free, torsion):
+        # A class of the wrong lengths cannot be built, so no operator
+        # silently cuts or keeps its extra coordinates.
+        M = model_z()
+        with pytest.raises(ValueError, match="coordinate lengths do not match the group"):
+            op(M, ca.DivisorClass(M, free, torsion))
+
+    @pytest.mark.parametrize("free,torsion", [((1, 5), (1,)), ((1,), ()), ((1,), (1, 1))])
+    def test_element_refuses_wrong_lengths(self, free, torsion):
+        with pytest.raises(ValueError, match="coordinate lengths do not match the group"):
+            ca.PicardModel(1, (2,)).element(free, torsion)
 
 
 # (d, free rank, torsion, L, divisors) as plain coordinate lists, free part

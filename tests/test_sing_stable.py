@@ -79,7 +79,7 @@ class TestBoundaryComponents:
                 G = c.graph
                 sg.check_graph(G, require_stable=True)
                 assert len(G.i1_vertices()) == 1
-                assert len(G.i0_vertices()) >= 1
+                assert [v for v in G.vertices if v.colour == I0]
                 assert sg.exceptional_pattern(G) is sg.ExceptionalPattern.NONE
                 assert sg.graph_genus(G) == g
                 assert c.dim == sg.stratum_dimension(G)

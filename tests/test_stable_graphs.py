@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracles
+from cycliccovers import sing_stable as st
 from cycliccovers import stable_graphs as sg
 from cycliccovers.combinat import primes_upto, units_mod
 from cycliccovers.stable_graphs import (
@@ -437,7 +438,7 @@ class TestEnumeration:
                 assert sg.graph_genus(G) == g
 
     def test_filter_applied(self):
-        graphs = sg.enumerate_graphs(2, 2, predicate=lambda G: bool(G.edges))
+        graphs = sg.enumerate_graphs(2, 2, keep=lambda colours, genera, E: E > 0)
         assert all(G.edges for G in graphs)
         assert len(graphs) == 1
 
@@ -492,13 +493,22 @@ class TestLabelledGraphs:
     ])
     def test_candidates_pass_check_graph(self, g, d):
         # The search yields admissible, stable, connected maximal graphs
-        # by construction and checks none of them itself.
+        # by construction and checks none of them itself.  The boundary
+        # survey selects vertex multisets; on every candidate its test
+        # agrees with the same selection made on the labelled graph.
         n = 0
         for colours, genera, E, opts in sg._vertex_multisets(g, d):
+            kept = st._boundary_multiset(d, colours, genera, E)
             for structure, ends in sg._structures(d, colours, genera, E, opts):
                 for G in sg._labelled_graphs(d, colours, genera, structure, opts, ends):
                     sg.check_graph(G, pre=False, require_stable=True)
                     assert sg.graph_genus(G) == g
+                    i1 = G.i1_vertices()
+                    assert kept == (
+                        len(i1) == 1
+                        and any(v.colour == I0 for v in G.vertices)
+                        and not (d == 2 and sg.is_elliptic_tail_vertex(G, i1[0].vid))
+                    )
                     n += 1
         assert n > 0
 
