@@ -69,6 +69,8 @@ class PicardModel:
 
     def combination(self, terms) -> DivisorClass:
         """sum n*c over a sequence of (n, c) pairs of classes of this group."""
+        if any(c.model is not self and c.model != self for _, c in terms):
+            raise ValueError("classes live in different groups")
         return self.element(
             [sum(n * c.free[k] for n, c in terms) for k in range(self.free_rank)],
             [sum(n * c.torsion[k] for n, c in terms) for k in range(len(self.torsion))])

@@ -15,7 +15,6 @@ flag instead of being silently kept or dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .branching import ExtraAutomorphismRisk, maximal_cyclic_exception
 from .combinat import primes_upto
@@ -93,20 +92,9 @@ def _flags_for(G: AutoGraph, jvid: int) -> tuple[str, ...]:
     return ()
 
 
-def _boundary_multiset(p: int, colours, genera, E: int) -> bool:
-    """Whether a vertex multiset of order p holds boundary components: one
-    I1 vertex, some I0 vertex and, at p = 2, no elliptic tail.  At p = 2 a
-    graph has no loops and no I0-I0 or I1-I1 links, so with one I1 vertex
-    every edge is an I1-I0 link and that vertex has E ends: it is an
-    elliptic tail exactly when it has genus 1 and E == 1."""
-    if colours.count(I1) != 1 or I0 not in colours:
-        return False
-    return not (p == 2 and E == 1 and genera[colours.index(I1)] == 1)
-
-
 def boundary_survey(g: int, d_max: int):
     """(components, warnings, notes) of the boundary enumeration, whose
-    selection is made on vertex multisets by `_boundary_multiset`."""
+    graphs `enumerate_graphs` selects on their vertex multisets."""
     if g < 2 or d_max < 2:
         raise ValueError("need g >= 2 and d_max >= 2")
     notes: list[str] = []
@@ -120,7 +108,7 @@ def boundary_survey(g: int, d_max: int):
     components: list[BoundaryComponent] = []
     warnings: list[str] = []
     for p in primes_upto(d_max):
-        for G in enumerate_graphs(g, p, keep=partial(_boundary_multiset, p)):
+        for G in enumerate_graphs(g, p, boundary=True):
             patt = exceptional_pattern(G)
             if patt is not ExceptionalPattern.NONE:
                 warnings.append(

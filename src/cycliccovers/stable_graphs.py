@@ -658,7 +658,7 @@ def _link_pairs(d: int):
     ]
 
 
-def _vertex_multisets(g: int, d: int):
+def _vertex_multisets(g: int, d: int, boundary: bool = False):
     """(colours, genera, E, opts) for every vertex multiset the search tries.
 
     Vertices enter as a sorted multiset of (colour, genus), identity
@@ -668,6 +668,10 @@ def _vertex_multisets(g: int, d: int):
     the edge count E = g - sum + V - 1, which is then at most 3g - 3.
     Every multiset holds an I1 vertex, and opts maps each I1 vertex to
     its (quotient genus, k) pairs, of which there is at least one.
+    With boundary set, growth stops at the first I1 vertex (they come
+    last) and yields only after some I0 vertex.  At d = 2 every edge is an
+    I1-I0 link (no loops, I0-I0 or I1-I1 links), so the I1 vertex has E
+    ends and is an elliptic tail, skipped, iff E == 1 and its genus is 1.
     """
     i1_opts = {gi: prime_shapes(gi, d) for gi in range(g + 1)}
     palette = [(I0, gi) for gi in range(g + 1)]
@@ -675,10 +679,14 @@ def _vertex_multisets(g: int, d: int):
 
     def grow(combo, start, gsum):
         if combo and combo[-1][0] == I1:
-            colours = tuple(c for c, _ in combo)
-            genera = tuple(gi for _, gi in combo)
-            opts = {i: i1_opts[gi] for i, (c, gi) in enumerate(combo) if c == I1}
-            yield colours, genera, g - gsum + len(combo) - 1, opts
+            E = g - gsum + len(combo) - 1
+            if not boundary or len(combo) > 1 and (d, E, combo[-1][1]) != (2, 1, 1):
+                colours = tuple(c for c, _ in combo)
+                genera = tuple(gi for _, gi in combo)
+                opts = {i: i1_opts[gi] for i, (c, gi) in enumerate(combo) if c == I1}
+                yield colours, genera, E, opts
+            if boundary:
+                return
         if len(combo) < 2 * g - 2:
             for p in range(start, len(palette)):
                 if gsum + palette[p][1] <= g:
@@ -757,7 +765,7 @@ def _structures(d, colours, genera, E, opts):
     yield from rec(0, E, sum(min_ends))
 
 
-def enumerate_graphs(g: int, d: int, keep=None) -> tuple[AutoGraph, ...]:
+def enumerate_graphs(g: int, d: int, boundary: bool = False) -> tuple[AutoGraph, ...]:
     """All admissible stable maximal graphs of total genus g and order d,
     one per canonical class, in canonical-encoding order.
 
@@ -766,19 +774,19 @@ def enumerate_graphs(g: int, d: int, keep=None) -> tuple[AutoGraph, ...]:
     genus relation.  Every labelled candidate is valid by construction
     (see `_labelled_graphs`) and is canonicalised without a re-check;
     TestLabelledGraphs.test_candidates_pass_check_graph holds this.
-    keep(colours, genera, E), if given, selects the `_vertex_multisets`
-    searched: it runs once per multiset, never on a labelled candidate.
+    With boundary set, only boundary components of the singular locus
+    (see `sing_stable`): one I1 vertex, some I0 vertex and, at d = 2, no
+    elliptic tail, all read off the vertex multiset by `_vertex_multisets`.
     """
     if g < 2:
         raise ValueError("total genus must be at least 2")
     if not is_prime(d):
         raise ValueError("order must be a prime number")
     found: set[tuple] = set()
-    for colours, genera, E, opts in _vertex_multisets(g, d):
-        if keep is None or keep(colours, genera, E):
-            for structure, ends in _structures(d, colours, genera, E, opts):
-                for graph in _labelled_graphs(d, colours, genera, structure, opts, ends):
-                    found.add(canonical_encoding(graph))
+    for colours, genera, E, opts in _vertex_multisets(g, d, boundary):
+        for structure, ends in _structures(d, colours, genera, E, opts):
+            for graph in _labelled_graphs(d, colours, genera, structure, opts, ends):
+                found.add(canonical_encoding(graph))
     return tuple(_decode(enc) for enc in sorted(found))
 
 

@@ -888,6 +888,17 @@ def reference_vertex_multisets(g, d):
                 yield colours, genera, E, opts
 
 
+def boundary_multiset(p, colours, genera, E):
+    """Whether a vertex multiset of order p holds boundary components: one
+    I1 vertex, some I0 vertex and, at p = 2, no elliptic tail.  At p = 2 a
+    graph has no loops and no I0-I0 or I1-I1 links, so with one I1 vertex
+    every edge is an I1-I0 link and that vertex has E ends: it is an
+    elliptic tail exactly when it has genus 1 and E == 1."""
+    if colours.count(I1) != 1 or I0 not in colours:
+        return False
+    return not (p == 2 and E == 1 and genera[colours.index(I1)] == 1)
+
+
 def reference_connected_structures(d, colours, genera, E, opts):
     """The connected structures the unpruned search yields for one vertex
     multiset, with the end bounds it was given: the largest k at I1

@@ -617,6 +617,7 @@ SURVEY_SHA1 = {
     ("sing-bar", 5, 11): "411ae2727f16acd847ec5428767449693a7ee4ba",
     ("boundary", 6, 13): "8f96a140c90ab7ee0e4892b18cc53c25962953c6",
     ("sing-bar", 6, 13): "3be256c2a6fd59d120e2747d0834914238388ea3",
+    ("boundary", 7, 15): "264dfcffe4dab5896f42712388a3e62efe554fd6",
 }
 
 # (order d, inertia gcd m, symbols, k) of the frozen cover documents: the

@@ -268,6 +268,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="coordinate lengths do not match the group"):
             op(M, ca.DivisorClass(M, free, torsion))
 
+    @pytest.mark.parametrize("mine,theirs", [
+        (ca.PicardModel(1, ()), ca.PicardModel(2, (3,))),
+        (ca.PicardModel(2, (3,)), ca.PicardModel(1, ())),
+    ], ids=["more-coordinates", "fewer-coordinates"])
+    def test_combination_refuses_other_groups(self, mine, theirs):
+        # A class of another group would be cut to this group's
+        # coordinates, or index past its own.
+        other = theirs.element((1,) * theirs.free_rank, (1,) * len(theirs.torsion))
+        with pytest.raises(ValueError, match="classes live in different groups"):
+            mine.combination([(1, mine.zero()), (1, other)])
+
     @pytest.mark.parametrize("free,torsion", [((1, 5), (1,)), ((1,), ()), ((1,), (1, 1))])
     def test_element_refuses_wrong_lengths(self, free, torsion):
         with pytest.raises(ValueError, match="coordinate lengths do not match the group"):

@@ -4,7 +4,6 @@ import random
 import pytest
 
 import oracles
-from cycliccovers import sing_stable as st
 from cycliccovers import stable_graphs as sg
 from cycliccovers.combinat import primes_upto, units_mod
 from cycliccovers.stable_graphs import (
@@ -339,6 +338,14 @@ def spine_graph(d, tails):
     return make_graph(d, vertices, edges)
 
 
+def is_boundary_graph(G):
+    """The per-graph definition of a boundary component: one I1 vertex,
+    some I0 vertex and, at order 2, no elliptic tail."""
+    i1 = G.i1_vertices()
+    return (len(i1) == 1 and any(v.colour == I0 for v in G.vertices)
+            and not (G.d == 2 and sg.is_elliptic_tail_vertex(G, i1[0].vid)))
+
+
 def assert_matches_reference(G):
     assert sg.canonical_encoding(G) == oracles.reference_canonical_encoding(G)
     assert sg.canonical_form(G) == oracles.reference_canonical_form(G)
@@ -438,9 +445,18 @@ class TestEnumeration:
                 assert sg.graph_genus(G) == g
 
     def test_filter_applied(self):
-        graphs = sg.enumerate_graphs(2, 2, keep=lambda colours, genera, E: E > 0)
-        assert all(G.edges for G in graphs)
-        assert len(graphs) == 1
+        # The boundary selection, made on vertex multisets, keeps exactly
+        # the classes that satisfy the per-graph definition.
+        n = 0
+        for g in (2, 3):
+            for d in primes_upto(2 * g + 1):
+                want = [sg.canonical_encoding(G) for G in sg.enumerate_graphs(g, d)
+                        if is_boundary_graph(G)]
+                got = [sg.canonical_encoding(G)
+                       for G in sg.enumerate_graphs(g, d, boundary=True)]
+                assert got == want
+                n += len(got)
+        assert n > 0
 
 
 # Class counts of enumerate_graphs for every prime order up to 2g + 1.
@@ -482,6 +498,17 @@ class TestStructureSearch:
             assert len(got) == len(set(got))
             assert set(got) == {frozenset(s.items()) for s in ref}
 
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_boundary_multisets_match_filter(self, g):
+        # The boundary generator against the full generator filtered by the
+        # per-multiset test, at every prime order.
+        for p in primes_upto(2 * g + 1):
+            got = list(sg._vertex_multisets(g, p, boundary=True))
+            want = [m for m in sg._vertex_multisets(g, p)
+                    if oracles.boundary_multiset(p, *m[:3])]
+            assert len({m[:3] for m in got}) == len(got)
+            assert sorted(got, key=lambda m: m[:3]) == sorted(want, key=lambda m: m[:3])
+
     @pytest.mark.parametrize("g,d", sorted(CLASS_COUNTS))
     def test_class_counts(self, g, d):
         assert len(sg.enumerate_graphs(g, d)) == CLASS_COUNTS[(g, d)]
@@ -494,21 +521,17 @@ class TestLabelledGraphs:
     def test_candidates_pass_check_graph(self, g, d):
         # The search yields admissible, stable, connected maximal graphs
         # by construction and checks none of them itself.  The boundary
-        # survey selects vertex multisets; on every candidate its test
+        # generator selects vertex multisets; on every candidate its choice
         # agrees with the same selection made on the labelled graph.
+        boundary = {m[:3] for m in sg._vertex_multisets(g, d, boundary=True)}
         n = 0
         for colours, genera, E, opts in sg._vertex_multisets(g, d):
-            kept = st._boundary_multiset(d, colours, genera, E)
+            kept = (colours, genera, E) in boundary
             for structure, ends in sg._structures(d, colours, genera, E, opts):
                 for G in sg._labelled_graphs(d, colours, genera, structure, opts, ends):
                     sg.check_graph(G, pre=False, require_stable=True)
                     assert sg.graph_genus(G) == g
-                    i1 = G.i1_vertices()
-                    assert kept == (
-                        len(i1) == 1
-                        and any(v.colour == I0 for v in G.vertices)
-                        and not (d == 2 and sg.is_elliptic_tail_vertex(G, i1[0].vid))
-                    )
+                    assert kept == is_boundary_graph(G)
                     n += 1
         assert n > 0
 
