@@ -195,9 +195,6 @@ class SmoothLocus:
         body = ",".join(str(c) for c in self.counts)
         return "M_{%d;%d,[(%s)]}" % (self.g, self.d, body)
 
-    def datum(self) -> BranchingDatum:
-        return BranchingDatum(self.d, self.counts)
-
     def sequence(self) -> BranchingSequence:
         return BranchingSequence(self.d, self.counts)
 

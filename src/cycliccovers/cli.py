@@ -3,8 +3,9 @@
 Every command is deterministic: identical inputs give byte-identical
 output.  Two formats exist: a human table (default) and a structured
 JSON document (--format doc) that re-parses to the in-memory result.
-Exit codes: 0 success (including empty results), 1 usage errors, 2
-constraint violations in input data.
+--genus, --order and --dmax are integers of at least 2, and a smaller
+value is a usage error (exit 1).  Exit codes: 0 success (including empty
+results), 1 usage errors, 2 constraint violations in input data.
 """
 
 from __future__ import annotations
@@ -218,16 +219,18 @@ def _graph_line(G) -> str:
     return " ".join(parts) + (" | " + " ".join(eparts) if eparts else "")
 
 
+def _boundary_line(c: BoundaryComponent) -> str:
+    line = "d=%d dim=%d codim=%d %s" % (c.d, c.dim, c.codim, _graph_line(c.graph))
+    return line + " [%s]" % ",".join(c.flags) if c.flags else line
+
+
 def _render_report(rep: DecompositionReport) -> None:
     print("genus %d" % rep.g)
     print("components:")
     for r in rep.components():
         print("  %s dim=%d codim=%d" % (r.locus.label(), r.locus.dim, r.locus.codim))
     for c in rep.boundary:
-        line = "  boundary d=%d dim=%d codim=%d %s" % (c.d, c.dim, c.codim, _graph_line(c.graph))
-        if c.flags:
-            line += " [%s]" % ",".join(c.flags)
-        print(line)
+        print("  boundary %s" % _boundary_line(c))
     print("redundant:")
     for r in rep.redundant():
         assert r.container is not None
@@ -298,9 +301,13 @@ def cmd_locus(args) -> int:
     return EXIT_OK
 
 
-def cmd_sing(args) -> int:
+def cmd_report(args) -> int:
+    """sing reports the interior locus; sing-bar adds the boundary up to --dmax."""
     try:
-        rep = sing_smooth.decompose_sing(args.genus)
+        if args.command == "sing":
+            rep = sing_smooth.decompose_sing(args.genus)
+        else:
+            rep = sing_stable.decompose_sing_bar(args.genus, args.dmax)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "doc":
@@ -412,27 +419,12 @@ def cmd_boundary(args) -> int:
         })
     else:
         for c in comps:
-            line = "d=%d dim=%d codim=%d %s" % (c.d, c.dim, c.codim, _graph_line(c.graph))
-            if c.flags:
-                line += " [%s]" % ",".join(c.flags)
-            print(line)
+            print(_boundary_line(c))
         print("total: %d" % len(comps))
         for w in warnings:
             print("warning: %s" % w)
         for n in notes:
             print("note: %s" % n)
-    return EXIT_OK
-
-
-def cmd_sing_bar(args) -> int:
-    try:
-        rep = sing_stable.decompose_sing_bar(args.genus, args.dmax)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.format == "doc":
-        _emit_doc(report_doc(rep))
-    else:
-        _render_report(rep)
     return EXIT_OK
 
 
@@ -514,75 +506,53 @@ def cmd_cover_check(args) -> int:
 # Wiring
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("table", "doc"), default="table")
+# Every option a command may take but --format, which every command takes
+# last.  Each of them is required.
+_OPTIONS = {
+    "genus": {"type": int},
+    "order": {"type": int},
+    "counts": {"type": str},
+    "input": {"type": str},
+    "vertex": {"type": int},
+    "kind": {"choices": ("detached", "attached", "max")},
+    "dmax": {"type": int},
+}
+
+# (name, help, handler, options): a name of two words is a subcommand of the
+# group its first word names, and a group has no handler.
+_COMMANDS = (
+    ("admissible", "enumerate admissible branching data", cmd_admissible, "genus order"),
+    ("locus", "describe one locus", cmd_locus, "genus order counts"),
+    ("sing", "decompose the interior singular locus", cmd_report, "genus"),
+    ("graphs", "enumerate stable automorphism graphs", cmd_graphs, "genus order"),
+    ("simplify", "rewrite a graph document to maximal form", cmd_simplify, "input"),
+    ("enlarge", "trivialise the action on chosen components", cmd_enlarge,
+     "input vertex kind"),
+    ("boundary", "boundary components of the singular locus", cmd_boundary, "genus dmax"),
+    ("sing-bar", "full decomposition over stable curves", cmd_report, "genus dmax"),
+    ("bounds", "automorphism cardinality bounds", cmd_bounds, "genus"),
+    ("cover", "cover algebra utilities", None, ""),
+    ("cover check", "irreducibility of a branch assignment", cmd_cover_check, "input"),
+)
+
+# The range rule, checked in this order after parsing.
+_AT_LEAST_2 = ("genus", "order", "dmax")
 
 
 @functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="cycliccovers")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("admissible", help="enumerate admissible branching data")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_admissible, need_g2=True, need_d2=True)
-
-    p = sub.add_parser("locus", help="describe one locus")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--counts", type=str, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_locus, need_g2=True, need_d2=True)
-
-    p = sub.add_parser("sing", help="decompose the interior singular locus")
-    p.add_argument("--genus", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_sing, need_g2=True)
-
-    p = sub.add_parser("graphs", help="enumerate stable automorphism graphs")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_graphs, need_g2=True, need_d2=True)
-
-    p = sub.add_parser("simplify", help="rewrite a graph document to maximal form")
-    p.add_argument("--input", type=str, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_simplify)
-
-    p = sub.add_parser("enlarge", help="trivialise the action on chosen components")
-    p.add_argument("--input", type=str, required=True)
-    p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--kind", choices=("detached", "attached", "max"), required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_enlarge)
-
-    p = sub.add_parser("boundary", help="boundary components of the singular locus")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_boundary, need_g2=True)
-
-    p = sub.add_parser("sing-bar", help="full decomposition over stable curves")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_sing_bar, need_g2=True)
-
-    p = sub.add_parser("bounds", help="automorphism cardinality bounds")
-    p.add_argument("--genus", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_bounds, need_g2=True)
-
-    p = sub.add_parser("cover", help="cover algebra utilities")
-    csub = p.add_subparsers(dest="subcommand", required=True)
-    pc = csub.add_parser("check", help="irreducibility of a branch assignment")
-    pc.add_argument("--input", type=str, required=True)
-    _add_format(pc)
-    pc.set_defaults(func=cmd_cover_check)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, help_, func, options in _COMMANDS:
+        group, _, word = name.rpartition(" ")
+        p = groups[group].add_parser(word, help=help_)
+        if func is None:
+            groups[name] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        for option in options.split():
+            p.add_argument("--" + option, required=True, **_OPTIONS[option])
+        p.add_argument("--format", choices=("table", "doc"), default="table")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -590,12 +560,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "need_g2", False) and args.genus < 2:
-            raise UsageError("genus must be at least 2")
-        if getattr(args, "need_d2", False) and args.order < 2:
-            raise UsageError("order must be at least 2")
-        if getattr(args, "dmax", 2) < 2:
-            raise UsageError("dmax must be at least 2")
+        for name in _AT_LEAST_2:
+            if getattr(args, name, 2) < 2:
+                raise UsageError("%s must be at least 2" % name)
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -868,13 +868,11 @@ def divisor_exception(G: AutoGraph) -> DivisorException:
     e = G.edges[0]
     if not isinstance(e, Link):
         return DivisorException.NONE
-    u, v = G.vertex(e.u), G.vertex(e.v)
-    cols = sorted((u.colour, v.colour))
-    if cols == [I0, I1]:
-        tail = u if u.colour == I1 else v
-        if tail.genus == 1:
-            return DivisorException.ELLIPTIC_TAIL
-    if cols == [I1, I1] and u.genus == 1 and v.genus == 1:
+    i1 = G.i1_vertices()
+    tails = sum(is_elliptic_tail_vertex(G, v.vid) for v in i1)
+    if tails == len(i1) == 1:
+        return DivisorException.ELLIPTIC_TAIL
+    if tails == len(i1) == 2:
         return DivisorException.GENUS2_PAIR
     return DivisorException.NONE
 
@@ -939,20 +937,11 @@ def exceptional_pattern(G: AutoGraph) -> ExceptionalPattern:
             # The swapped pair hangs on two separate components; a shared
             # tail is a different shape and stays in the enumeration.
             return ExceptionalPattern.NONE
-        tails = [(l, g) for l, g, _ in tails]
-        labels = sorted(l for l, _ in tails)
-        if p == 3:
-            genera = sorted(g for _, g in tails)
-            if genera[0] == genera[1] or genera[1] == genera[2]:
-                return ExceptionalPattern.IIB
-            return ExceptionalPattern.NONE
-        if labels[0] == labels[1] == labels[2]:
-            return ExceptionalPattern.NONE
-        if labels[0] == labels[1] or labels[1] == labels[2]:
-            rep = labels[1]
-            rep_genera = [g for l, g in tails if l == rep]
-            if rep_genera[0] == rep_genera[1]:
-                return ExceptionalPattern.IIB
+        # Some two tails with equal labels and equal genera.  At p = 3 all
+        # three labels are equal (a + b + c = 0 with each in {1, 2}); above
+        # 3 they never are, since 3a = 0 has no unit solution mod p.
+        if len({(l, g) for l, g, _ in tails}) < 3:
+            return ExceptionalPattern.IIB
         return ExceptionalPattern.NONE
     return ExceptionalPattern.NONE
 

@@ -738,6 +738,79 @@ class TestReentrantMain:
             code for k in range(10) for code in (0, (1, 1, 2)[k % 3], 0)]
 
 
+
+# Each command that takes --genus, with valid values for its other options.
+GENUS_COMMANDS = [
+    ("admissible", "--order", "3"),
+    ("locus", "--order", "2", "--counts", "4"),
+    ("sing",),
+    ("graphs", "--order", "3"),
+    ("boundary", "--dmax", "5"),
+    ("sing-bar", "--dmax", "5"),
+    ("bounds",),
+]
+
+
+class TestRangeRule:
+    """--genus, --order and --dmax are at least 2; nothing else is range-checked."""
+
+    @pytest.mark.parametrize("genus", ["1", "0", "-4"])
+    @pytest.mark.parametrize("command", GENUS_COMMANDS, ids=lambda c: c[0])
+    def test_genus(self, capsys, command, genus):
+        name, *rest = command
+        code, out, err = run(capsys, name, "--genus", genus, *rest)
+        assert (code, out, err) == (1, "", "usage error: genus must be at least 2\n")
+
+    @pytest.mark.parametrize("order", ["1", "0", "-4"])
+    @pytest.mark.parametrize("command", ["admissible", "locus", "graphs"])
+    def test_order(self, capsys, command, order):
+        rest = ("--counts", "4") if command == "locus" else ()
+        code, out, err = run(capsys, command, "--genus", "3", "--order", order, *rest)
+        assert (code, out, err) == (1, "", "usage error: order must be at least 2\n")
+
+    @pytest.mark.parametrize("command", [
+        ("admissible", "--order", "1"),
+        ("locus", "--order", "1", "--counts", "4"),
+        ("graphs", "--order", "0"),
+        ("boundary", "--dmax", "1"),
+        ("sing-bar", "--dmax", "0"),
+    ], ids=lambda c: c[0])
+    def test_genus_reported_first(self, capsys, command):
+        name, *rest = command
+        code, out, err = run(capsys, name, "--genus", "1", *rest)
+        assert (code, out, err) == (1, "", "usage error: genus must be at least 2\n")
+
+    def test_vertex_is_not_range_checked(self, capsys, tmp_path):
+        G = make_graph(2, [Vertex(0, I0, 2), Vertex(1, I1, 1, (3,))], [make_link(0, 1, 0, 1)])
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(sg.graph_to_doc(G)), encoding="utf-8")
+        code, out, err = run(capsys, "enlarge", "--input", str(path), "--vertex", "-1",
+                             "--kind", "max")
+        assert (code, out, err) == (2, "", "error: no vertex with id -1\n")
+
+    @pytest.mark.parametrize("argv, missing", [
+        ((), "command"),
+        (("admissible",), "--genus, --order"),
+        (("admissible", "--order", "3"), "--genus"),
+        (("locus",), "--genus, --order, --counts"),
+        (("locus", "--counts", "4"), "--genus, --order"),
+        (("sing",), "--genus"),
+        (("graphs",), "--genus, --order"),
+        (("simplify",), "--input"),
+        (("enlarge",), "--input, --vertex, --kind"),
+        (("enlarge", "--kind", "max"), "--input, --vertex"),
+        (("boundary",), "--genus, --dmax"),
+        (("sing-bar", "--genus", "3"), "--dmax"),
+        (("bounds", "--format", "doc"), "--genus"),
+        (("cover",), "subcommand"),
+        (("cover", "check"), "--input"),
+    ])
+    def test_missing_required(self, capsys, argv, missing):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: the following arguments are required: %s\n" % missing
+
+
 def run_module(module, *argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
@@ -775,7 +848,8 @@ class TestClosedStdout:
         )
         assert proc.stdout.read(16) == b"genus=100000 gen"
         proc.stdout.close()
-        err = proc.stderr.read()
+        with proc.stderr:
+            err = proc.stderr.read()
         assert proc.wait(timeout=120) == 0
         assert err == b""
 

@@ -552,6 +552,14 @@ class TestPatternDetectors:
             [make_link(0, 1, 0, 2)],
         )
         assert sg.divisor_exception(other) is DivisorException.NONE
+        # The same shapes with a genus-2 component in place of an elliptic one.
+        tail2 = make_graph(2, [Vertex(0, I0, 2), Vertex(1, I1, 2, (5,))],
+                           [make_link(0, 1, 0, 1)])
+        sg.check_graph(tail2, require_stable=True)
+        assert sg.divisor_exception(tail2) is DivisorException.NONE
+        pair2 = make_graph(2, [Vertex(0, I1, 1, (3,)), Vertex(1, I1, 2, (5,))],
+                           [make_link(0, 1, 1, 1)])
+        assert sg.divisor_exception(pair2) is DivisorException.NONE
 
     def test_exceptional_iia(self):
         G = make_graph(
@@ -576,7 +584,26 @@ class TestPatternDetectors:
             )
 
         assert sg.exceptional_pattern(triple((1, 1, 1))) is ExceptionalPattern.IIB
+        assert sg.exceptional_pattern(triple((1, 2, 2))) is ExceptionalPattern.IIB
         assert sg.exceptional_pattern(triple((1, 1, 2))) is ExceptionalPattern.NONE
+        # Equal genera at different labels are not the swapped pair.
+        assert sg.exceptional_pattern(triple((2, 1, 2))) is ExceptionalPattern.NONE
+
+    @pytest.mark.parametrize("genera, pattern", [
+        ((1, 1, 2), ExceptionalPattern.IIB),
+        ((2, 1, 1), ExceptionalPattern.IIB),
+        ((1, 2, 3), ExceptionalPattern.NONE),
+    ])
+    def test_exceptional_iib_order3(self, genera, pattern):
+        # At order 3 the three labels are all 1 (or all 2): any two tails
+        # of equal genus make the pair.
+        G = make_graph(
+            3,
+            [Vertex(0, I1, 1, (0, 0))] + [Vertex(i, I0, genera[i - 1]) for i in (1, 2, 3)],
+            [make_link(0, i, 1, 0) for i in (1, 2, 3)],
+        )
+        sg.check_graph(G, require_stable=True)
+        assert sg.exceptional_pattern(G) is pattern
 
     def test_exceptional_order3(self):
         G = make_graph(
