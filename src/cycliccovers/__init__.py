@@ -54,8 +54,7 @@ from .sing_stable import (
 )
 from .stable_graphs import (
     AutoGraph,
-    Link,
-    Loop,
+    Edge,
     Vertex,
     canonical_encoding,
     canonical_form,

@@ -211,11 +211,11 @@ def _graph_line(G) -> str:
             parts.append("I0#%d(g=%d)" % (v.vid, v.genus))
     eparts = []
     for e in G.edges:
-        if isinstance(e, stable_graphs.Link):
+        if e.u != e.v:
             eparts.append("%d-%d(%d,%d)" % (e.u, e.v, e.mu, e.mv))
         else:
             tag = "~" if e.swapped else ""
-            eparts.append("loop%s@%d{%d,%d}" % (tag, e.v, e.pair[0], e.pair[1]))
+            eparts.append("loop%s@%d{%d,%d}" % (tag, e.u, e.mu, e.mv))
     return " ".join(parts) + (" | " + " ".join(eparts) if eparts else "")
 
 
@@ -367,13 +367,12 @@ def cmd_simplify(args) -> int:
     trace = []
     cur = G
     for edge, cur in stable_graphs._smoothing_steps(G, require_stable=True):
-        if isinstance(edge, stable_graphs.Link):
+        if edge.u != edge.v:
             trace.append("smooth link %d-%d labels (%d,%d)"
                          % (edge.u, edge.v, edge.mu, edge.mv))
         else:
             trace.append("smooth loop at %d pair {%d,%d}%s"
-                         % (edge.v, edge.pair[0], edge.pair[1],
-                            " swapped" if edge.swapped else ""))
+                         % (edge.u, edge.mu, edge.mv, " swapped" if edge.swapped else ""))
     out = stable_graphs.canonical_form(cur)
     if args.format == "doc":
         _emit_doc({"result": stable_graphs.graph_to_doc(out), "trace": trace})

@@ -6,9 +6,11 @@ the geometric genus of the normalisation and a colour: I0 when gamma
 restricts to the identity, I1 when it preserves the component but acts
 nontrivially.  On I1 vertices a free-branching sequence counts the
 fixed points that are not nodes, by local monodromy residue.  Edges are
-the nodes: a Link joins two components and carries the residue of the
-action on each branch (0 exactly at I0 ends), a Loop is a node internal
-to one component and carries an unordered residue pair.
+the nodes, each an Edge(u, v, mu, mv) carrying the residue of the action
+on the branch at each end (0 exactly at I0 ends).  A link joins two
+components and runs from the smaller vertex id, u < v; a loop is a node
+internal to one component, u == v, and its residues are an unordered
+pair, kept sorted.  Only a loop may be branch-swapping.
 
 Two validity levels exist.  A graph mid-rewrite ("pre" mode) may still
 contain smoothable nodes: links between two I0 vertices, label pairs
@@ -46,8 +48,7 @@ __all__ = [
     "I0",
     "I1",
     "Vertex",
-    "Link",
-    "Loop",
+    "Edge",
     "AutoGraph",
     "GraphError",
     "VertexCoverData",
@@ -96,17 +97,14 @@ class Vertex:
 
 
 @dataclass(frozen=True, order=True)
-class Link:
+class Edge:
+    """A node: a link when u < v, a loop at u when u == v (then mu <= mv).
+    Build edges with make_link and make_loop."""
+
     u: int
     v: int
     mu: int
     mv: int
-
-
-@dataclass(frozen=True, order=True)
-class Loop:
-    v: int
-    pair: tuple[int, int]
     swapped: bool = False
 
 
@@ -114,7 +112,7 @@ class Loop:
 class AutoGraph:
     d: int
     vertices: tuple[Vertex, ...]
-    edges: tuple = ()
+    edges: tuple[Edge, ...] = ()
 
     def vertex(self, vid: int) -> Vertex:
         for v in self.vertices:
@@ -129,33 +127,37 @@ class AutoGraph:
         return tuple(v for v in self.vertices if v.colour == I1)
 
 
-def _edge_key(e):
-    if isinstance(e, Link):
-        return (0, e.u, e.v, e.mu, e.mv)
-    return (1, e.v, e.pair, int(e.swapped))
+def _edge_key(e: Edge):
+    # Every link sorts before every loop, then by field.
+    return (e.u == e.v, e.u, e.v, e.mu, e.mv, e.swapped)
 
 
-def make_link(u: int, v: int, mu: int, mv: int) -> Link:
+def _edge(u: int, v: int, mu: int, mv: int, swapped: bool = False) -> Edge:
+    # The normal form of every edge: the smaller end first, and at a loop
+    # the smaller residue first.
+    if u > v or u == v and mu > mv:
+        u, v, mu, mv = v, u, mv, mu
+    return Edge(u, v, mu, mv, swapped)
+
+
+def make_link(u: int, v: int, mu: int, mv: int) -> Edge:
     if u == v:
         raise GraphError("a link must join two distinct vertices")
-    if u > v:
-        u, v, mu, mv = v, u, mv, mu
-    return Link(u, v, mu, mv)
+    return _edge(u, v, mu, mv)
 
 
-def make_loop(v: int, n1: int, n2: int, swapped: bool = False) -> Loop:
-    pair = (n1, n2) if n1 <= n2 else (n2, n1)
-    return Loop(v, pair, swapped)
+def make_loop(v: int, n1: int, n2: int, swapped: bool = False) -> Edge:
+    return _edge(v, v, n1, n2, swapped)
 
 
 def make_graph(d: int, vertices, edges=()) -> AutoGraph:
-    """Normalised graph constructor: sorts vertices and edges, fixes the
-    free-branching convention (None on I0, zero-filled on I1)."""
+    """Normalised graph constructor: sorts vertices and edges, links before
+    loops, and zero-fills a missing free-branching tuple on an I1 vertex.
+    An I0 vertex keeps what it carries, so check_graph sees any branching
+    given to it."""
     vs = []
     for v in vertices:
-        if v.colour == I0:
-            v = replace(v, free=None)
-        elif v.free is None:
+        if v.colour == I1 and v.free is None:
             v = replace(v, free=(0,) * (d - 1))
         vs.append(v)
     vs.sort(key=lambda v: v.vid)
@@ -164,24 +166,12 @@ def make_graph(d: int, vertices, edges=()) -> AutoGraph:
 
 
 def _ends_at(G: AutoGraph, vid: int) -> int:
-    n = 0
-    for e in G.edges:
-        if isinstance(e, Link):
-            n += (e.u == vid) + (e.v == vid)
-        elif e.v == vid:
-            n += 2
-    return n
+    return sum((e.u == vid) + (e.v == vid) for e in G.edges)
 
 
 def _neighbours(G: AutoGraph, vid: int) -> set[int]:
-    out = set()
-    for e in G.edges:
-        if isinstance(e, Link):
-            if e.u == vid:
-                out.add(e.v)
-            elif e.v == vid:
-                out.add(e.u)
-    return out
+    # The other ends of the edges at vid; vid itself when it has a loop.
+    return {e.v if e.u == vid else e.u for e in G.edges if vid in (e.u, e.v)}
 
 
 @dataclass(frozen=True)
@@ -210,7 +200,7 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
     v = G.vertex(vid)
     d = G.d
     ends = _ends_at(G, vid)
-    loops = sum(1 for e in G.edges if isinstance(e, Loop) and e.v == vid)
+    loops = sum(1 for e in G.edges if e.u == e.v == vid)
     if v.colour == I0:
         return VertexCoverData(
             vid=vid, colour=I0, genus=v.genus, loops=loops,
@@ -220,19 +210,18 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
     counts = list(v.free or (0,) * (d - 1))
     labels = []
     for e in G.edges:
-        if isinstance(e, Link):
-            for end, label in ((e.u, e.mu), (e.v, e.mv)):
-                if end == vid:
-                    if label == 0:
-                        raise GraphError(
-                            "vertex %d: zero label on a branch of a nontrivially "
-                            "acted component" % vid
-                        )
-                    labels.append(label)
-        elif e.v == vid and not e.swapped:
+        if e.swapped:
             # A swapped loop's two preimages form one orbit and are not
             # fixed points, so it contributes nothing here.
-            labels.extend(e.pair)
+            continue
+        for end, label in ((e.u, e.mu), (e.v, e.mv)):
+            if end == vid:
+                if label == 0 and e.u != e.v:
+                    raise GraphError(
+                        "vertex %d: zero label on a branch of a nontrivially "
+                        "acted component" % vid
+                    )
+                labels.append(label)
     for label in labels:
         if not 0 < label < d:
             raise GraphError("vertex %d: branch label %d outside 1..%d" % (vid, label, d - 1))
@@ -288,7 +277,7 @@ def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -
                              % v.vid)
     vidset = set(vids)
     for e in G.edges:
-        if isinstance(e, Link):
+        if e.u != e.v:
             if e.u not in vidset or e.v not in vidset:
                 raise GraphError("link references a missing vertex")
             cu, cv = G.colour(e.u), G.colour(e.v)
@@ -314,23 +303,22 @@ def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -
                     raise GraphError("maximal graphs admit no branch-swapping loop")
                 if c == I0:
                     raise GraphError("an identity component cannot swap branches")
-                if not all(0 <= n <= d - 1 for n in e.pair):
+                if not (0 <= e.mu and e.mv <= d - 1):
                     raise GraphError("loop labels out of range at vertex %d" % e.v)
             elif c == I0:
                 if not pre:
                     raise GraphError("maximal graphs admit no loop on an identity "
                                      "component")
-                if e.pair != (0, 0):
+                if (e.mu, e.mv) != (0, 0):
                     raise GraphError("a loop on an identity component carries (0,0)")
             else:
-                if not all(1 <= n <= d - 1 for n in e.pair):
+                if not (1 <= e.mu and e.mv <= d - 1):
                     raise GraphError("loop labels out of range at vertex %d" % e.v)
-                if (e.pair[0] + e.pair[1]) % d == 0 and not pre:
+                if (e.mu + e.mv) % d == 0 and not pre:
                     raise GraphError("maximal graphs admit no loop with labels "
                                      "summing to 0 mod %d" % d)
     index = {vid: i for i, vid in enumerate(vids)}
-    links = [(index[e.u], index[e.v]) for e in G.edges if isinstance(e, Link)]
-    if not connects(len(vids), links):
+    if not connects(len(vids), [(index[e.u], index[e.v]) for e in G.edges]):
         raise GraphError("graph is not connected")
     for v in G.vertices:
         vertex_data(G, v.vid)
@@ -353,16 +341,7 @@ def is_stable(G: AutoGraph) -> bool:
 
 def smoothable_nodes(G: AutoGraph) -> tuple:
     """Edges whose node admits an equivariant smoothing."""
-    out = set()
-    for e in G.edges:
-        if isinstance(e, Link):
-            if (e.mu + e.mv) % G.d == 0:
-                out.add(e)
-        elif e.swapped:
-            if G.d == 2:
-                out.add(e)
-        elif (e.pair[0] + e.pair[1]) % G.d == 0:
-            out.add(e)
+    out = {e for e in G.edges if (G.d == 2 if e.swapped else (e.mu + e.mv) % G.d == 0)}
     return tuple(sorted(out, key=_edge_key))
 
 
@@ -373,7 +352,7 @@ def smooth_node(G: AutoGraph, e) -> AutoGraph:
         raise GraphError("node is not smoothable: %r" % (e,))
     edges = list(G.edges)
     edges.remove(e)
-    if isinstance(e, Loop):
+    if e.u == e.v:
         v = G.vertex(e.v)
         free = v.free
         if e.swapped:
@@ -395,21 +374,9 @@ def smooth_node(G: AutoGraph, e) -> AutoGraph:
         free = None
     merged = Vertex(vid=w_id, colour=u.colour, genus=u.genus + v.genus, free=free)
     old = {u.vid, v.vid}
-    new_edges = []
-    for f in edges:
-        if isinstance(f, Link):
-            if f.u in old and f.v in old:
-                new_edges.append(make_loop(w_id, f.mu, f.mv))
-            elif f.u in old:
-                new_edges.append(make_link(w_id, f.v, f.mu, f.mv))
-            elif f.v in old:
-                new_edges.append(make_link(f.u, w_id, f.mu, f.mv))
-            else:
-                new_edges.append(f)
-        elif f.v in old:
-            new_edges.append(replace(f, v=w_id))
-        else:
-            new_edges.append(f)
+    # A parallel link between the two becomes a loop on the merged vertex.
+    new_edges = [_edge(w_id if f.u in old else f.u, w_id if f.v in old else f.v,
+                       f.mu, f.mv, f.swapped) for f in edges]
     vertices = [w for w in G.vertices if w.vid not in old] + [merged]
     return make_graph(G.d, vertices, new_edges)
 
@@ -449,16 +416,8 @@ def _trivialise(G: AutoGraph, vids: set[int]) -> AutoGraph:
             vertices.append(Vertex(vid=v.vid, colour=I0, genus=v.genus, free=None))
         else:
             vertices.append(v)
-    edges = []
-    for e in G.edges:
-        if isinstance(e, Link):
-            mu = 0 if e.u in vids else e.mu
-            mv = 0 if e.v in vids else e.mv
-            edges.append(make_link(e.u, e.v, mu, mv))
-        elif e.v in vids:
-            edges.append(make_loop(e.v, 0, 0))
-        else:
-            edges.append(e)
+    edges = [_edge(e.u, e.v, 0 if e.u in vids else e.mu, 0 if e.v in vids else e.mv,
+                   e.swapped) for e in G.edges]
     return make_graph(G.d, vertices, edges)
 
 
@@ -535,13 +494,7 @@ def unit_transform(G: AutoGraph, r: int) -> AutoGraph:
         raise ValueError("%d is not a unit mod %d" % (r, d))
     act = unit_action(d, r)
     vertices = [v if v.colour == I0 else replace(v, free=act(v.free)) for v in G.vertices]
-    edges = []
-    for e in G.edges:
-        if isinstance(e, Link):
-            edges.append(make_link(e.u, e.v, (r * e.mu) % d, (r * e.mv) % d))
-        else:
-            edges.append(make_loop(e.v, (r * e.pair[0]) % d, (r * e.pair[1]) % d,
-                                   e.swapped))
+    edges = [_edge(e.u, e.v, (r * e.mu) % d, (r * e.mv) % d, e.swapped) for e in G.edges]
     return make_graph(d, vertices, edges)
 
 
@@ -551,11 +504,11 @@ def _twin_classes(G: AutoGraph) -> list[list[int]]:
     # under every unit action alike.
     ends: dict[int, list] = {v.vid: [] for v in G.vertices}
     for e in G.edges:
-        if isinstance(e, Link):
+        if e.u == e.v:
+            ends[e.u].append((1, e.mu, e.mv, int(e.swapped)))
+        else:
             ends[e.u].append((0, e.v, e.mu, e.mv))
             ends[e.v].append((0, e.u, e.mv, e.mu))
-        else:
-            ends[e.v].append((1, *e.pair, int(e.swapped)))
     classes: dict[tuple, list[int]] = {}
     for v in G.vertices:
         key = (v.colour, v.genus, v.free, tuple(sorted(ends[v.vid])))
@@ -605,9 +558,9 @@ def canonical_encoding(G: AutoGraph):
         for cls in twins:
             groups.setdefault(attr[cls[0]], []).append(cls)
         links = [(e.u, e.v, (r * e.mu) % d, (r * e.mv) % d)
-                 for e in G.edges if isinstance(e, Link)]
-        loops = [(e.v, *sorted(((r * e.pair[0]) % d, (r * e.pair[1]) % d)),
-                  int(e.swapped)) for e in G.edges if isinstance(e, Loop)]
+                 for e in G.edges if e.u != e.v]
+        loops = [(e.u, *sorted(((r * e.mu) % d, (r * e.mv) % d)),
+                  int(e.swapped)) for e in G.edges if e.u == e.v]
         pools = [_arrangements(groups[k]) for k in sorted(groups)]
         for combo in itertools.product(*pools):
             pos = {vid: ix for ix, vid in enumerate(itertools.chain(*combo))}
@@ -862,11 +815,14 @@ class DivisorException(Enum):
 
 
 def divisor_exception(G: AutoGraph) -> DivisorException:
-    """The two order-2 one-node shapes whose stratum is a divisor."""
+    """The two order-2 one-node shapes whose stratum is a divisor.
+
+    A library check: no command prints it.
+    """
     if G.d != 2 or len(G.vertices) != 2 or len(G.edges) != 1:
         return DivisorException.NONE
     e = G.edges[0]
-    if not isinstance(e, Link):
+    if e.u == e.v:
         return DivisorException.NONE
     i1 = G.i1_vertices()
     tails = sum(is_elliptic_tail_vertex(G, v.vid) for v in i1)
@@ -884,9 +840,8 @@ class ExceptionalPattern(Enum):
 
 
 def is_elliptic_tail_vertex(G: AutoGraph, vid: int) -> bool:
-    v = G.vertex(vid)
-    loops = any(isinstance(e, Loop) and e.v == vid for e in G.edges)
-    return v.genus == 1 and not loops and _ends_at(G, vid) == 1
+    # One edge-end, so no loop: a loop has two.
+    return G.vertex(vid).genus == 1 and _ends_at(G, vid) == 1
 
 
 def exceptional_pattern(G: AutoGraph) -> ExceptionalPattern:
@@ -911,8 +866,8 @@ def exceptional_pattern(G: AutoGraph) -> ExceptionalPattern:
         return ExceptionalPattern.NONE
     if data.quotient_genus != 0 or data.k != 3:
         return ExceptionalPattern.NONE
-    loops = [e for e in G.edges if isinstance(e, Loop) and e.v == j.vid]
-    links = [e for e in G.edges if isinstance(e, Link)]
+    loops = [e for e in G.edges if e.u == e.v == j.vid]
+    links = [e for e in G.edges if e.u != e.v]
     if any(e.swapped for e in loops):
         return ExceptionalPattern.NONE
     if len(loops) == 1 and len(links) == 1:
@@ -920,10 +875,9 @@ def exceptional_pattern(G: AutoGraph) -> ExceptionalPattern:
         other = G.vertex(link.v if link.u == j.vid else link.u)
         if other.colour != I0 or other.genus < 1:
             return ExceptionalPattern.NONE
-        a, b = loop.pair
-        if a != b:
+        if loop.mu != loop.mv:
             return ExceptionalPattern.NONE
-        # The residue sum at j already forces the third label to -2a.
+        # The residue sum at j already forces the third label to -2 * loop.mu.
         return ExceptionalPattern.IIA
     if not loops and len(links) == 3:
         tails = []
@@ -959,11 +913,11 @@ def graph_to_doc(G: AutoGraph) -> dict:
         vertices.append(entry)
     edges = []
     for e in G.edges:
-        if isinstance(e, Link):
+        if e.u != e.v:
             edges.append({"type": "link", "ends": [e.u, e.v],
                           "labels": [e.mu, e.mv]})
         else:
-            entry = {"type": "loop", "vertex": e.v, "pair": list(e.pair)}
+            entry = {"type": "loop", "vertex": e.u, "pair": [e.mu, e.mv]}
             if e.swapped:
                 entry["branch_swapped"] = True
             edges.append(entry)

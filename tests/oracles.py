@@ -3,8 +3,18 @@
 Everything here is deliberately coded from first principles in a
 different style from the package: plain loops over whole search spaces,
 closed-form container dimensions, and a direct star-graph constructor
-for the boundary enumeration.  Only graph containers and the canonical
-encoding are shared, so set comparisons are possible.
+for the boundary enumeration.  What the oracles take from the package:
+
+- `branching`: the `BranchingDatum` and `BranchingSequence` containers,
+  `canonical_datum` and `admissible_quotient_genus`;
+- `cover_algebra`: `carry`;
+- `combinat`: `branch_weights`, `branching_term`, `genus_relation`,
+  `is_prime`, `primes_upto`, `quotient_genus_for`, `residue_sum`,
+  `unit_action`, `units_mod` and `weak_compositions`;
+- `stable_graphs`: the graph containers and constructors (`I0`, `I1`,
+  `AutoGraph`, `Vertex`, `make_graph`, `make_link`, `make_loop`),
+  `unit_transform`, and `canonical_encoding`, so that set comparisons
+  are possible.
 """
 
 import itertools
@@ -27,7 +37,6 @@ from cycliccovers.stable_graphs import (
     I0,
     I1,
     AutoGraph,
-    Link,
     Vertex,
     canonical_encoding,
     make_graph,
@@ -956,14 +965,14 @@ def _encode(G: AutoGraph, order: list[int]):
     vparts = tuple(_vertex_attr(G.vertex(vid)) for vid in order)
     eparts = []
     for e in G.edges:
-        if isinstance(e, Link):
+        if e.u != e.v:
             pu, pv = pos[e.u], pos[e.v]
             if pu <= pv:
                 eparts.append((0, pu, pv, e.mu, e.mv))
             else:
                 eparts.append((0, pv, pu, e.mv, e.mu))
         else:
-            eparts.append((1, pos[e.v], e.pair[0], e.pair[1], int(e.swapped)))
+            eparts.append((1, pos[e.v], e.mu, e.mv, int(e.swapped)))
     return (G.d, vparts, tuple(sorted(eparts)))
 
 
@@ -992,10 +1001,10 @@ def reference_canonical_form(G: AutoGraph) -> AutoGraph:
     vertices = [replace(H.vertex(vid), vid=pos[vid]) for vid in order]
     edges = []
     for e in H.edges:
-        if isinstance(e, Link):
+        if e.u != e.v:
             edges.append(make_link(pos[e.u], pos[e.v], e.mu, e.mv))
         else:
-            edges.append(make_loop(pos[e.v], e.pair[0], e.pair[1], e.swapped))
+            edges.append(make_loop(pos[e.v], e.mu, e.mv, e.swapped))
     return make_graph(H.d, vertices, edges)
 
 

@@ -523,6 +523,118 @@ class TestDocumentNumbers:
         assert err.startswith("error: malformed graph document: branch_swapped ")
 
 
+def graph_doc(order, vertices, edges=()):
+    """A graph document; each vertex is (id, colour, genus) or
+    (id, colour, genus, free_branching)."""
+    keys = ("id", "colour", "genus", "free_branching")
+    return {"order": order, "vertices": [dict(zip(keys, v)) for v in vertices],
+            "edges": list(edges)}
+
+
+def link_entry(u, v, mu, mv):
+    return {"type": "link", "ends": [u, v], "labels": [mu, mv]}
+
+
+def loop_entry(vid, a, b, swapped=False):
+    entry = {"type": "loop", "vertex": vid, "pair": [a, b]}
+    if swapped:
+        entry["branch_swapped"] = True
+    return entry
+
+
+# One minimal document per clause of check_graph that a graph mid-rewrite
+# can break; simplify validates its input as such a graph, stability included.
+PRE_GRAPH_CLAUSES = [
+    ("not-prime", graph_doc(4, [(0, "I0", 2)]), "order must be a prime number"),
+    ("no-vertices", graph_doc(2, []), "graph has no vertices"),
+    ("duplicate-ids", graph_doc(2, [(0, "I0", 2), (0, "I0", 2)]), "duplicate vertex ids"),
+    ("unknown-colour", graph_doc(2, [(0, "I2", 2)]), "vertex 0: unknown colour 'I2'"),
+    ("negative-genus", graph_doc(2, [(0, "I0", -1)]), "vertex 0: negative genus"),
+    ("free-length", graph_doc(3, [(0, "I1", 1, [2])]),
+     "vertex 0: free branching must have 2 entries"),
+    ("negative-free", graph_doc(2, [(0, "I1", 1, [-1])]), "vertex 0: negative free branching"),
+    ("i0-free", graph_doc(2, [(0, "I0", 2, [7])]),
+     "vertex 0: identity components carry no branching"),
+    ("link-to-itself", graph_doc(2, [(0, "I1", 1, [3])], [link_entry(0, 0, 1, 1)]),
+     "a link must join two distinct vertices"),
+    ("link-missing-vertex",
+     graph_doc(2, [(0, "I0", 1), (1, "I1", 1, [3])], [link_entry(0, 2, 0, 1)]),
+     "link references a missing vertex"),
+    ("link-i0-label", graph_doc(2, [(0, "I0", 1), (1, "I1", 1, [3])], [link_entry(0, 1, 1, 1)]),
+     "link end at identity vertex 0 must carry 0"),
+    ("link-i1-label", graph_doc(3, [(0, "I0", 1), (1, "I1", 1, [1, 1])],
+                                [link_entry(0, 1, 0, 0)]),
+     "link end at vertex 1 needs a nonzero residue"),
+    ("loop-missing-vertex", graph_doc(3, [(0, "I1", 1, [1, 1])], [loop_entry(1, 1, 1)]),
+     "loop references a missing vertex"),
+    ("swapped-loop-on-i0", graph_doc(2, [(0, "I0", 2)], [loop_entry(0, 0, 0, True)]),
+     "an identity component cannot swap branches"),
+    ("swapped-loop-labels", graph_doc(2, [(0, "I1", 1, [4])], [loop_entry(0, 1, 2, True)]),
+     "loop labels out of range at vertex 0"),
+    ("i0-loop-labels", graph_doc(3, [(0, "I0", 2)], [loop_entry(0, 1, 2)]),
+     "a loop on an identity component carries (0,0)"),
+    ("i1-loop-labels", graph_doc(3, [(0, "I1", 1, [1, 1])], [loop_entry(0, 0, 1)]),
+     "loop labels out of range at vertex 0"),
+    ("not-connected", graph_doc(2, [(0, "I0", 2), (1, "I0", 2)]), "graph is not connected"),
+    ("residue-sum", graph_doc(3, [(0, "I1", 0, [1, 0])]),
+     "vertex 0: branch residues sum to 1 mod 3, no vertex cover exists"),
+    ("unstable", graph_doc(2, [(0, "I1", 0, [2])]), "graph fails stability"),
+]
+
+# One document per clause that only a maximal graph must meet; enlarge
+# validates its input as a maximal graph before it reads --vertex.
+MAXIMAL_GRAPH_CLAUSES = [
+    ("i0-i0-link", graph_doc(2, [(0, "I0", 1), (1, "I0", 1)], [link_entry(0, 1, 0, 0)]),
+     "maximal graphs admit no link between two identity components"),
+    ("link-sum-zero", graph_doc(3, [(0, "I1", 1, [1, 1]), (1, "I1", 1, [1, 1])],
+                                [link_entry(0, 1, 1, 2)]),
+     "maximal graphs admit no link with labels summing to 0 mod 3"),
+    ("swapped-loop", graph_doc(2, [(0, "I1", 1, [4])], [loop_entry(0, 1, 1, True)]),
+     "maximal graphs admit no branch-swapping loop"),
+    ("i0-loop", graph_doc(2, [(0, "I0", 2)], [loop_entry(0, 0, 0)]),
+     "maximal graphs admit no loop on an identity component"),
+    ("loop-sum-zero", graph_doc(3, [(0, "I1", 1, [1, 1])], [loop_entry(0, 1, 2)]),
+     "maximal graphs admit no loop with labels summing to 0 mod 3"),
+]
+
+
+def clause_params(rows):
+    return [pytest.param(doc, message, id=name) for name, doc, message in rows]
+
+
+class TestCheckGraphMessages:
+    """Every clause of check_graph, and of vertex_data, by its exact message."""
+
+    def run_doc(self, capsys, tmp_path, doc, *argv):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return run(capsys, *argv, "--input", str(path))
+
+    @pytest.mark.parametrize("doc,message", clause_params(PRE_GRAPH_CLAUSES))
+    def test_pre_graph_clause(self, capsys, tmp_path, doc, message):
+        assert self.run_doc(capsys, tmp_path, doc, "simplify") == (2, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("kind", ["detached", "attached", "max"])
+    @pytest.mark.parametrize("doc,message", clause_params(MAXIMAL_GRAPH_CLAUSES))
+    def test_maximal_graph_clause(self, capsys, tmp_path, doc, message, kind):
+        argv = ("enlarge", "--vertex", "0", "--kind", kind)
+        assert self.run_doc(capsys, tmp_path, doc, *argv) == (2, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("G,message", [
+        pytest.param(make_graph(3, [Vertex(0, I1, 1, (0, 0)), Vertex(1, I0, 1)],
+                                [make_link(0, 1, 0, 0)]),
+                     "vertex 0: zero label on a branch of a nontrivially acted component",
+                     id="zero-label"),
+        pytest.param(make_graph(3, [Vertex(0, I1, 1, (1, 1))]),
+                     "vertex 0: genus relation has no non-negative integer quotient genus "
+                     "(genus 1, k 2, order 3)", id="no-quotient-genus"),
+    ])
+    def test_vertex_data_clause(self, G, message):
+        with pytest.raises(sg.GraphError) as info:
+            sg.vertex_data(G, 0)
+        assert str(info.value) == message
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -80,6 +80,13 @@ class TestGenusAndStability:
         single = make_graph(2, [Vertex(0, I1, 2, (6,))])
         assert sg.is_stable(single)
 
+    def test_loop_has_two_ends(self):
+        # A genus-0 component with a loop and one link is stable.
+        G = make_graph(2, [Vertex(0, I0, 0), Vertex(1, I0, 1)],
+                       [make_loop(0, 0, 0), make_link(0, 1, 0, 0)])
+        assert sg.vertex_data(G, 0).ends == 3
+        assert sg.is_stable(G)
+
 
 class TestSmoothing:
     def test_smoothable_rules(self):
@@ -159,6 +166,15 @@ class TestSimplify:
         sg.check_graph(P, pre=True)
         with pytest.raises(GraphError):
             sg.simplify(P)
+
+    @pytest.mark.parametrize("d,pair,smoothable", [
+        (2, (1, 1), True), (2, (0, 1), True), (3, (1, 1), False), (3, (1, 2), False),
+    ])
+    def test_swapped_loop_smoothable_exactly_at_order_2(self, d, pair, smoothable):
+        # Whatever its labels: they need not sum to 0 mod d.
+        loop = make_loop(0, *pair, swapped=True)
+        G = make_graph(d, [Vertex(0, I1, 1)], [loop])
+        assert sg.smoothable_nodes(G) == ((loop,) if smoothable else ())
 
 
 class TestConfluence:
@@ -317,8 +333,8 @@ def relabelled(G, perm, r):
     """G with vertex ids mapped by perm, then every residue multiplied by
     the unit r: the same numerical type."""
     vertices = [Vertex(perm[v.vid], v.colour, v.genus, v.free) for v in G.vertices]
-    edges = [make_link(perm[e.u], perm[e.v], e.mu, e.mv) if isinstance(e, sg.Link)
-             else make_loop(perm[e.v], *e.pair, e.swapped) for e in G.edges]
+    edges = [make_link(perm[e.u], perm[e.v], e.mu, e.mv) if e.u != e.v
+             else make_loop(perm[e.v], e.mu, e.mv, e.swapped) for e in G.edges]
     return sg.unit_transform(make_graph(G.d, vertices, edges), r)
 
 
@@ -431,7 +447,7 @@ class TestEnumeration:
         for g in (2, 3, 4):
             for G in sg.enumerate_graphs(g, 2):
                 for e in G.edges:
-                    assert isinstance(e, sg.Link)
+                    assert e.u != e.v
                     assert {G.colour(e.u), G.colour(e.v)} == {I0, I1}
 
     def test_postconditions(self):
