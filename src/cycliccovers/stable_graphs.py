@@ -216,7 +216,7 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
             continue
         for end, label in ((e.u, e.mu), (e.v, e.mv)):
             if end == vid:
-                if label == 0 and e.u != e.v:
+                if label == 0:
                     raise GraphError(
                         "vertex %d: zero label on a branch of a nontrivially "
                         "acted component" % vid
@@ -625,15 +625,27 @@ def _vertex_multisets(g: int, d: int, boundary: bool = False):
     last) and yields only after some I0 vertex.  At d = 2 every edge is an
     I1-I0 link (no loops, I0-I0 or I1-I1 links), so the I1 vertex has E
     ends and is an elliptic tail, skipped, iff E == 1 and its genus is 1.
+
+    Only multisets with an edge structure are yielded.  Among two or more
+    vertices each owes max(min_marks, 1) ends, and growth stops once they
+    owe more than the 2E ends there are: a further vertex lowers 2E minus
+    the debt by at least 1, so no multiset below pays it.  A multiset is
+    skipped when its I0 vertices owe more than E or than the largest k
+    summed over its I1 vertices, since every I0 end lies on an edge of its
+    own to an I1 vertex (the `spare` of `_structures`).
     """
     i1_opts = {gi: prime_shapes(gi, d) for gi in range(g + 1)}
     palette = [(I0, gi) for gi in range(g + 1)]
     palette += [(I1, gi) for gi in range(g + 1) if i1_opts[gi]]
+    top_k = {gi: max((k for _, k in shapes), default=0) for gi, shapes in i1_opts.items()}
 
-    def grow(combo, start, gsum):
+    def grow(combo, start, gsum, owed, i0_owed, room):
+        E = g - gsum + len(combo) - 1
+        if len(combo) > 1 and owed > 2 * E:
+            return
         if combo and combo[-1][0] == I1:
-            E = g - gsum + len(combo) - 1
-            if not boundary or len(combo) > 1 and (d, E, combo[-1][1]) != (2, 1, 1):
+            if i0_owed <= min(E, room) and (
+                    not boundary or len(combo) > 1 and (d, E, combo[-1][1]) != (2, 1, 1)):
                 colours = tuple(c for c, _ in combo)
                 genera = tuple(gi for _, gi in combo)
                 opts = {i: i1_opts[gi] for i, (c, gi) in enumerate(combo) if c == I1}
@@ -642,10 +654,14 @@ def _vertex_multisets(g: int, d: int, boundary: bool = False):
                 return
         if len(combo) < 2 * g - 2:
             for p in range(start, len(palette)):
-                if gsum + palette[p][1] <= g:
-                    yield from grow(combo + [palette[p]], p, gsum + palette[p][1])
+                c, gi = palette[p]
+                if gsum + gi <= g:
+                    owes = max(min_marks(gi), 1)
+                    yield from grow(combo + [palette[p]], p, gsum + gi, owed + owes,
+                                    i0_owed + (c == I0) * owes,
+                                    room + (c == I1) * top_k[gi])
 
-    yield from grow([], 0, 0)
+    yield from grow([], 0, 0, 0, 0, 0)
 
 
 def _structures(d, colours, genera, E, opts):
@@ -664,6 +680,20 @@ def _structures(d, colours, genera, E, opts):
     vertices) and prunes once the remaining edges cannot pay it.  A
     vertex is closed after its last slot, so that slot takes at least
     the edges the vertex still lacks.
+
+    One structure is kept per orbit of the permutations of equal vertices,
+    or a few: call a run the vertices with equal (colour, genus), and a
+    member's vector its loop count, then its link count to each vertex
+    outside the run by id.  A structure is kept when the vectors do not
+    increase along each run; the search checks each pair of adjacent
+    members once the slots of both vectors are set.  Swapping two adjacent
+    members of a run whose vectors increase is an isomorphism that raises
+    (the loop counts by vertex, then the vectors by vertex)
+    lexicographically.  Either the loop counts rise, or the two vectors
+    first differ at an outside vertex w: then the vector at the first
+    member and w's vector rise, and only the vector at the second member
+    and those after w can fall.  So such swaps end, and they end at a kept
+    member of the orbit.
     """
     V = len(colours)
     i1 = [c == I1 for c in colours]
@@ -685,14 +715,30 @@ def _structures(d, colours, genera, E, opts):
     last = {v: ix for ix, slot in enumerate(slots) for v in slot[1:]}
     if any(min_ends[v] > (max_ends[v] if v in last else 0) for v in range(V)):
         return
-    # plan[ix]: (touched vertices, ends per edge, vertices closing at ix)
+    # Each pair of adjacent run members is compared at the slot that
+    # completes both vectors, given as slot indices; an absent slot is
+    # index n, whose count stays 0.
+    index = {slot: ix for ix, slot in enumerate(slots)}
+    compared = [[] for _ in range(n)]
+    for _, run in itertools.groupby(range(V), lambda i: (colours[i], genera[i])):
+        run = list(run)
+        vectors = [[index.get(("loop", a), n)]
+                   + [index.get(("link", min(a, w), max(a, w)), n) for w in range(V)
+                      if w not in run]
+                   for a in run]
+        for pair in zip(vectors, vectors[1:]):
+            known = [ix for ix in pair[0] + pair[1] if ix < n]
+            if known:
+                compared[max(known)].append(pair)
+    # plan[ix]: (touched vertices, ends per edge, vertices closing at ix,
+    # member pairs compared at ix)
     plan = [
         (slot[1:], 2 if slot[0] == "loop" else 1,
-         tuple(v for v in slot[1:] if last[v] == ix))
+         tuple(v for v in slot[1:] if last[v] == ix), compared[ix])
         for ix, slot in enumerate(slots)
     ]
     ends = [0] * V
-    counts = [0] * n
+    counts = [0] * (n + 1)
 
     def rec(ix, rem, deficit):
         if deficit > 2 * rem:
@@ -702,15 +748,17 @@ def _structures(d, colours, genera, E, opts):
                                          if counts[s] and plan[s][1] == 1]):
                 yield {slots[i]: c for i, c in enumerate(counts) if c}, list(ends)
             return
-        touched, w, closing = plan[ix]
+        touched, w, closing, pairs = plan[ix]
         cap = min([rem] + [(max_ends[v] - ends[v]) // w for v in touched])
         low = max([0] + [-((ends[v] - min_ends[v]) // w) for v in closing])
         for c in range(low, cap + 1):
+            counts[ix] = c
+            if any([counts[s] for s in a] < [counts[s] for s in b] for a, b in pairs):
+                continue
             owed = deficit
             for v in touched:
                 owed -= min(c * w, max(0, min_ends[v] - ends[v]))
                 ends[v] += c * w
-            counts[ix] = c
             yield from rec(ix + 1, rem - c, owed)
             for v in touched:
                 ends[v] -= c * w
@@ -727,7 +775,11 @@ def enumerate_graphs(g: int, d: int, boundary: bool = False) -> tuple[AutoGraph,
     genus relation.  Every labelled candidate is valid by construction
     (see `_labelled_graphs`) and is canonicalised without a re-check;
     TestLabelledGraphs.test_candidates_pass_check_graph holds this.
-    With boundary set, only boundary components of the singular locus
+    Isomorphs are cut before canonicalisation, never a class: multisets
+    without an edge structure, all but one structure per orbit of equal
+    vertices, and all but one label assignment per orbit of the units
+    (see the three generators).  The set of encodings removes the
+    isomorphs that remain.  With boundary set, only boundary components of the singular locus
     (see `sing_stable`): one I1 vertex, some I0 vertex and, at d = 2, no
     elliptic tail, all read off the vertex multiset by `_vertex_multisets`.
     """
@@ -751,6 +803,14 @@ def _labelled_graphs(d, colours, genera, structure, opts, ends):
     vertex's residue sum to 0 mod d with a k of `prime_shapes`.  The test
     TestLabelledGraphs.test_candidates_pass_check_graph in
     tests/test_stable_graphs.py runs `check_graph` on every candidate.
+
+    Only one graph per unit orbit is yielded.  The label pools and free
+    menus are closed under multiplying every residue by a unit, so the
+    units permute the graphs of one structure by isomorphisms.  A graph's
+    key is its label choice per slot, each a sorted tuple of pairs, then
+    its free tuples, and it is yielded when no unit maps it to a smaller
+    key: the least key of each orbit passes.  Label choices are compared
+    first, by index; free tuples only under the units that fix those.
     """
     V = len(colours)
     i1_list = [i for i in range(V) if colours[i] == I1]
@@ -763,38 +823,54 @@ def _labelled_graphs(d, colours, genera, structure, opts, ends):
             if k >= ends[i]:
                 for free in weak_compositions(k - ends[i], d - 1):
                     menus[i][residue_sum(free) % d].append(free)
-    # per slot: (edges, residue added at each end vertex) per label choice
+    # Per slot, the label choices (sorted tuples of pairs, hence in key
+    # order), their edges and the residue each adds at both ends, and the
+    # index of the choice each unit makes of each.
+    units = units_mod(d)[1:]  # unit 1 fixes every candidate
+
+    def scaled(chosen, r, loop):
+        pairs = (((r * a) % d, (r * b) % d) for a, b in chosen)
+        return tuple(sorted(tuple(sorted(pair)) if loop else pair for pair in pairs))
+
     per_slot_choices = []
+    images = [[] for _ in units]
     for slot, count in structure.items():
-        if slot[0] == "loop":
-            i = slot[1]
-            per_slot_choices.append([
-                ([make_loop(i, a, b) for a, b in chosen], ((i, sum(map(sum, chosen))),))
-                for chosen in itertools.combinations_with_replacement(_loop_pairs(d), count)
-            ])
-            continue
-        _, i, j = slot
-        if colours[i] == I1 and colours[j] == I1:
+        i, j = slot[1], slot[-1]
+        if i == j:
+            pool = _loop_pairs(d)
+        elif colours[i] == I1 and colours[j] == I1:
             pool = _link_pairs(d)
         elif colours[i] == I1:
             pool = [(m, 0) for m in range(1, d)]
         else:
             pool = [(0, m) for m in range(1, d)]
+        choices = list(itertools.combinations_with_replacement(pool, count))
         per_slot_choices.append([
-            ([make_link(i, j, a, b) for a, b in chosen],
+            ([_edge(i, j, a, b) for a, b in chosen],
              ((i, sum(a for a, _ in chosen)), (j, sum(b for _, b in chosen))))
-            for chosen in itertools.combinations_with_replacement(pool, count)
+            for chosen in choices
         ])
+        where = {chosen: ix for ix, chosen in enumerate(choices)}
+        for table, r in zip(images, units):
+            table.append([where[scaled(chosen, r, i == j)] for chosen in choices])
+    acts = [unit_action(d, r) for r in units]
 
-    for assignment in itertools.product(*per_slot_choices):
+    for picks in itertools.product(*(range(len(c)) for c in per_slot_choices)):
+        mapped = [tuple(t[p] for t, p in zip(table, picks)) for table in images]
+        if any(m < picks for m in mapped):
+            continue
+        ties = [act for m, act in zip(mapped, acts) if m == picks]
         residues = [0] * V
         edges = []
-        for slot_edges, added in assignment:
+        for choices, p in zip(per_slot_choices, picks):
+            slot_edges, added = choices[p]
             edges += slot_edges
             for v, r in added:
                 residues[v] += r
         free_menus = [menus[i][-residues[i] % d] for i in i1_list]
         for frees in itertools.product(*free_menus):
+            if any(tuple(map(act, frees)) < frees for act in ties):
+                continue
             free_of = dict(zip(i1_list, frees))
             vertices = [
                 Vertex(vid=i, colour=colours[i], genus=genera[i],

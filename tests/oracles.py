@@ -936,6 +936,71 @@ def reference_connected_structures(d, colours, genera, E, opts):
     ]
 
 
+def structure_orbit_key(colours, genera, structure):
+    """The least relabelled structure over every permutation of the runs of
+    vertices with equal (colour, genus): equal keys, isomorphic structures."""
+    runs = {}
+    for v, attr in enumerate(zip(colours, genera)):
+        runs.setdefault(attr, []).append(v)
+    best = None
+    for perms in product(*(itertools.permutations(run) for run in runs.values())):
+        to = {}
+        for run, perm in zip(runs.values(), perms):
+            to.update(zip(run, perm))
+        key = sorted((slot[0], *sorted(to[v] for v in slot[1:]), count)
+                     for slot, count in structure.items())
+        if best is None or key < best:
+            best = key
+    return tuple(best)
+
+
+def reference_labelled_graphs(d, colours, genera, structure, opts, ends):
+    """Every labelled graph on one edge structure: every label choice per
+    slot times every free tuple that closes each I1 vertex's residue sum."""
+    V = len(colours)
+    i1_list = [i for i in range(V) if colours[i] == I1]
+    menus = {}
+    for i in i1_list:
+        menus[i] = [[] for _ in range(d)]
+        for _, k in opts[i]:
+            if k >= ends[i]:
+                for free in weak_compositions(k - ends[i], d - 1):
+                    menus[i][residue_sum(free) % d].append(free)
+    per_slot_choices = []
+    for slot, count in structure.items():
+        if slot[0] == "loop":
+            i = slot[1]
+            pool = [(a, b) for a in range(1, d) for b in range(a, d) if (a + b) % d]
+            per_slot_choices.append([
+                ([make_loop(i, a, b) for a, b in chosen], ((i, sum(map(sum, chosen))),))
+                for chosen in combinations_with_replacement(pool, count)
+            ])
+            continue
+        _, i, j = slot
+        if colours[i] == I1 and colours[j] == I1:
+            pool = [(a, b) for a in range(1, d) for b in range(1, d) if (a + b) % d]
+        elif colours[i] == I1:
+            pool = [(m, 0) for m in range(1, d)]
+        else:
+            pool = [(0, m) for m in range(1, d)]
+        per_slot_choices.append([
+            ([make_link(i, j, a, b) for a, b in chosen],
+             ((i, sum(a for a, _ in chosen)), (j, sum(b for _, b in chosen))))
+            for chosen in combinations_with_replacement(pool, count)
+        ])
+    for assignment in product(*per_slot_choices):
+        residues = [0] * V
+        edges = []
+        for slot_edges, added in assignment:
+            edges += slot_edges
+            for v, r in added:
+                residues[v] += r
+        for frees in product(*(menus[i][-residues[i] % d] for i in i1_list)):
+            free_of = dict(zip(i1_list, frees))
+            yield make_graph(d, [Vertex(i, colours[i], genera[i], free_of.get(i))
+                                 for i in range(V)], edges)
+
+
 # ---------------------------------------------------------------------------
 # Canonical labelling: the exhaustive minimiser over every vertex order
 # inside each attribute class, for every unit

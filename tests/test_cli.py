@@ -625,6 +625,9 @@ class TestCheckGraphMessages:
                                 [make_link(0, 1, 0, 0)]),
                      "vertex 0: zero label on a branch of a nontrivially acted component",
                      id="zero-label"),
+        pytest.param(make_graph(3, [Vertex(0, I1, 1, (0, 0))], [make_loop(0, 0, 1)]),
+                     "vertex 0: zero label on a branch of a nontrivially acted component",
+                     id="zero-label-on-loop"),
         pytest.param(make_graph(3, [Vertex(0, I1, 1, (1, 1))]),
                      "vertex 0: genus relation has no non-negative integer quotient genus "
                      "(genus 1, k 2, order 3)", id="no-quotient-genus"),
@@ -706,7 +709,8 @@ ADMISSIBLE_SHA1 = {
 # search stopped re-validating its candidates: `graphs` at every prime
 # order for g <= 4, keyed by (g, d, format), and the two surveys at genus 4,
 # keyed by (command, g, dmax).  The survey digests at genus 5 and 6 were taken
-# before the boundary survey selected vertex multisets instead of graphs.
+# before the boundary survey selected vertex multisets instead of graphs, and
+# the (5, 3) digest before the search kept one candidate per symmetry orbit.
 GRAPHS_SHA1 = {
     (2, 2, "table"): "09f3173e11672863d45c00427dc1872b2ac1f383",
     (2, 3, "table"): "edc8b37d7b29167f6908b47965c0a734b472e5fb",
@@ -719,6 +723,7 @@ GRAPHS_SHA1 = {
     (4, 3, "table"): "71b2c4b50e5f31ebbac3236a30acd9784d0944b5",
     (4, 5, "table"): "6ee472e4beb8ade898167cf7af0d408fc47f8406",
     (4, 7, "table"): "9ec822d4f3ebc2db6938048cb7adc292b0ff2671",
+    (5, 3, "table"): "5b7e15a6620b0b594c93ee234d2d4d16a82b1752",
     (3, 3, "doc"): "b37785ffce7f7ecf571bd2b143e5293d8f0bcc9d",
     (4, 5, "doc"): "9333db8332cf1fa6590739495e100b0281246f74",
 }

@@ -367,14 +367,28 @@ def assert_matches_reference(G):
     assert sg.canonical_form(G) == oracles.reference_canonical_form(G)
 
 
+def structure_ends(V, structure):
+    """Edge-ends per vertex of an edge structure: two per loop, one per link."""
+    ends = [0] * V
+    for slot, count in structure.items():
+        for v in slot[1:]:
+            ends[v] += count * (2 if slot[0] == "loop" else 1)
+    return ends
+
+
 class TestCanonicalOracle:
     @pytest.mark.parametrize("g,d", [
         (g, d) for g in (2, 3, 4) for d in (2, 3, 5, 7) if d <= 2 * g + 1
     ])
     def test_enumeration_candidates(self, g, d):
-        for colours, genera, E, opts in sg._vertex_multisets(g, d):
-            for structure, ends in sg._structures(d, colours, genera, E, opts):
-                for G in sg._labelled_graphs(d, colours, genera, structure, opts, ends):
+        # Every labelled graph of the unpruned search, not only the orbit
+        # representatives that enumerate_graphs keeps.
+        for colours, genera, E, opts in oracles.reference_vertex_multisets(g, d):
+            for structure in oracles.reference_connected_structures(d, colours, genera, E,
+                                                                     opts):
+                ends = structure_ends(len(colours), structure)
+                for G in oracles.reference_labelled_graphs(d, colours, genera, structure,
+                                                           opts, ends):
                     assert_matches_reference(G)
 
     @pytest.mark.parametrize("d", [3, 5])
@@ -476,16 +490,14 @@ class TestEnumeration:
 
 
 # Class counts of enumerate_graphs for every prime order up to 2g + 1.
-# Genus <= 4 and the genus-5 orders except 3 run in under a second each;
-# (5, 3) -> 625 was checked against the unpruned search once, outside
-# this suite: it takes 5 s with the pruned search and minutes without.
-# At genus 6 the orders except 3 take about 2.5 s together; (6, 3) ->
-# 4,258 was checked once outside this suite.
+# Genus 5 takes about 0.4 s over all its orders, and genus 6 about 0.6 s
+# over the orders except 3; (6, 3) -> 4,258 takes about 4 s and was
+# checked once outside this suite.
 CLASS_COUNTS = {
     (2, 2): 3, (2, 3): 4, (2, 5): 1,
     (3, 2): 12, (3, 3): 20, (3, 5): 4, (3, 7): 2,
     (4, 2): 39, (4, 3): 106, (4, 5): 19, (4, 7): 6,
-    (5, 2): 151, (5, 5): 86, (5, 7): 14, (5, 11): 2,
+    (5, 2): 151, (5, 3): 625, (5, 5): 86, (5, 7): 14, (5, 11): 2,
     (6, 2): 617, (6, 5): 433, (6, 7): 49, (6, 11): 10, (6, 13): 3,
 }
 
@@ -495,24 +507,31 @@ class TestStructureSearch:
         (g, d) for g in (2, 3, 4) for d in (2, 3, 5, 7) if d <= 2 * g + 1
     ])
     def test_matches_unpruned_search(self, g, d):
+        # The search drops only vertex multisets without a structure, and
+        # keeps at least one structure of every orbit under permutations of
+        # equal (colour, genus) vertices.
+        ref = {m[:3]: m for m in oracles.reference_vertex_multisets(g, d)}
         multisets = list(sg._vertex_multisets(g, d))
-        assert sorted(multisets, key=lambda m: m[:3]) == \
-            sorted(oracles.reference_vertex_multisets(g, d), key=lambda m: m[:3])
-        for colours, genera, E, opts in multisets:
+        assert len({m[:3] for m in multisets}) == len(multisets)
+        assert all(ref.get(m[:3]) == m for m in multisets)
+        kept = {m[:3] for m in multisets}
+        for colours, genera, E, opts in ref.values():
             got = []
-            for structure, ends in sg._structures(d, colours, genera, E, opts):
-                want = [0] * len(colours)
-                for slot, count in structure.items():
-                    for v in slot[1:]:
-                        want[v] += count * (2 if slot[0] == "loop" else 1)
-                assert ends == want
-                # stable without a further check: genus-0 vertices carry
-                # three ends, genus-1 vertices one
-                assert all(gi >= 2 or e >= 3 - 2 * gi for gi, e in zip(genera, ends))
-                got.append(frozenset(structure.items()))
-            ref = oracles.reference_connected_structures(d, colours, genera, E, opts)
+            if (colours, genera, E) in kept:
+                for structure, ends in sg._structures(d, colours, genera, E, opts):
+                    assert ends == structure_ends(len(colours), structure)
+                    # stable without a further check: genus-0 vertices carry
+                    # three ends, genus-1 vertices one
+                    assert all(gi >= 2 or e >= 3 - 2 * gi for gi, e in zip(genera, ends))
+                    got.append(frozenset(structure.items()))
+            want = oracles.reference_connected_structures(d, colours, genera, E, opts)
             assert len(got) == len(set(got))
-            assert set(got) == {frozenset(s.items()) for s in ref}
+            assert set(got) <= {frozenset(s.items()) for s in want}
+
+            def key(s):
+                return oracles.structure_orbit_key(colours, genera, dict(s))
+
+            assert {key(s) for s in got} == {key(s) for s in want}
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_boundary_multisets_match_filter(self, g):
@@ -549,6 +568,26 @@ class TestLabelledGraphs:
                     assert sg.graph_genus(G) == g
                     assert kept == is_boundary_graph(G)
                     n += 1
+        assert n > 0
+
+
+    @pytest.mark.parametrize("g,d", [
+        (g, d) for g in (2, 3, 4) for d in primes_upto(2 * g + 1)
+    ] + [(5, 5), (5, 7)])
+    def test_unit_orbit_representatives(self, g, d):
+        # On each structure the search keeps some of the unfiltered labelled
+        # graphs, and still meets every class that they meet.
+        n = 0
+        for colours, genera, E, opts in sg._vertex_multisets(g, d):
+            for structure, ends in sg._structures(d, colours, genera, E, opts):
+                args = (d, colours, genera, structure, opts, ends)
+                got = list(sg._labelled_graphs(*args))
+                want = set(oracles.reference_labelled_graphs(*args))
+                assert len(set(got)) == len(got)
+                assert set(got) <= want
+                assert {sg.canonical_encoding(G) for G in got} == \
+                    {sg.canonical_encoding(G) for G in want}
+                n += len(got)
         assert n > 0
 
 
@@ -658,7 +697,7 @@ class TestDocumentFormat:
     @pytest.mark.parametrize("edges", [
         [{"type": "link", "ends": [0, 1], "labels": [0, 5]}],
         [{"type": "link", "ends": [0, 1], "labels": [0, 1]},
-         {"type": "loop", "vertex": 1, "pair": [0, 5]}],
+         {"type": "loop", "vertex": 1, "pair": [1, 5]}],
     ])
     def test_label_out_of_range_is_graph_error(self, edges):
         # vertex_data indexed the free branching by the label, so on an
