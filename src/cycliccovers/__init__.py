@@ -14,7 +14,6 @@ before emission.
 """
 
 from .branching import (
-    BranchingDatum,
     BranchingSequence,
     SmoothLocus,
     canonical_datum,

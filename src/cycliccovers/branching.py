@@ -40,7 +40,6 @@ from .combinat import (branch_weights, branching_term, genus_relation, is_prime,
 
 __all__ = [
     "BranchingSequence",
-    "BranchingDatum",
     "SmoothLocus",
     "ExtraAutomorphismRisk",
     "monodromy_sum_vanishes",
@@ -116,24 +115,9 @@ def _canonical_key(counts: tuple[int, ...]):
     return (tuple(map(not_, counts)), counts)
 
 
-@dataclass(frozen=True, order=True)
-class BranchingDatum:
-    """Canonical representative of a unit orbit of branching sequences."""
-
-    d: int
-    counts: tuple[int, ...]
-
-    def sequence(self) -> BranchingSequence:
-        return BranchingSequence(self.d, self.counts)
-
-    @property
-    def k(self) -> int:
-        return sum(self.counts)
-
-
-def canonical_datum(seq: BranchingSequence) -> BranchingDatum:
-    best = min(orbit(seq), key=_canonical_key)
-    return BranchingDatum(seq.d, best)
+def canonical_datum(seq: BranchingSequence) -> BranchingSequence:
+    """The canonical representative of the unit orbit of seq."""
+    return BranchingSequence(seq.d, min(orbit(seq), key=_canonical_key))
 
 
 def quotient_genus(g: int, seq: BranchingSequence) -> int | None:
@@ -199,12 +183,11 @@ class SmoothLocus:
         return BranchingSequence(self.d, self.counts)
 
 
-def smooth_locus(g: int, datum: BranchingDatum | BranchingSequence) -> SmoothLocus:
-    """Build the locus record for an admissible datum.
+def smooth_locus(g: int, seq: BranchingSequence) -> SmoothLocus:
+    """Build the locus record for an admissible sequence.
 
     Rejects inadmissible input.
     """
-    seq = datum.sequence() if isinstance(datum, BranchingDatum) else datum
     h = admissible_quotient_genus(g, seq)
     if h is None:
         raise ValueError(
@@ -213,7 +196,7 @@ def smooth_locus(g: int, datum: BranchingDatum | BranchingSequence) -> SmoothLoc
     return _locus(g, canonical_datum(seq), h)
 
 
-def _locus(g: int, datum: BranchingDatum, h: int) -> SmoothLocus:
+def _locus(g: int, datum: BranchingSequence, h: int) -> SmoothLocus:
     # The record of a canonical admissible datum with quotient genus h.  For
     # prime order p the codimension is also recomputed through the closed
     # form 3(p-1)(h-1) + k(3(p-1)/2 - 1), which must agree exactly.
@@ -227,7 +210,7 @@ def _locus(g: int, datum: BranchingDatum, h: int) -> SmoothLocus:
     return SmoothLocus(g=g, d=d, counts=datum.counts, h=h, k=k, dim=dim, codim=codim)
 
 
-def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingDatum, int], ...]:
+def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingSequence, int], ...]:
     """All admissible canonical data for (g, d) with their quotient genera.
 
     Generates only candidates for unit-orbit representatives: count tuples,
@@ -321,7 +304,7 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingDatum, int], ..
         for h, t in starts:
             place(0, 1, t, 0, h)
     out.sort(key=lambda item: _canonical_key(item[0]))
-    return tuple((BranchingDatum(d, c), h) for c, h in out)
+    return tuple((BranchingSequence(d, c), h) for c, h in out)
 
 
 def enumerate_loci(g: int, d: int) -> tuple[SmoothLocus, ...]:

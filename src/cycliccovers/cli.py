@@ -75,12 +75,12 @@ def container_doc(c: ContainerInfo) -> dict:
         "dim_lower_bound": c.dim_lower_bound,
         "label": c.label(),
     }
-    if c.exact:
+    if c.locus is not None:
         out.update({
-            "counts": list(c.counts),
-            "quotient_genus": c.h,
-            "branch_count": c.k,
-            "dim": c.dim,
+            "counts": list(c.locus.counts),
+            "quotient_genus": c.locus.h,
+            "branch_count": c.locus.k,
+            "dim": c.locus.dim,
         })
     return out
 
@@ -89,12 +89,8 @@ def container_from_doc(doc: dict) -> ContainerInfo:
     return ContainerInfo(
         q=doc["order"],
         g=doc["genus"],
-        exact=doc["exact"],
         dim_lower_bound=doc["dim_lower_bound"],
-        counts=tuple(doc["counts"]) if doc.get("counts") is not None else None,
-        h=doc.get("quotient_genus"),
-        k=doc.get("branch_count"),
-        dim=doc.get("dim"),
+        locus=locus_from_doc(doc) if doc["exact"] else None,
     )
 
 

@@ -71,23 +71,23 @@ class ContainerInfo:
     """A locus certified to contain the classified one.
 
     When the full branching datum of the container is derivable the
-    record is exact and dim equals the container dimension; otherwise
-    only the order q and a dimension lower bound are certified.
+    record is exact: it holds the container's locus, whose dimension is
+    dim_lower_bound.  Otherwise only the order q and a dimension lower
+    bound are certified.
     """
 
     q: int
     g: int
-    exact: bool
     dim_lower_bound: int
-    counts: tuple[int, ...] | None = None
-    h: int | None = None
-    k: int | None = None
-    dim: int | None = None
+    locus: SmoothLocus | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.locus is not None
 
     def label(self) -> str:
-        if self.exact and self.counts is not None:
-            body = ",".join(str(c) for c in self.counts)
-            return "M_{%d;%d,[(%s)]}" % (self.g, self.q, body)
+        if self.locus is not None:
+            return self.locus.label()
         return "M_{%d;%d,[?]}" % (self.g, self.q)
 
 
@@ -202,10 +202,7 @@ def container_info(locus: SmoothLocus, tag: CaseTag) -> ContainerInfo:
         cont = smooth_locus(genus, BranchingSequence(2, (points,)))
         if cont.h != h:
             raise AssertionError("container quotient genus mismatch")
-        return ContainerInfo(
-            q=2, g=cont.g, exact=True, dim_lower_bound=cont.dim,
-            counts=cont.counts, h=cont.h, k=cont.k, dim=cont.dim,
-        )
+        return ContainerInfo(q=2, g=cont.g, dim_lower_bound=cont.dim, locus=cont)
     if tag is CaseTag.RATIONAL_FOUR_POINTS:
         q = 2
     elif tag is CaseTag.RATIONAL_ORDER_THREE:
@@ -216,8 +213,8 @@ def container_info(locus: SmoothLocus, tag: CaseTag) -> ContainerInfo:
     if bound is None:
         # No admissible locus of that order would contradict the matched
         # symmetry; flag for review rather than guessing.
-        return ContainerInfo(q=q, g=g, exact=False, dim_lower_bound=-1)
-    return ContainerInfo(q=q, g=g, exact=False, dim_lower_bound=bound)
+        return ContainerInfo(q=q, g=g, dim_lower_bound=-1)
+    return ContainerInfo(q=q, g=g, dim_lower_bound=bound)
 
 
 _EXCLUDED_HYPERELLIPTIC = (3, 2, 0, 8)
@@ -252,7 +249,8 @@ def classify(locus: SmoothLocus) -> ClassificationRecord:
             "container is the locus of double covers of elliptic curves"
         )
     if cont.dim_lower_bound > locus.dim:
-        if cont.exact and (cont.g, cont.q, cont.h, cont.k) == _EXCLUDED_HYPERELLIPTIC:
+        held = cont.locus
+        if held is not None and (held.g, held.d, held.h, held.k) == _EXCLUDED_HYPERELLIPTIC:
             notes.append(
                 "container is the genus-3 hyperelliptic divisor, which is itself "
                 "outside the singular locus; recorded as redundant, review advised"
@@ -294,9 +292,12 @@ def decompose_sing(g: int) -> DecompositionReport:
             records.append(classify(locus))
     records.sort(key=lambda r: (r.locus.d, r.locus.counts))
     for rec in records:
-        if rec.verdict is Verdict.REDUNDANT:
-            assert rec.container is not None
-            assert rec.container.dim_lower_bound > rec.locus.dim
+        if rec.verdict is Verdict.REDUNDANT and (
+                rec.container is None or rec.container.dim_lower_bound <= rec.locus.dim):
+            raise AssertionError(
+                "redundant locus %s has no container of larger dimension"
+                % rec.locus.label()
+            )
     warnings = tuple(
         "%s: %s" % (r.locus.label(), note)
         for r in records

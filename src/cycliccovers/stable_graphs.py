@@ -31,7 +31,8 @@ sum at the vertex must vanish mod d so that the component's own cyclic
 cover exists.  The variant of the genus relation that adds the loop
 count to g_i is inconsistent on graphs with loops (an order-3 action on
 an elliptic curve with two fixed points glued is the smallest witness),
-so the marked genus g_i + loops is reported but never used to validate.
+so `VertexCoverData` records the marked genus g_i + loops, and nothing
+validates with it.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ class VertexCoverData:
 
     counts includes the edge contributions; quotient_genus solves the
     normalisation genus relation; marked_genus adds the loop count to
-    the geometric genus (reported only); ends counts edge-ends, which
+    the geometric genus (recorded only); ends counts edge-ends, which
     for I0 vertices is the number of marked points of the quotient
     factor and for I1 vertices is bounded by k.
     """
@@ -593,24 +594,6 @@ def _decode(enc) -> AutoGraph:
 # Enumeration
 
 
-def _loop_pairs(d: int):
-    return [
-        (a, b)
-        for a in range(1, d)
-        for b in range(a, d)
-        if (a + b) % d != 0
-    ]
-
-
-def _link_pairs(d: int):
-    return [
-        (a, b)
-        for a in range(1, d)
-        for b in range(1, d)
-        if (a + b) % d != 0
-    ]
-
-
 def _vertex_multisets(g: int, d: int, boundary: bool = False):
     """(colours, genera, E, opts) for every vertex multiset the search tries.
 
@@ -667,14 +650,15 @@ def _vertex_multisets(g: int, d: int, boundary: bool = False):
 def _structures(d, colours, genera, E, opts):
     """Connected edge multisets over the allowed vertex pairs.
 
-    Yields (structure, ends): structure maps a slot, ("loop", i) or
-    ("link", i, j), to its edge count, and ends[v] counts the edge-ends
-    at v.  Every vertex ends with min_ends <= ends <= max_ends: min_ends
-    is the stability threshold, and at least one end when the graph has
-    another vertex to connect to; max_ends the largest k of the genus
-    relation at an I1 vertex, and at an I0 vertex what E and the I1
-    capacity leave once the other I0 vertices have their minimum: every
-    I0 end lies on an edge of its own whose other end is on an I1 vertex.
+    Yields (structure, ends): structure maps a slot, a vertex pair (i, j)
+    with i <= j that is a loop exactly when i == j (as in `Edge`), to its
+    edge count, and ends[v] counts the edge-ends at v.  Every vertex ends
+    with min_ends <= ends <= max_ends: min_ends is the stability threshold,
+    and at least one end when the graph has another vertex to connect to;
+    max_ends the largest k of the genus relation at an I1 vertex, and at
+    an I0 vertex what E and the I1 capacity leave once the other I0
+    vertices have their minimum: every I0 end lies on an edge of its own
+    whose other end is on an I1 vertex.
 
     The search carries the stability deficit (ends still owed to the
     vertices) and prunes once the remaining edges cannot pay it.  A
@@ -704,15 +688,15 @@ def _structures(d, colours, genera, E, opts):
     for i in i0:
         max_ends[i] = spare + min_ends[i]
 
-    slots = [("loop", i) for i in range(V) if i1[i] and d >= 3]
+    slots = [(i, i) for i in range(V) if i1[i] and d >= 3]
     slots += [
-        ("link", i, j)
+        (i, j)
         for i in range(V)
         for j in range(i + 1, V)
         if (i1[i] or i1[j]) and not (i1[i] and i1[j] and d == 2)
     ]
     n = len(slots)
-    last = {v: ix for ix, slot in enumerate(slots) for v in slot[1:]}
+    last = {v: ix for ix, slot in enumerate(slots) for v in slot}
     if any(min_ends[v] > (max_ends[v] if v in last else 0) for v in range(V)):
         return
     # Each pair of adjacent run members is compared at the slot that
@@ -722,8 +706,8 @@ def _structures(d, colours, genera, E, opts):
     compared = [[] for _ in range(n)]
     for _, run in itertools.groupby(range(V), lambda i: (colours[i], genera[i])):
         run = list(run)
-        vectors = [[index.get(("loop", a), n)]
-                   + [index.get(("link", min(a, w), max(a, w)), n) for w in range(V)
+        vectors = [[index.get((a, a), n)]
+                   + [index.get((min(a, w), max(a, w)), n) for w in range(V)
                       if w not in run]
                    for a in run]
         for pair in zip(vectors, vectors[1:]):
@@ -733,9 +717,9 @@ def _structures(d, colours, genera, E, opts):
     # plan[ix]: (touched vertices, ends per edge, vertices closing at ix,
     # member pairs compared at ix)
     plan = [
-        (slot[1:], 2 if slot[0] == "loop" else 1,
-         tuple(v for v in slot[1:] if last[v] == ix), compared[ix])
-        for ix, slot in enumerate(slots)
+        ((i,) if i == j else (i, j), 2 if i == j else 1,
+         tuple(v for v in {i, j} if last[v] == ix), compared[ix])
+        for ix, (i, j) in enumerate(slots)
     ]
     ends = [0] * V
     counts = [0] * (n + 1)
@@ -744,8 +728,7 @@ def _structures(d, colours, genera, E, opts):
         if deficit > 2 * rem:
             return
         if ix == n:
-            if rem == 0 and connects(V, [plan[s][0] for s in range(n)
-                                         if counts[s] and plan[s][1] == 1]):
+            if rem == 0 and connects(V, [slots[s] for s in range(n) if counts[s]]):
                 yield {slots[i]: c for i, c in enumerate(counts) if c}, list(ends)
             return
         touched, w, closing, pairs = plan[ix]
@@ -834,16 +817,11 @@ def _labelled_graphs(d, colours, genera, structure, opts, ends):
 
     per_slot_choices = []
     images = [[] for _ in units]
-    for slot, count in structure.items():
-        i, j = slot[1], slot[-1]
-        if i == j:
-            pool = _loop_pairs(d)
-        elif colours[i] == I1 and colours[j] == I1:
-            pool = _link_pairs(d)
-        elif colours[i] == I1:
-            pool = [(m, 0) for m in range(1, d)]
-        else:
-            pool = [(0, m) for m in range(1, d)]
+    for (i, j), count in structure.items():
+        # The label pairs, in sorted order: an end carries 0 exactly at an
+        # I0 vertex, no pair sums to 0 mod d, and a loop's pair is sorted.
+        at_i, at_j = (range(1, d) if colours[v] == I1 else (0,) for v in (i, j))
+        pool = [(a, b) for a in at_i for b in at_j if (a + b) % d and (i < j or a <= b)]
         choices = list(itertools.combinations_with_replacement(pool, count))
         per_slot_choices.append([
             ([_edge(i, j, a, b) for a, b in chosen],

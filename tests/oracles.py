@@ -5,8 +5,8 @@ different style from the package: plain loops over whole search spaces,
 closed-form container dimensions, and a direct star-graph constructor
 for the boundary enumeration.  What the oracles take from the package:
 
-- `branching`: the `BranchingDatum` and `BranchingSequence` containers,
-  `canonical_datum` and `admissible_quotient_genus`;
+- `branching`: the `BranchingSequence` container, `canonical_datum` and
+  `admissible_quotient_genus`;
 - `cover_algebra`: `carry`;
 - `combinat`: `branch_weights`, `branching_term`, `genus_relation`,
   `is_prime`, `primes_upto`, `quotient_genus_for`, `residue_sum`,
@@ -24,7 +24,6 @@ from itertools import combinations_with_replacement, product
 from math import comb, gcd
 
 from cycliccovers.branching import (
-    BranchingDatum,
     BranchingSequence,
     admissible_quotient_genus,
     canonical_datum,
@@ -145,7 +144,7 @@ def reference_admissible(g, d):
         h += 1
     # canonical order: populated low residues first, then the counts
     ordered = sorted(out, key=lambda c: (tuple(0 if x else 1 for x in c), c))
-    return tuple((BranchingDatum(d, c), out[c]) for c in ordered)
+    return tuple((BranchingSequence(d, c), out[c]) for c in ordered)
 
 
 def weighted_compositions(total: int, weights):
@@ -250,7 +249,7 @@ def seen_set_admissible(g, d):
             images = {act(counts) for act in actions}
             seen |= images
             out[min(images, key=key)] = h
-    return tuple((BranchingDatum(d, c), out[c]) for c in sorted(out, key=key))
+    return tuple((BranchingSequence(d, c), out[c]) for c in sorted(out, key=key))
 
 
 def _phi(m):
@@ -804,7 +803,8 @@ def all_normal_forms(G, memo=None):
 
 
 def reference_structures(d, colours, genera, E, max_ends, min_ends):
-    """Edge multisets over the allowed vertex pairs, as a dict slot -> count.
+    """Edge multisets over the allowed vertex pairs, as a dict slot -> count,
+    where a slot (i, j) with i <= j is a loop when i == j and a link else.
 
     Prunes on per-vertex end capacity and on the remaining stability
     deficit (ends still owed to genus-0 and genus-1 vertices).
@@ -813,14 +813,14 @@ def reference_structures(d, colours, genera, E, max_ends, min_ends):
     slots = []
     for i in range(V):
         if colours[i] == I1 and d >= 3:
-            slots.append(("loop", i))
+            slots.append((i, i))
     for i in range(V):
         for j in range(i + 1, V):
             if colours[i] == I0 and colours[j] == I0:
                 continue
             if colours[i] == I1 and colours[j] == I1 and d == 2:
                 continue
-            slots.append(("link", i, j))
+            slots.append((i, j))
 
     ends = [0] * V
 
@@ -835,11 +835,11 @@ def reference_structures(d, colours, genera, E, max_ends, min_ends):
                 yield {}
             return
         slot = slots[ix]
-        if slot[0] == "loop":
-            touched = (slot[1],)
+        if slot[0] == slot[1]:
+            touched = (slot[0],)
             weight = 2
         else:
-            touched = (slot[1], slot[2])
+            touched = slot
             weight = 1
         cap = remaining
         for vtx in touched:
@@ -862,9 +862,8 @@ def reference_structure_connected(V, structure):
     if V == 1:
         return True
     adj = {i: set() for i in range(V)}
-    for slot in structure:
-        if slot[0] == "link":
-            _, i, j = slot
+    for i, j in structure:
+        if i != j:
             adj[i].add(j)
             adj[j].add(i)
     seen = {0}
@@ -947,8 +946,8 @@ def structure_orbit_key(colours, genera, structure):
         to = {}
         for run, perm in zip(runs.values(), perms):
             to.update(zip(run, perm))
-        key = sorted((slot[0], *sorted(to[v] for v in slot[1:]), count)
-                     for slot, count in structure.items())
+        key = sorted((*sorted((to[i], to[j])), count)
+                     for (i, j), count in structure.items())
         if best is None or key < best:
             best = key
     return tuple(best)
@@ -967,16 +966,14 @@ def reference_labelled_graphs(d, colours, genera, structure, opts, ends):
                 for free in weak_compositions(k - ends[i], d - 1):
                     menus[i][residue_sum(free) % d].append(free)
     per_slot_choices = []
-    for slot, count in structure.items():
-        if slot[0] == "loop":
-            i = slot[1]
+    for (i, j), count in structure.items():
+        if i == j:
             pool = [(a, b) for a in range(1, d) for b in range(a, d) if (a + b) % d]
             per_slot_choices.append([
                 ([make_loop(i, a, b) for a, b in chosen], ((i, sum(map(sum, chosen))),))
                 for chosen in combinations_with_replacement(pool, count)
             ])
             continue
-        _, i, j = slot
         if colours[i] == I1 and colours[j] == I1:
             pool = [(a, b) for a in range(1, d) for b in range(1, d) if (a + b) % d]
         elif colours[i] == I1:

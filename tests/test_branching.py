@@ -105,7 +105,7 @@ class TestCanonicalDatum:
         d, counts = dc
         s = BranchingSequence(d, tuple(counts))
         can = br.canonical_datum(s)
-        assert br.canonical_datum(can.sequence()) == can
+        assert br.canonical_datum(can) == can
         for r in range(1, d):
             if gcd(r, d) == 1:
                 assert br.canonical_datum(br.unit_translate(s, r)) == can
@@ -175,7 +175,7 @@ class TestEnumeration:
         for g in range(2, 7):
             for d in range(2, 8):
                 for datum, h in br.enumerate_admissible(g, d):
-                    assert br.hurwitz_genus(h, datum.sequence()) == g
+                    assert br.hurwitz_genus(h, datum) == g
 
     def test_shapes_match_enumeration(self):
         for g in range(2, 9):

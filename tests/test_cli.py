@@ -104,12 +104,12 @@ class TestSing:
         assert "g >= 3" in err
 
     def test_doc_roundtrip(self, capsys):
-        code, out, _ = run(capsys, "sing", "--genus", "3", "--format", "doc")
-        assert code == 0
         from cycliccovers import sing_smooth as ss
 
-        rep = cli.report_from_doc(json.loads(out))
-        assert rep == ss.decompose_sing(3)
+        for g in (3, 4, 5, 6):
+            code, out, _ = run(capsys, "sing", "--genus", str(g), "--format", "doc")
+            assert code == 0
+            assert cli.report_from_doc(json.loads(out)) == ss.decompose_sing(g)
 
 
 class TestGraphDocuments:
@@ -736,6 +736,18 @@ SURVEY_SHA1 = {
     ("sing-bar", 6, 13): "3be256c2a6fd59d120e2747d0834914238388ea3",
     ("boundary", 7, 15): "264dfcffe4dab5896f42712388a3e62efe554fd6",
 }
+# SHA-1 of the doc-format stdout of interior commands, the only output that
+# shows a redundant locus's container fields, taken before an exact
+# container held its locus.  Genera 3 and 4 hold every case tag and both
+# exact and inexact containers.
+DOC_SHA1 = {
+    ("sing", "--genus", "3"): "b798a7024edca9d843fae3a4d25a6bbae099535b",
+    ("sing", "--genus", "4"): "48e1e9de02f2bec718b5a2897c7da6edf2f20611",
+    ("sing", "--genus", "6"): "591889439e1b49675697b7aa6be548787c1dc92c",
+    ("sing", "--genus", "25"): "b8d8bd2ba5c678967b25f3f1053ed0c4d2b6993d",
+    ("sing-bar", "--genus", "5", "--dmax", "11"): "b0b02c7ed01648848d2ffed3694cdc0eaf035bb8",
+    ("admissible", "--genus", "24", "--order", "60"): "357db112f22f5916acd745e9f1b3edd842bae129",
+}
 
 # (order d, inertia gcd m, symbols, k) of the frozen cover documents: the
 # witness class L' is 2k in the torsion factor Z/2m, so a cover is reducible
@@ -799,6 +811,10 @@ class TestFrozenStdout:
     def test_survey(self, capsys, command, g, dmax):
         self.check(capsys, SURVEY_SHA1[command, g, dmax], command, "--genus", str(g),
                    "--dmax", str(dmax))
+
+    @pytest.mark.parametrize("argv", sorted(DOC_SHA1))
+    def test_doc(self, capsys, argv):
+        self.check(capsys, DOC_SHA1[argv], *argv, "--format", "doc")
 
     @pytest.mark.parametrize("fmt", sorted(COVER_SHA1))
     def test_cover_check(self, capsys, tmp_path, fmt):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import oracles
@@ -60,28 +64,28 @@ class TestCasePattern:
 class TestContainer:
     def test_genus2_quotient_p5(self):
         cont = ss.container_info(locus(6, 5, 0, 0, 0, 0), CaseTag.GENUS2_QUOTIENT)
-        assert cont.exact and cont.dim == 3 * (5 - 3) // 2 + 6 == 9
-        assert (cont.g, cont.q, cont.counts) == (6, 2, (6,))
-        assert cont.h == 1 + (5 - 3) // 2
+        assert cont.exact and cont.locus.dim == 3 * (5 - 3) // 2 + 6 == 9
+        assert (cont.g, cont.q, cont.locus.counts) == (6, 2, (6,))
+        assert cont.locus.h == 1 + (5 - 3) // 2
 
     def test_elliptic_quotient_p3(self):
         cont = ss.container_info(locus(3, 3, 1, 1), CaseTag.ELLIPTIC_QUOTIENT)
-        assert cont.exact and cont.dim == 4
-        assert (cont.g, cont.q, cont.counts) == (3, 2, (4,))
+        assert cont.exact and cont.locus.dim == 4
+        assert (cont.g, cont.q, cont.locus.counts) == (3, 2, (4,))
 
     def test_involution_container_p7(self):
         cont = ss.container_info(
             locus(3, 7, 1, 0, 2, 0, 0, 0), CaseTag.RATIONAL_INVOLUTION
         )
-        assert cont.exact and cont.counts == (8,) and cont.h == 0
-        assert cont.dim == 5
+        assert cont.exact and cont.locus.counts == (8,) and cont.locus.h == 0
+        assert cont.locus.dim == 5
 
     def test_case1_containers_quotient_genus(self):
         for p in (3, 5, 7, 11, 13):
             cont = ss.container_info(
                 locus(p + 1, p, *([0] * (p - 1))), CaseTag.GENUS2_QUOTIENT
             )
-            assert cont.h == 1 + (p - 3) // 2
+            assert cont.locus.h == 1 + (p - 3) // 2
 
 
 class TestClassify:
@@ -94,7 +98,7 @@ class TestClassify:
         assert rec.verdict is Verdict.REDUNDANT
         assert rec.case_tag is CaseTag.ELLIPTIC_QUOTIENT
         assert rec.container.label() == "M_{3;2,[(4)]}"
-        assert rec.container.dim == 4 > rec.locus.dim == 2
+        assert rec.container.locus.dim == 4 > rec.locus.dim == 2
 
     def test_component(self):
         assert ss.classify(locus(3, 2, 4)).verdict is Verdict.COMPONENT
@@ -108,6 +112,24 @@ class TestClassify:
         rep = ss.decompose_sing(5)
         for rec in rep.redundant():
             assert rec.container.dim_lower_bound > rec.locus.dim
+
+    def test_strictness_checked_under_optimisation(self):
+        # python -O strips assert statements; the check of strict growth must
+        # still refuse a redundant record whose container is no larger.
+        patched = (
+            "from cycliccovers import sing_smooth as ss\n"
+            "ss.classify = lambda locus: ss.ClassificationRecord(\n"
+            "    locus=locus, verdict=ss.Verdict.REDUNDANT,\n"
+            "    container=ss.ContainerInfo(q=2, g=locus.g, dim_lower_bound=0))\n"
+            "ss.decompose_sing(3)\n"
+        )
+        src = os.path.dirname(os.path.dirname(ss.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", patched],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "AssertionError: redundant locus M_{3;2,[(0)]}" in proc.stderr
 
 
 class TestDecompose:

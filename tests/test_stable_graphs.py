@@ -371,8 +371,8 @@ def structure_ends(V, structure):
     """Edge-ends per vertex of an edge structure: two per loop, one per link."""
     ends = [0] * V
     for slot, count in structure.items():
-        for v in slot[1:]:
-            ends[v] += count * (2 if slot[0] == "loop" else 1)
+        for v in slot:
+            ends[v] += count
     return ends
 
 
