@@ -243,18 +243,12 @@ def _render_report(rep: DecompositionReport) -> None:
     print("excluded:")
     for r in rep.excluded():
         print("  %s dim=%d (pseudoreflection)" % (r.locus.label(), r.locus.dim))
-    if rep.manual_review():
-        print("manual review:")
-        for r in rep.manual_review():
-            print("  %s" % r.locus.label())
-    if rep.warnings:
-        print("warnings:")
-        for w in rep.warnings:
-            print("  %s" % w)
-    if rep.notes:
-        print("notes:")
-        for n in rep.notes:
-            print("  %s" % n)
+    for header, lines in (("manual review", [r.locus.label() for r in rep.manual_review()]),
+                          ("warnings", rep.warnings), ("notes", rep.notes)):
+        if lines:
+            print("%s:" % header)
+            for line in lines:
+                print("  %s" % line)
 
 
 # ---------------------------------------------------------------------------

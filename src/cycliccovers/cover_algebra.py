@@ -248,12 +248,12 @@ def irreducibility(ba: BranchAssignment) -> IrreducibilityResult:
 
     Let m generate the subgroup of Z/d spanned by the populated residues
     (m = d when the cover is unramified).  The cover is irreducible iff
-    the class L' = (d/m)L - sum_i (i/m)[D_i] has order exactly m; for
-    m = 1 the class vanishes by validity, so the test is uniform.
+    the class L' = (d/m)L - sum_i (i/m)[D_i] has order exactly m.  As m
+    divides every populated residue, L' is the character class L_{d/m}
+    when m > 1; at m = 1 it is d*L - sum_i i*[D_i], zero by validity.
     """
     m = gcd(ba.d, *ba._classes)
-    lp = ba.model.combination(
-        [(ba.d // m, ba.L)] + [(-(i // m), cls) for i, cls in ba._classes.items()])
+    lp = character_class(ba, ba.d // m) if m > 1 else ba.model.zero()
     order = lp.order()
     if order is None:
         raise AssertionError("m*L' must vanish, so L' has finite order")

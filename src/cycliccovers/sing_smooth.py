@@ -150,12 +150,10 @@ def case_pattern(locus: SmoothLocus) -> tuple[CaseTag | None, NormalizerShape | 
     if locus.g < 3:
         raise ValueError("classification requires genus at least 3")
     risk = maximal_cyclic_exception(locus.h, locus.k)
-    if risk is ExtraAutomorphismRisk.GENUS_TWO_QUOTIENT:
-        shape = NormalizerShape.KLEIN_FOUR if p == 2 else NormalizerShape.DIHEDRAL
-        return CaseTag.GENUS2_QUOTIENT, shape
-    if risk is ExtraAutomorphismRisk.ELLIPTIC_TWO_POINTS:
-        shape = NormalizerShape.KLEIN_FOUR if p == 2 else NormalizerShape.DIHEDRAL
-        return CaseTag.ELLIPTIC_QUOTIENT, shape
+    tag = {ExtraAutomorphismRisk.GENUS_TWO_QUOTIENT: CaseTag.GENUS2_QUOTIENT,
+           ExtraAutomorphismRisk.ELLIPTIC_TWO_POINTS: CaseTag.ELLIPTIC_QUOTIENT}.get(risk)
+    if tag is not None:
+        return tag, NormalizerShape.KLEIN_FOUR if p == 2 else NormalizerShape.DIHEDRAL
     if risk is not ExtraAutomorphismRisk.RATIONAL_FEW_POINTS:
         return None, None
     if locus.k == 4 and unit_action(p, p - 1)(locus.counts) == locus.counts:
@@ -171,10 +169,6 @@ def case_pattern(locus: SmoothLocus) -> tuple[CaseTag | None, NormalizerShape | 
         if p % 3 == 1 and _cube_root_coset(monod, p):
             return CaseTag.RATIONAL_ORDER_THREE, NormalizerShape.CYCLIC_3_EXTENSION
     return None, None
-
-
-def _min_locus_dim(g: int, q: int) -> int | None:
-    return min((3 * (h - 1) + k for h, k in iter_admissible_shapes(g, q)), default=None)
 
 
 def container_info(locus: SmoothLocus, tag: CaseTag) -> ContainerInfo:
@@ -209,11 +203,9 @@ def container_info(locus: SmoothLocus, tag: CaseTag) -> ContainerInfo:
         q = 3
     else:
         raise ValueError("unknown case tag")
-    bound = _min_locus_dim(g, q)
-    if bound is None:
-        # No admissible locus of that order would contradict the matched
-        # symmetry; flag for review rather than guessing.
-        return ContainerInfo(q=q, g=g, dim_lower_bound=-1)
+    # No admissible locus of that order would contradict the matched
+    # symmetry; -1 flags the locus for review rather than guessing.
+    bound = min((3 * (h - 1) + k for h, k in iter_admissible_shapes(g, q)), default=-1)
     return ContainerInfo(q=q, g=g, dim_lower_bound=bound)
 
 
@@ -249,29 +241,18 @@ def classify(locus: SmoothLocus) -> ClassificationRecord:
             "container is the locus of double covers of elliptic curves"
         )
     if cont.dim_lower_bound > locus.dim:
+        verdict = Verdict.REDUNDANT
         held = cont.locus
         if held is not None and (held.g, held.d, held.h, held.k) == _EXCLUDED_HYPERELLIPTIC:
             notes.append(
                 "container is the genus-3 hyperelliptic divisor, which is itself "
                 "outside the singular locus; recorded as redundant, review advised"
             )
-        return ClassificationRecord(
-            locus=locus,
-            verdict=Verdict.REDUNDANT,
-            case_tag=tag,
-            normalizer=shape,
-            container=cont,
-            notes=tuple(notes),
-        )
-    notes.append("container dimension not strictly larger; review required")
-    return ClassificationRecord(
-        locus=locus,
-        verdict=Verdict.MANUAL_REVIEW,
-        case_tag=tag,
-        normalizer=shape,
-        container=cont,
-        notes=tuple(notes),
-    )
+    else:
+        verdict = Verdict.MANUAL_REVIEW
+        notes.append("container dimension not strictly larger; review required")
+    return ClassificationRecord(locus=locus, verdict=verdict, case_tag=tag, normalizer=shape,
+                                container=cont, notes=tuple(notes))
 
 
 def decompose_sing(g: int) -> DecompositionReport:

@@ -54,9 +54,6 @@ class BoundaryComponent:
     codim: int
     flags: tuple[str, ...] = ()
 
-    def encoding(self):
-        return canonical_encoding(self.graph)
-
 
 @dataclass(frozen=True)
 class AutBoundReport:
@@ -122,7 +119,7 @@ def boundary_survey(g: int, d_max: int):
                 flags=_flags_for(G, G.i1_vertices()[0].vid)))
     # enumerate_graphs returns canonical graphs in encoding order and the
     # order leads the encoding, so the components arrive sorted.
-    encodings = [c.encoding() for c in components]
+    encodings = [canonical_encoding(c.graph) for c in components]
     if encodings != sorted(set(encodings)):
         raise AssertionError("boundary components are not distinct and sorted")
     return components, warnings, notes

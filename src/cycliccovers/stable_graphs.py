@@ -186,9 +186,6 @@ class VertexCoverData:
     factor and for I1 vertices is bounded by k.
     """
 
-    vid: int
-    colour: str
-    genus: int
     loops: int
     counts: tuple[int, ...]
     k: int
@@ -204,8 +201,7 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
     loops = sum(1 for e in G.edges if e.u == e.v == vid)
     if v.colour == I0:
         return VertexCoverData(
-            vid=vid, colour=I0, genus=v.genus, loops=loops,
-            counts=(0,) * (d - 1), k=0, quotient_genus=v.genus,
+            loops=loops, counts=(0,) * (d - 1), k=0, quotient_genus=v.genus,
             marked_genus=v.genus + loops, ends=ends,
         )
     counts = list(v.free or (0,) * (d - 1))
@@ -242,8 +238,8 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
             "(genus %d, k %d, order %d)" % (vid, v.genus, k, d)
         )
     return VertexCoverData(
-        vid=vid, colour=I1, genus=v.genus, loops=loops, counts=tuple(counts),
-        k=k, quotient_genus=h, marked_genus=v.genus + loops, ends=ends,
+        loops=loops, counts=tuple(counts), k=k, quotient_genus=h,
+        marked_genus=v.genus + loops, ends=ends,
     )
 
 
@@ -422,7 +418,14 @@ def _trivialise(G: AutoGraph, vids: set[int]) -> AutoGraph:
     return make_graph(G.d, vertices, edges)
 
 
-def _check_enlargement(G: AutoGraph, out: AutoGraph) -> AutoGraph:
+def _enlargeable(G: AutoGraph, j: int) -> None:
+    check_graph(G, pre=False)
+    if G.colour(j) != I1:
+        raise GraphError("vertex %d is not an I1 component" % j)
+
+
+def _enlarged(G: AutoGraph, vids: set[int]) -> AutoGraph:
+    out = simplify(_trivialise(G, vids))
     if graph_genus(out) != graph_genus(G):
         raise AssertionError("enlargement changed the total genus")
     if stratum_dimension(out) < stratum_dimension(G):
@@ -432,36 +435,30 @@ def _check_enlargement(G: AutoGraph, out: AutoGraph) -> AutoGraph:
 
 def enlarge_detached(G: AutoGraph, j: int) -> AutoGraph:
     """Trivialise the action on an I1 component meeting no I0 component."""
-    check_graph(G, pre=False)
-    if G.colour(j) != I1:
-        raise GraphError("vertex %d is not an I1 component" % j)
+    _enlargeable(G, j)
     if any(G.colour(nb) == I0 for nb in _neighbours(G, j)):
         raise GraphError("vertex %d meets an identity component" % j)
-    return _check_enlargement(G, simplify(_trivialise(G, {j})))
+    return _enlarged(G, {j})
 
 
 def enlarge_attached(G: AutoGraph, j: int) -> AutoGraph:
     """Trivialise the action on an I1 component meeting some I0 component,
     merging it with the adjacent identity components."""
-    check_graph(G, pre=False)
-    if G.colour(j) != I1:
-        raise GraphError("vertex %d is not an I1 component" % j)
+    _enlargeable(G, j)
     if not any(G.colour(nb) == I0 for nb in _neighbours(G, j)):
         raise GraphError("vertex %d meets no identity component" % j)
     if len(G.i1_vertices()) < 2:
         raise GraphError("need another nontrivially acted component")
-    return _check_enlargement(G, simplify(_trivialise(G, {j})))
+    return _enlarged(G, {j})
 
 
 def enlarge_max(G: AutoGraph, j: int) -> AutoGraph:
     """Trivialise the action everywhere except on vertex j."""
-    check_graph(G, pre=False)
-    if G.colour(j) != I1:
-        raise GraphError("vertex %d is not an I1 component" % j)
+    _enlargeable(G, j)
     others = {v.vid for v in G.i1_vertices() if v.vid != j}
     if not others:
         raise GraphError("need another nontrivially acted component")
-    return _check_enlargement(G, simplify(_trivialise(G, others)))
+    return _enlarged(G, others)
 
 
 def stratum_dimension(G: AutoGraph) -> int:
@@ -499,10 +496,12 @@ def unit_transform(G: AutoGraph, r: int) -> AutoGraph:
     return make_graph(d, vertices, edges)
 
 
-def _twin_classes(G: AutoGraph) -> list[list[int]]:
-    # Twins have equal fields and equal labelled links and loops, so
-    # neither is linked to the other and swapping them is an automorphism,
-    # under every unit action alike.
+def _twin_groups(G: AutoGraph) -> dict[tuple, list]:
+    # The `_arrangements` of the twin classes of each attribute class
+    # (colour, genus, free).  Twins have equal fields and equal labelled
+    # links and loops, so neither is linked to the other and swapping them
+    # is an automorphism, under every unit action alike.  A unit only
+    # permutes residues, so it neither splits nor merges an attribute class.
     ends: dict[int, list] = {v.vid: [] for v in G.vertices}
     for e in G.edges:
         if e.u == e.v:
@@ -510,11 +509,11 @@ def _twin_classes(G: AutoGraph) -> list[list[int]]:
         else:
             ends[e.u].append((0, e.v, e.mu, e.mv))
             ends[e.v].append((0, e.u, e.mv, e.mu))
-    classes: dict[tuple, list[int]] = {}
+    groups: dict[tuple, dict[tuple, list[int]]] = {}
     for v in G.vertices:
-        key = (v.colour, v.genus, v.free, tuple(sorted(ends[v.vid])))
-        classes.setdefault(key, []).append(v.vid)
-    return list(classes.values())
+        twins = groups.setdefault((v.colour, v.genus, v.free), {})
+        twins.setdefault(tuple(sorted(ends[v.vid])), []).append(v.vid)
+    return {attr: _arrangements(list(twins.values())) for attr, twins in groups.items()}
 
 
 def _arrangements(classes: list[list[int]]):
@@ -543,27 +542,26 @@ def canonical_encoding(G: AutoGraph):
     Two graphs describe the same numerical type iff their encodings agree.
     The encoding is (d, vertex attributes in order, sorted edge tuples);
     vertex orders sort by attribute and try every arrangement of the twin
-    classes inside an attribute class.
+    classes inside an attribute class.  The attribute classes and their
+    arrangements do not depend on the unit and are built once per graph;
+    a unit changes only the attributes, hence the class order, and labels.
     """
     d = G.d
-    twins = _twin_classes(G)
+    groups = _twin_groups(G)
     best = None
     for r in units_mod(d):
         act = unit_action(d, r)
-        attr = {v.vid: (0, v.genus, ()) if v.colour == I0 else (1, v.genus, act(v.free))
-                for v in G.vertices}
-        vparts = tuple(sorted(attr.values()))
+        scaled = sorted((((0, genus, ()) if colour == I0 else (1, genus, act(free))), pool)
+                        for (colour, genus, free), pool in groups.items())
+        # Each arrangement lists every vertex of its class once.
+        vparts = tuple(attr for attr, pool in scaled for _ in pool[0])
         if best is not None and vparts > best[1]:
             continue
-        groups: dict[tuple, list[list[int]]] = {}
-        for cls in twins:
-            groups.setdefault(attr[cls[0]], []).append(cls)
         links = [(e.u, e.v, (r * e.mu) % d, (r * e.mv) % d)
                  for e in G.edges if e.u != e.v]
         loops = [(e.u, *sorted(((r * e.mu) % d, (r * e.mv) % d)),
                   int(e.swapped)) for e in G.edges if e.u == e.v]
-        pools = [_arrangements(groups[k]) for k in sorted(groups)]
-        for combo in itertools.product(*pools):
+        for combo in itertools.product(*(pool for _, pool in scaled)):
             pos = {vid: ix for ix, vid in enumerate(itertools.chain(*combo))}
             eparts = [(1, pos[v], a, b, s) for v, a, b, s in loops]
             for u, v, mu, mv in links:

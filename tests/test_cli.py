@@ -788,6 +788,94 @@ def cover_document(rng, d, m, nsym, k):
             "L": {"free": L[0], "torsion": L[1]}, "divisors": divisors}
 
 
+def scrambled_graph_document(rng, d, vertices, links, pinched):
+    """The graph document of vertices (id, colour, genus[, free]), links
+    (u, v, mu, mv) and a (0, 0) loop at each pinched vertex, after a random
+    relabelling of the vertices and a random unit acting on every residue,
+    with vertices and edges in random order."""
+    perm = list(range(len(vertices)))
+    rng.shuffle(perm)
+    r = rng.randrange(1, d)
+    out = []
+    for vid, colour, genus, *free in vertices:
+        entry = (perm[vid], colour, genus)
+        if free:
+            moved = [0] * (d - 1)
+            for i, c in enumerate(free[0], start=1):
+                moved[r * i % d - 1] = c
+            entry += (moved,)
+        out.append(entry)
+    edges = [link_entry(perm[u], perm[v], r * mu % d, r * mv % d) for u, v, mu, mv in links]
+    edges += [loop_entry(perm[v], 0, 0) for v in pinched]
+    rng.shuffle(out)
+    rng.shuffle(edges)
+    return graph_doc(d, out, edges)
+
+
+def rational_i1_vertex(vid, d, residues):
+    """An I1 vertex over a rational quotient with these edge-end residues,
+    completed by free branch points to residue sum 0 mod d and k >= 3."""
+    free = [0] * (d - 1)
+    if sum(residues) % d:
+        free[-sum(residues) % d - 1] += 1
+    if len(residues) + sum(free) < 3:
+        free[0] += 1
+        free[-1] += 1
+    k = len(residues) + sum(free)
+    return (vid, "I1", 1 - d + k * (d - 1) // 2, free)
+
+
+def spine_document(rng, d, n):
+    """A pre graph whose maximal form is an I1 spine with n elliptic tails:
+    the spine is split in two by a link whose labels sum to 0 mod d, and
+    half of the tails are pinched into a rational identity component with a
+    (0, 0) loop."""
+    labels = [rng.randrange(1, d) for _ in range(n)]
+    a = rng.randrange(1, d)
+    vertices = [rational_i1_vertex(0, d, labels[:2] + [a]),
+                rational_i1_vertex(1, d, labels[2:] + [d - a])]
+    links = [(0, 1, a, d - a)]
+    pinched = rng.sample(range(2, n + 2), n // 2)
+    for vid, label in enumerate(labels, start=2):
+        vertices.append((vid, "I0", int(vid not in pinched)))
+        links.append((int(vid > 3), vid, label, 0))
+    return scrambled_graph_document(rng, d, vertices, links, pinched)
+
+
+def chain_document(rng, d):
+    """A maximal graph with three I1 components A - B - C and an identity
+    tail on each of A and B."""
+    ab, bc, ta, tb = (rng.randrange(1, d) for _ in range(4))
+    vertices = [rational_i1_vertex(0, d, [ab, ta]), rational_i1_vertex(1, d, [ab, bc, tb]),
+                rational_i1_vertex(2, d, [bc]), (3, "I0", rng.randrange(1, 3)), (4, "I0", 1)]
+    # Equal labels on an I1 - I1 link never sum to 0 mod an odd d.
+    links = [(0, 1, ab, ab), (1, 2, bc, bc), (0, 3, ta, 0), (1, 4, tb, 0)]
+    return scrambled_graph_document(rng, d, vertices, links, [])
+
+
+def frozen_graph_documents():
+    """Spine pre graphs with 5-8 tails and three-I1 chains at orders 3 and
+    5, then the README's example graph."""
+    rng = random.Random(2010)
+    docs = [spine_document(rng, d, n) for d in (3, 5) for n in range(5, 9)]
+    docs += [chain_document(rng, d) for d in (3, 5) for _ in range(3)]
+    return docs + [graph_doc(2, [(0, "I0", 1), (1, "I1", 1, [3])],
+                             [link_entry(0, 1, 0, 1), loop_entry(1, 1, 1, swapped=True)])]
+
+
+# SHA-1 of exit code, stdout and stderr of `simplify` on every document of
+# frozen_graph_documents() and of `enlarge` at every vertex and kind of each,
+# keyed by (command, format), taken before the canonical encoding grouped
+# the twin classes once per graph and before the enlargements shared their
+# checks.
+GRAPH_DOC_SHA1 = {
+    ("simplify", "table"): "f9b901d08c1eed0b6dbaaa4f974611167420179e",
+    ("simplify", "doc"): "dd7ea0282ec07350e27404f064adce9275a55f73",
+    ("enlarge", "table"): "710f4a093d116047b82315b2d701612822bdcfd7",
+    ("enlarge", "doc"): "11064f618f575d44f2baa328524fac9fc754e580",
+}
+
+
 class TestFrozenStdout:
     def check(self, capsys, digest, *argv):
         code, out, _ = run(capsys, *argv)
@@ -830,6 +918,29 @@ class TestFrozenStdout:
         assert out.count("inertia") == 12
         assert len(re.findall(r'"irreducible": false|^reducible', out, re.M)) == 6
         assert hashlib.sha1(out.encode()).hexdigest() == COVER_SHA1[fmt]
+
+    @pytest.mark.parametrize("command,fmt", sorted(GRAPH_DOC_SHA1))
+    def test_graph_documents(self, capsys, tmp_path, command, fmt):
+        runs = []
+        for ix, doc in enumerate(frozen_graph_documents()):
+            path = tmp_path / ("graph%d.json" % ix)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = [command, "--input", str(path), "--format", fmt]
+            if command == "simplify":
+                runs.append(argv)
+            else:
+                runs += [argv + ["--vertex", str(v["id"]), "--kind", kind]
+                         for v in doc["vertices"] for kind in ("detached", "attached", "max")]
+        out, codes = "", []
+        for argv in runs:
+            code, text, err = run(capsys, *argv)
+            out += "%d\n%s%s" % (code, text, err)
+            codes.append(code)
+        if command == "simplify":
+            assert set(codes) == {0}
+        else:
+            assert codes.count(0) >= 20 and set(codes) == {0, 2}
+        assert hashlib.sha1(out.encode()).hexdigest() == GRAPH_DOC_SHA1[command, fmt]
 
 
 class TestReentrantMain:
