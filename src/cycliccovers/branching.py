@@ -262,6 +262,7 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingSequence, int],
         unit = gcd(*(weights[r - 1] for r in residues))  # weights below count in units
         step = {r: weights[r - 1] // unit for r in residues}
         top, first = terms[0] // unit, step[e]
+        # A weight-only pass picks the starts and drops unused residues before `reach`.
         totals = 1  # bit t: some points at these residues weigh t
         for w in set(step.values()):
             while w <= top:
@@ -311,27 +312,19 @@ def enumerate_loci(g: int, d: int) -> tuple[SmoothLocus, ...]:
     return tuple(_locus(g, datum, h) for datum, h in enumerate_admissible(g, d))
 
 
-def _shape_realizable(p: int, h: int, k: int) -> bool:
-    # Is there an admissible sequence of total k for prime p at quotient genus h?
-    if k == 0:
-        return h >= 1
-    if k == 1:
-        return False
-    if p == 2:
-        return k % 2 == 0
-    return True
-
-
 def iter_admissible_shapes(g: int, p: int):
     """Yield the (h, k) pairs of admissible loci for prime p.
 
     Dimension and codimension depend on the datum only through (h, k),
     so exception scans over large genus ranges use this instead of full
-    sequence enumeration.
+    sequence enumeration.  A shape is realizable exactly when k != 1: at
+    h = 0 the branching term 2(g - 1) + 2p > 0, so k = 0 needs h >= 1; at
+    p = 2, k = 2g + 2 - 4h is even; at odd p any k >= 2 units can sum to
+    0 mod p, and a single unit cannot.
     """
     if not is_prime(p):
         raise ValueError("prime order required")
-    yield from (shape for shape in prime_shapes(g, p) if _shape_realizable(p, *shape))
+    yield from (shape for shape in prime_shapes(g, p) if shape[1] != 1)
 
 
 class ExtraAutomorphismRisk(Enum):

@@ -34,6 +34,7 @@ __all__ = [
     "normalize_root",
     "carry",
     "multiplication_exponents",
+    "branch_assignment",
     "character_class",
     "irreducibility",
     "component_count",

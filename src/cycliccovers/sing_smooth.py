@@ -130,17 +130,6 @@ class DecompositionReport:
         return tuple(r for r in self.records if r.verdict is Verdict.MANUAL_REVIEW)
 
 
-def _cube_root_coset(multiset: tuple[int, ...], p: int) -> bool:
-    roots = sorted(m for m in range(1, p) if (m * m * m) % p == 1)
-    if len(roots) != 3:
-        return False
-    if len(set(multiset)) != 3:
-        return False
-    a = multiset[0]
-    coset = tuple(sorted((a * r) % p for r in roots))
-    return tuple(sorted(multiset)) == coset
-
-
 def case_pattern(locus: SmoothLocus) -> tuple[CaseTag | None, NormalizerShape | None]:
     """Match the quotient shape of a prime-order locus against the
     configurations whose general member carries extra symmetry."""
@@ -166,8 +155,10 @@ def case_pattern(locus: SmoothLocus) -> tuple[CaseTag | None, NormalizerShape | 
         monod = locus.sequence().monodromies()
         if len(set(monod)) < len(monod):
             return CaseTag.RATIONAL_INVOLUTION, NormalizerShape.CYCLIC_2P
-        if p % 3 == 1 and _cube_root_coset(monod, p):
-            return CaseTag.RATIONAL_ORDER_THREE, NormalizerShape.CYCLIC_3_EXTENSION
+        if p % 3 == 1:  # distinct residues here: a coset of the three cube roots of 1?
+            roots = [r for r in range(1, p) if r * r * r % p == 1]
+            if sorted(monod) == sorted(monod[0] * r % p for r in roots):
+                return CaseTag.RATIONAL_ORDER_THREE, NormalizerShape.CYCLIC_3_EXTENSION
     return None, None
 
 

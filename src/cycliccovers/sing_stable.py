@@ -64,7 +64,7 @@ class AutBoundReport:
     special_config: int
     hurwitz_smooth: int
     special_exceeds_hurwitz: bool
-    tail_orders: tuple[int, ...] = (2, 4, 6)
+    tail_orders = (2, 4, 6)  # |Aut(E, p)| of an elliptic tail; unannotated, so no field
 
 
 def pseudoreflection_only(G: AutoGraph) -> bool:

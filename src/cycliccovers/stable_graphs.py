@@ -75,6 +75,7 @@ __all__ = [
     "enumerate_graphs",
     "divisor_exception",
     "exceptional_pattern",
+    "is_elliptic_tail_vertex",
     "graph_to_doc",
     "graph_from_doc",
     "doc_int",
@@ -873,9 +874,6 @@ def divisor_exception(G: AutoGraph) -> DivisorException:
     """
     if G.d != 2 or len(G.vertices) != 2 or len(G.edges) != 1:
         return DivisorException.NONE
-    e = G.edges[0]
-    if e.u == e.v:
-        return DivisorException.NONE
     i1 = G.i1_vertices()
     tails = sum(is_elliptic_tail_vertex(G, v.vid) for v in i1)
     if tails == len(i1) == 1:
@@ -920,35 +918,22 @@ def exceptional_pattern(G: AutoGraph) -> ExceptionalPattern:
         return ExceptionalPattern.NONE
     loops = [e for e in G.edges if e.u == e.v == j.vid]
     links = [e for e in G.edges if e.u != e.v]
-    if any(e.swapped for e in loops):
+    if (len(loops), len(links)) not in ((1, 1), (0, 3)):
         return ExceptionalPattern.NONE
-    if len(loops) == 1 and len(links) == 1:
-        loop, link = loops[0], links[0]
-        other = G.vertex(link.v if link.u == j.vid else link.u)
-        if other.colour != I0 or other.genus < 1:
-            return ExceptionalPattern.NONE
-        if loop.mu != loop.mv:
-            return ExceptionalPattern.NONE
-        # The residue sum at j already forces the third label to -2 * loop.mu.
-        return ExceptionalPattern.IIA
-    if not loops and len(links) == 3:
-        tails = []
-        for e in links:
-            other = G.vertex(e.v if e.u == j.vid else e.u)
-            label = e.mu if e.u == j.vid else e.mv
-            if other.colour != I0 or other.genus < 1:
-                return ExceptionalPattern.NONE
-            tails.append((label, other.genus, other.vid))
-        if len({vid for _, _, vid in tails}) != 3:
-            # The swapped pair hangs on two separate components; a shared
-            # tail is a different shape and stays in the enumeration.
-            return ExceptionalPattern.NONE
-        # Some two tails with equal labels and equal genera.  At p = 3 all
-        # three labels are equal (a + b + c = 0 with each in {1, 2}); above
-        # 3 they never are, since 3a = 0 has no unit solution mod p.
-        if len({(l, g) for l, g, _ in tails}) < 3:
-            return ExceptionalPattern.IIB
+    # A swapped loop adds no branch point: k = 3 leaves no loop swapped, every link at j.
+    tails = [(e.mu, G.vertex(e.v)) if e.u == j.vid else (e.mv, G.vertex(e.u))
+             for e in links]
+    if any(t.colour != I0 or t.genus < 1 for _, t in tails):
         return ExceptionalPattern.NONE
+    if loops:  # the residue sum at j forces the third label to -2 * loop.mu
+        loop = loops[0]
+        return ExceptionalPattern.IIA if loop.mu == loop.mv else ExceptionalPattern.NONE
+    # The swapped pair hangs on two separate components; a shared tail is a
+    # different shape and stays in the enumeration.  Two tails share label
+    # and genus.  At p = 3 all three labels are equal (a + b + c = 0 with
+    # each in {1, 2}); above 3 they never are: 3a = 0 has no unit solution.
+    if len({t.vid for _, t in tails}) == 3 and len({(m, t.genus) for m, t in tails}) < 3:
+        return ExceptionalPattern.IIB
     return ExceptionalPattern.NONE
 
 

@@ -723,6 +723,26 @@ class TestPatternDetectors:
         sg.check_graph(G)
         assert sg.exceptional_pattern(G) is ExceptionalPattern.NONE
 
+    @pytest.mark.parametrize("tails, edges", [
+        ((1, 1), [make_link(0, 1, 1, 0), make_link(0, 1, 1, 0), make_link(0, 2, 3, 0)]),
+        ((0, 1, 1), [make_link(0, 1, 3, 0), make_link(0, 2, 1, 0), make_link(0, 3, 1, 0)]),
+        ((0,), [make_loop(0, 1, 1), make_link(0, 1, 3, 0)]),
+        ((1,), [make_loop(0, 1, 2), make_link(0, 1, 2, 0)]),
+    ], ids=["shared-tail", "rational-tail-iib", "rational-tail-iia", "unequal-loop-pair"])
+    def test_exceptional_near_misses(self, tails, edges):
+        # Each graph misses II-a or II-b by one condition: two swapped
+        # labels on one tail, a rational tail, or an unequal loop pair.
+        # The rational-tail graphs are unstable; the detector is defined on
+        # any graph, so they must still come out NONE.
+        G = make_graph(
+            5,
+            [Vertex(0, I1, 2, (0, 0, 0, 0))]
+            + [Vertex(i, I0, genus) for i, genus in enumerate(tails, start=1)],
+            edges,
+        )
+        sg.check_graph(G)
+        assert sg.exceptional_pattern(G) is ExceptionalPattern.NONE
+
 
 class TestDocumentFormat:
     def test_roundtrip(self):
