@@ -243,8 +243,7 @@ def _render_report(rep: DecompositionReport) -> None:
     print("excluded:")
     for r in rep.excluded():
         print("  %s dim=%d (pseudoreflection)" % (r.locus.label(), r.locus.dim))
-    for header, lines in (("manual review", [r.locus.label() for r in rep.manual_review()]),
-                          ("warnings", rep.warnings), ("notes", rep.notes)):
+    for header, lines in (("warnings", rep.warnings), ("notes", rep.notes)):
         if lines:
             print("%s:" % header)
             for line in lines:

@@ -107,11 +107,7 @@ def connects(n: int, pairs) -> bool:
 
 
 def weak_compositions(total: int, parts: int):
-    """Yield every tuple of `parts` non-negative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """Yield every tuple of `parts` >= 1 non-negative integers summing to `total`."""
     if parts == 1:
         yield (total,)
         return

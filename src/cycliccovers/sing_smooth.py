@@ -47,7 +47,6 @@ class Verdict(Enum):
     COMPONENT = "component"
     REDUNDANT = "redundant"
     EXCLUDED_PSEUDOREFLECTION = "excluded-pseudoreflection"
-    MANUAL_REVIEW = "manual-review"
 
 
 class CaseTag(Enum):
@@ -126,9 +125,6 @@ class DecompositionReport:
             r for r in self.records if r.verdict is Verdict.EXCLUDED_PSEUDOREFLECTION
         )
 
-    def manual_review(self) -> tuple[ClassificationRecord, ...]:
-        return tuple(r for r in self.records if r.verdict is Verdict.MANUAL_REVIEW)
-
 
 def case_pattern(locus: SmoothLocus) -> tuple[CaseTag | None, NormalizerShape | None]:
     """Match the quotient shape of a prime-order locus against the
@@ -194,9 +190,9 @@ def container_info(locus: SmoothLocus, tag: CaseTag) -> ContainerInfo:
         q = 3
     else:
         raise ValueError("unknown case tag")
-    # No admissible locus of that order would contradict the matched
-    # symmetry; -1 flags the locus for review rather than guessing.
-    bound = min((3 * (h - 1) + k for h, k in iter_admissible_shapes(g, q)), default=-1)
+    # Never empty: h = 0 is a shape of either order, with k = 2g + 2 at
+    # q = 2 and k = g + 2 at q = 3.
+    bound = min(3 * (h - 1) + k for h, k in iter_admissible_shapes(g, q))
     return ContainerInfo(q=q, g=g, dim_lower_bound=bound)
 
 
@@ -207,10 +203,17 @@ def classify(locus: SmoothLocus) -> ClassificationRecord:
     """One verdict per admissible prime-order locus, g >= 3.
 
     The genus-3 hyperelliptic divisor itself is excluded (its involution
-    acts as a pseudoreflection).  A matched shape is redundant when the
-    certified container dimension strictly exceeds the locus dimension;
-    a non-strict comparison or an uncertifiable container goes to manual
-    review, never silently dropped.
+    acts as a pseudoreflection).  Every matched shape is redundant: a
+    locus of shape (h, k) has dimension 3(h - 1) + k, and its certified
+    container is strictly larger.
+      (2, 0), dim 3: the container has dim 4 at p = 2 and
+        3(p - 3)/2 + 6 at odd p.
+      (1, 2), dim 2: 3(p - 3)/2 + 4.
+      (0, 3) with a lifted involution, dim 0: p - 2, as p is odd at k = 3.
+      (0, 4), dim 1: the least order-2 shape dimension,
+        2g - 1 - floor((g + 1)/2), which is at least 3.
+      (0, 3) of order three, dim 0: every order-3 shape has dim g - 1.
+    decompose_sing checks the strict growth on every record.
     """
     if (locus.g, locus.d, locus.h, locus.k) == _EXCLUDED_HYPERELLIPTIC:
         return ClassificationRecord(
@@ -231,19 +234,14 @@ def classify(locus: SmoothLocus) -> ClassificationRecord:
             "also contained in the genus-3 hyperelliptic divisor; the certified "
             "container is the locus of double covers of elliptic curves"
         )
-    if cont.dim_lower_bound > locus.dim:
-        verdict = Verdict.REDUNDANT
-        held = cont.locus
-        if held is not None and (held.g, held.d, held.h, held.k) == _EXCLUDED_HYPERELLIPTIC:
-            notes.append(
-                "container is the genus-3 hyperelliptic divisor, which is itself "
-                "outside the singular locus; recorded as redundant, review advised"
-            )
-    else:
-        verdict = Verdict.MANUAL_REVIEW
-        notes.append("container dimension not strictly larger; review required")
-    return ClassificationRecord(locus=locus, verdict=verdict, case_tag=tag, normalizer=shape,
-                                container=cont, notes=tuple(notes))
+    held = cont.locus
+    if held is not None and (held.g, held.d, held.h, held.k) == _EXCLUDED_HYPERELLIPTIC:
+        notes.append(
+            "container is the genus-3 hyperelliptic divisor, which is itself "
+            "outside the singular locus; recorded as redundant, review advised"
+        )
+    return ClassificationRecord(locus=locus, verdict=Verdict.REDUNDANT, case_tag=tag,
+                                normalizer=shape, container=cont, notes=tuple(notes))
 
 
 def decompose_sing(g: int) -> DecompositionReport:
@@ -274,7 +272,7 @@ def decompose_sing(g: int) -> DecompositionReport:
         "%s: %s" % (r.locus.label(), note)
         for r in records
         for note in r.notes
-        if r.verdict in (Verdict.REDUNDANT, Verdict.MANUAL_REVIEW)
+        if r.verdict is Verdict.REDUNDANT
     )
     notes: list[str] = []
     if g == 3:

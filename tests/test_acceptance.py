@@ -86,7 +86,6 @@ def test_criterion_3_sing_m3():
             Verdict.COMPONENT: "component",
             Verdict.REDUNDANT: "redundant",
             Verdict.EXCLUDED_PSEUDOREFLECTION: "excluded",
-            Verdict.MANUAL_REVIEW: "manual-review",
         }
         for r in ss.decompose_sing(g).records:
             got[(r.locus.d, oracles.orbit_of(r.locus.counts, r.locus.d))] = names[

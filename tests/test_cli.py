@@ -89,6 +89,10 @@ class TestLocus:
         assert code == 2
         assert "error" in err
 
+    def test_counts_not_integers(self, capsys):
+        assert run(capsys, "locus", "--genus", "3", "--order", "2", "--counts", "a") == (
+            1, "", "usage error: counts must be comma-separated integers\n")
+
 
 class TestSing:
     def test_genus3_counts(self, capsys):
@@ -216,6 +220,34 @@ class TestGraphDocuments:
         out_graph = sg.graph_from_doc(doc["result"])
         assert len(out_graph.i1_vertices()) == 1
 
+    def test_enlarge_attached_needs_second_i1(self, capsys, tmp_path):
+        # The first boundary component at genus 3 has one I1 vertex, so
+        # there is no other nontrivially acted component to keep.
+        G = make_graph(2, [Vertex(0, I0, 0), Vertex(1, I1, 1, (1,))],
+                       [make_link(0, 1, 0, 1)] * 3)
+        path = self.make_doc(tmp_path, G)
+        assert run(capsys, "enlarge", "--input", path, "--vertex", "1",
+                   "--kind", "attached") == (
+            2, "", "error: need another nontrivially acted component\n")
+
+    def test_enlarge_unstable_summand(self, capsys, tmp_path):
+        # A maximal document need not be stable: the rational I0 vertex has
+        # one edge-end, and the stratum dimension refuses it.
+        G = make_graph(
+            3,
+            [Vertex(0, I0, 0), Vertex(1, I1, 1, (1, 0)), Vertex(2, I1, 0, (0, 1))],
+            [make_link(0, 1, 0, 1), make_link(1, 2, 1, 1)],
+        )
+        path = self.make_doc(tmp_path, G)
+        assert run(capsys, "enlarge", "--input", path, "--vertex", "2",
+                   "--kind", "detached") == (
+            2, "", "error: unstable summand at vertex 0: genus 0 with 1 marks\n")
+
+    def test_unreadable_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "simplify", "--input", str(tmp_path / "missing.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
 
 class TestBoundaryAndBounds:
     def test_boundary_table(self, capsys):
@@ -243,6 +275,12 @@ class TestBoundaryAndBounds:
         )
         assert code == 0
         assert "boundary" in out
+
+    def test_order_cap_note(self, capsys):
+        code, out, _ = run(capsys, "boundary", "--genus", "2", "--dmax", "11")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "note: order cap: no prime above 5 acts faithfully at genus 2; request truncated")
 
     @pytest.mark.parametrize("dmax", ["1", "-5"])
     @pytest.mark.parametrize("command", ["boundary", "sing-bar"])

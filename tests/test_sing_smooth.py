@@ -113,6 +113,20 @@ class TestClassify:
         for rec in rep.redundant():
             assert rec.container.dim_lower_bound > rec.locus.dim
 
+    def test_every_matched_shape_is_redundant(self):
+        # The closed forms of classify's docstring: every container is
+        # strictly larger, so no verdict beyond these three is needed.
+        verdicts = (Verdict.COMPONENT, Verdict.REDUNDANT, Verdict.EXCLUDED_PSEUDOREFLECTION)
+        for g in range(3, 41):
+            for rec in ss.decompose_sing(g).records:
+                assert rec.verdict in verdicts
+                if rec.verdict is Verdict.REDUNDANT:
+                    assert rec.container.dim_lower_bound > rec.locus.dim
+        # The two certified-bound containers, beyond the genera run above.
+        for g in range(3, 501):
+            assert min(3 * (h - 1) + k for h, k in br.iter_admissible_shapes(g, 2)) > 1
+            assert {3 * (h - 1) + k for h, k in br.iter_admissible_shapes(g, 3)} == {g - 1}
+
     def test_strictness_checked_under_optimisation(self):
         # python -O strips assert statements; the check of strict growth must
         # still refuse a redundant record whose container is no larger.
@@ -146,7 +160,6 @@ class TestDecompose:
         assert red["M_{3;7,[(1,1,0,1,0,0)]}"] is CaseTag.RATIONAL_ORDER_THREE
         assert len(rep.redundant()) == 4
         assert len(rep.excluded()) == 1
-        assert not rep.manual_review()
 
     @pytest.mark.parametrize("g", [3, 4, 5, 6])
     def test_matches_oracle(self, g):
@@ -156,7 +169,6 @@ class TestDecompose:
             Verdict.COMPONENT: "component",
             Verdict.REDUNDANT: "redundant",
             Verdict.EXCLUDED_PSEUDOREFLECTION: "excluded",
-            Verdict.MANUAL_REVIEW: "manual-review",
         }
         for r in rep.records:
             key = (r.locus.d, oracles.orbit_of(r.locus.counts, r.locus.d))
@@ -173,7 +185,6 @@ class TestDecompose:
                 len(rep.components())
                 + len(rep.redundant())
                 + len(rep.excluded())
-                + len(rep.manual_review())
             )
             assert total == len(rep.records)
 

@@ -31,6 +31,9 @@ class TestPseudoreflectionOnly:
         )
         assert not st.pseudoreflection_only(G)
 
+    def test_no_i1_vertex(self):
+        assert st.pseudoreflection_only(make_graph(2, [Vertex(0, I0, 2)], [])) is False
+
 
 class TestBoundaryComponents:
     def test_genus3_contains_named_graphs(self):

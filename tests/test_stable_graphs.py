@@ -637,6 +637,13 @@ class TestLabelledGraphs:
         assert n > 0
 
 
+def genus2_spine(*genera):
+    """The order-5 genus-2 I1 spine with no free branching, vertex 0, and
+    I0 tails 1, 2, ... of the given genera; the edges come separately."""
+    return [Vertex(0, I1, 2, (0, 0, 0, 0))] + [
+        Vertex(i, I0, genus) for i, genus in enumerate(genera, start=1)]
+
+
 class TestPatternDetectors:
     def test_divisor_exceptions(self):
         assert sg.divisor_exception(elliptic_tail_graph(5)) is \
@@ -723,24 +730,27 @@ class TestPatternDetectors:
         sg.check_graph(G)
         assert sg.exceptional_pattern(G) is ExceptionalPattern.NONE
 
-    @pytest.mark.parametrize("tails, edges", [
-        ((1, 1), [make_link(0, 1, 1, 0), make_link(0, 1, 1, 0), make_link(0, 2, 3, 0)]),
-        ((0, 1, 1), [make_link(0, 1, 3, 0), make_link(0, 2, 1, 0), make_link(0, 3, 1, 0)]),
-        ((0,), [make_loop(0, 1, 1), make_link(0, 1, 3, 0)]),
-        ((1,), [make_loop(0, 1, 2), make_link(0, 1, 2, 0)]),
-    ], ids=["shared-tail", "rational-tail-iib", "rational-tail-iia", "unequal-loop-pair"])
-    def test_exceptional_near_misses(self, tails, edges):
+    @pytest.mark.parametrize("vertices, edges, pre", [
+        (genus2_spine(1, 1),
+         [make_link(0, 1, 1, 0), make_link(0, 1, 1, 0), make_link(0, 2, 3, 0)], False),
+        (genus2_spine(0, 1, 1),
+         [make_link(0, 1, 3, 0), make_link(0, 2, 1, 0), make_link(0, 3, 1, 0)], False),
+        (genus2_spine(0), [make_loop(0, 1, 1), make_link(0, 1, 3, 0)], False),
+        (genus2_spine(1), [make_loop(0, 1, 2), make_link(0, 1, 2, 0)], False),
+        ([Vertex(0, I0, 2)], [], False),
+        (genus2_spine(1, 1),
+         [make_loop(0, 1, 1), make_link(0, 1, 3, 0), make_link(1, 2, 0, 0)], True),
+    ], ids=["shared-tail", "rational-tail-iib", "rational-tail-iia", "unequal-loop-pair",
+            "no-i1-vertex", "tail-on-tail"])
+    def test_exceptional_near_misses(self, vertices, edges, pre):
         # Each graph misses II-a or II-b by one condition: two swapped
-        # labels on one tail, a rational tail, or an unequal loop pair.
-        # The rational-tail graphs are unstable; the detector is defined on
-        # any graph, so they must still come out NONE.
-        G = make_graph(
-            5,
-            [Vertex(0, I1, 2, (0, 0, 0, 0))]
-            + [Vertex(i, I0, genus) for i, genus in enumerate(tails, start=1)],
-            edges,
-        )
-        sg.check_graph(G)
+        # labels on one tail, a rational tail, an unequal loop pair, no I1
+        # vertex, or a second tail hung on the II-a tail by an I0-I0 link.
+        # The rational-tail graphs are unstable and the tail-on-tail graph
+        # is a pre graph; the detector is defined on any graph, so they
+        # must still come out NONE.
+        G = make_graph(5, vertices, edges)
+        sg.check_graph(G, pre=pre)
         assert sg.exceptional_pattern(G) is ExceptionalPattern.NONE
 
 
