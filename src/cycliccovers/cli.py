@@ -68,21 +68,11 @@ def locus_from_doc(doc: dict) -> branching.SmoothLocus:
 
 
 def container_doc(c: ContainerInfo) -> dict:
-    out: dict = {
-        "order": c.q,
-        "genus": c.g,
-        "exact": c.exact,
-        "dim_lower_bound": c.dim_lower_bound,
-        "label": c.label(),
-    }
-    if c.locus is not None:
-        out.update({
-            "counts": list(c.locus.counts),
-            "quotient_genus": c.locus.h,
-            "branch_count": c.locus.k,
-            "dim": c.locus.dim,
-        })
-    return out
+    if c.locus is None:
+        out = {"genus": c.g, "order": c.q, "label": c.label()}
+    else:
+        out = {k: v for k, v in locus_doc(c.locus).items() if k != "codim"}
+    return {**out, "exact": c.exact, "dim_lower_bound": c.dim_lower_bound}
 
 
 def container_from_doc(doc: dict) -> ContainerInfo:

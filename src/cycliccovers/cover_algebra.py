@@ -68,6 +68,11 @@ class PicardModel:
     def zero(self) -> DivisorClass:
         return DivisorClass(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
+    def __contains__(self, c: DivisorClass) -> bool:
+        """c is a class of this group whose torsion coordinates are reduced."""
+        return ((c.model is self or c.model == self)
+                and all(0 <= a < t for a, t in zip(c.torsion, self.torsion)))
+
     def combination(self, terms) -> DivisorClass:
         """sum n*c over a sequence of (n, c) pairs of classes of this group."""
         if any(c.model is not self and c.model != self for _, c in terms):
@@ -188,8 +193,7 @@ class BranchAssignment:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("order must be at least 2")
-        if (self.L.model != self.model
-                or self.L != self.model.element(self.L.free, self.L.torsion)):
+        if self.L not in self.model:
             raise ValueError("L does not live in the given group")
         seen: set[str] = set()
         terms: dict[int, list] = {}
@@ -200,8 +204,7 @@ class BranchAssignment:
                 if sym in seen:
                     raise ValueError("symbol %s appears in two divisors" % clipped(sym))
                 seen.add(sym)
-                if ((cls.model is not self.model and cls.model != self.model)
-                        or cls != self.model.element(cls.free, cls.torsion)):
+                if cls not in self.model:
                     raise ValueError("class of %s lives in a different group" % clipped(sym))
                 terms.setdefault(i, []).append((1, cls))
         classes = {i: self.model.combination(ts) for i, ts in terms.items()}

@@ -7,9 +7,9 @@ with exactly one nontrivially acted component, at least one identity
 component (so every member is singular as a curve), acting trivially on
 elliptic tails when the order is 2, and avoiding the two exceptional
 shapes built from the curve w^p = x^2 - 1.  Shapes where the single
-nontrivially acted cover is too special for a genericity argument
-(quotient data (2,0), (1,2), (0,3), (0,4)) are emitted with a review
-flag instead of being silently kept or dropped.
+nontrivially acted cover is too special for a genericity argument are
+flagged instead of being silently kept or dropped: quotient data (0,3)
+as rigid_I1_cover, and (2,0), (1,2) and (0,4) as manual_review.
 """
 
 from __future__ import annotations

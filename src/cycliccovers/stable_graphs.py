@@ -30,9 +30,7 @@ must have a non-negative integer solution g'_i, and the weighted residue
 sum at the vertex must vanish mod d so that the component's own cyclic
 cover exists.  The variant of the genus relation that adds the loop
 count to g_i is inconsistent on graphs with loops (an order-3 action on
-an elliptic curve with two fixed points glued is the smallest witness),
-so `VertexCoverData` records the marked genus g_i + loops, and nothing
-validates with it.
+an elliptic curve with two fixed points glued is the smallest witness).
 """
 
 from __future__ import annotations
@@ -181,17 +179,14 @@ class VertexCoverData:
     """Branching bookkeeping of one vertex.
 
     counts includes the edge contributions; quotient_genus solves the
-    normalisation genus relation; marked_genus adds the loop count to
-    the geometric genus (recorded only); ends counts edge-ends, which
+    normalisation genus relation; ends counts edge-ends, which
     for I0 vertices is the number of marked points of the quotient
     factor and for I1 vertices is bounded by k.
     """
 
-    loops: int
     counts: tuple[int, ...]
     k: int
     quotient_genus: int
-    marked_genus: int
     ends: int
 
 
@@ -199,12 +194,8 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
     v = G.vertex(vid)
     d = G.d
     ends = _ends_at(G, vid)
-    loops = sum(1 for e in G.edges if e.u == e.v == vid)
     if v.colour == I0:
-        return VertexCoverData(
-            loops=loops, counts=(0,) * (d - 1), k=0, quotient_genus=v.genus,
-            marked_genus=v.genus + loops, ends=ends,
-        )
+        return VertexCoverData(counts=(0,) * (d - 1), k=0, quotient_genus=v.genus, ends=ends)
     counts = list(v.free or (0,) * (d - 1))
     labels = []
     for e in G.edges:
@@ -238,10 +229,7 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
             "vertex %d: genus relation has no non-negative integer quotient genus "
             "(genus %d, k %d, order %d)" % (vid, v.genus, k, d)
         )
-    return VertexCoverData(
-        loops=loops, counts=tuple(counts), k=k, quotient_genus=h,
-        marked_genus=v.genus + loops, ends=ends,
-    )
+    return VertexCoverData(counts=tuple(counts), k=k, quotient_genus=h, ends=ends)
 
 
 def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -> None:
@@ -337,16 +325,20 @@ def is_stable(G: AutoGraph) -> bool:
     return graph_genus(G) >= 2
 
 
+def _smoothable(d: int, e: Edge) -> bool:
+    return d == 2 if e.swapped else (e.mu + e.mv) % d == 0
+
+
 def smoothable_nodes(G: AutoGraph) -> tuple:
     """Edges whose node admits an equivariant smoothing."""
-    out = {e for e in G.edges if (G.d == 2 if e.swapped else (e.mu + e.mv) % G.d == 0)}
+    out = {e for e in G.edges if _smoothable(G.d, e)}
     return tuple(sorted(out, key=_edge_key))
 
 
 def smooth_node(G: AutoGraph, e) -> AutoGraph:
     """Smooth one node: a loop raises the vertex genus, a link merges
     its two vertices.  Total genus is preserved."""
-    if e not in smoothable_nodes(G):
+    if e not in G.edges or not _smoothable(G.d, e):
         raise GraphError("node is not smoothable: %r" % (e,))
     edges = list(G.edges)
     edges.remove(e)

@@ -235,6 +235,13 @@ class TestValidation:
                 build()
             assert len(str(info.value)) <= 100
 
+    def test_accepts_classes_of_an_equal_model(self):
+        # Membership compares the groups, not the objects that describe them.
+        M1, M2 = ca.PicardModel(1, (2,)), ca.PicardModel(1, (2,))
+        ba = ca.branch_assignment(2, M1, M2.element((1,), (0,)),
+                                  {1: [("D", M2.element((2,), (0,)))]})
+        assert ba.L.model is M2
+
     @pytest.mark.parametrize("free,torsion,message", [
         ((), (2,), "L does not live|class of .D. lives in a different group"),
         ((), (-1,), "L does not live|class of .D. lives in a different group"),

@@ -41,7 +41,6 @@ class TestVertexData:
         data = sg.vertex_data(G, 0)
         assert data.counts == (3, 0)
         assert data.k == 3 and data.quotient_genus == 0
-        assert data.marked_genus == 2 and data.loops == 1
 
     def test_residue_violation(self):
         G = make_graph(3, [Vertex(0, I1, 1, (0, 1))], [make_loop(0, 1, 1)])
@@ -135,6 +134,11 @@ class TestSmoothing:
         G = elliptic_tail_graph(3)
         with pytest.raises(GraphError):
             sg.smooth_node(G, G.edges[0])
+        # Smoothable by their labels, but not nodes of G.
+        G = make_graph(2, [Vertex(0, I0, 1), Vertex(1, I0, 1)], [make_link(0, 1, 0, 0)])
+        for e in (make_loop(1, 0, 0), make_link(0, 2, 0, 0)):
+            with pytest.raises(GraphError, match="node is not smoothable"):
+                sg.smooth_node(G, e)
 
 
 class TestSimplify:
