@@ -47,6 +47,8 @@ class PicardModel:
 
     free_rank: int
     torsion: tuple[int, ...] = ()
+    # Built by the first zero() call, never earlier: a document may name a vast free rank.
+    _zero: DivisorClass | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -66,7 +68,10 @@ class PicardModel:
                             tuple(map(mod, torsion, self.torsion)) + torsion[len(self.torsion):])
 
     def zero(self) -> DivisorClass:
-        return DivisorClass(self, (0,) * self.free_rank, (0,) * len(self.torsion))
+        if self._zero is None:
+            object.__setattr__(self, "_zero", DivisorClass(
+                self, (0,) * self.free_rank, (0,) * len(self.torsion)))
+        return self._zero
 
     def __contains__(self, c: DivisorClass) -> bool:
         """c is a class of this group whose torsion coordinates are reduced."""

@@ -585,7 +585,7 @@ def _decode(enc) -> AutoGraph:
 # Enumeration
 
 
-def _vertex_multisets(g: int, d: int, boundary: bool = False):
+def _vertex_multisets(g: int, d: int):
     """(colours, genera, E, opts) for every vertex multiset the search tries.
 
     Vertices enter as a sorted multiset of (colour, genus), identity
@@ -595,37 +595,34 @@ def _vertex_multisets(g: int, d: int, boundary: bool = False):
     the edge count E = g - sum + V - 1, which is then at most 3g - 3.
     Every multiset holds an I1 vertex, and opts maps each I1 vertex to
     its (quotient genus, k) pairs, of which there is at least one.
-    With boundary set, growth stops at the first I1 vertex (they come
-    last) and yields only after some I0 vertex.  At d = 2 every edge is an
-    I1-I0 link (no loops, I0-I0 or I1-I1 links), so the I1 vertex has E
-    ends and is an elliptic tail, skipped, iff E == 1 and its genus is 1.
 
     Only multisets with an edge structure are yielded.  Among two or more
     vertices each owes max(min_marks, 1) ends, and growth stops once they
-    owe more than the 2E ends there are: a further vertex lowers 2E minus
-    the debt by at least 1, so no multiset below pays it.  A multiset is
-    skipped when its I0 vertices owe more than E or than the largest k
-    summed over its I1 vertices, since every I0 end lies on an edge of its
-    own to an I1 vertex (the `spare` of `_structures`).
+    owe more than the 2E ends there are (a further vertex lowers 2E minus
+    the debt by at least 1), once an I1 vertex owes more than its largest
+    k, or at d = 2 once the first vertex is I1 (at d = 2 every edge has an
+    I0 end).  Every I0 end lies on an edge of its own to an I1 vertex, so
+    at most `links` edges have one: E with an I0 vertex, else none.  A
+    multiset is yielded when its I0 vertices owe at most `links` ends, the
+    largest k of its I1 vertices sum to at least 2E - links, and at d = 2
+    links == E.
     """
     i1_opts = {gi: prime_shapes(gi, d) for gi in range(g + 1)}
     palette = [(I0, gi) for gi in range(g + 1)]
     palette += [(I1, gi) for gi in range(g + 1) if i1_opts[gi]]
     top_k = {gi: max((k for _, k in shapes), default=0) for gi, shapes in i1_opts.items()}
 
-    def grow(combo, start, gsum, owed, i0_owed, room):
+    def grow(combo, start, gsum, owed, i0_owed, room, short):
         E = g - gsum + len(combo) - 1
-        if len(combo) > 1 and owed > 2 * E:
+        if len(combo) > 1 and (owed > 2 * E or short or d == 2 and combo[0][0] == I1):
             return
         if combo and combo[-1][0] == I1:
-            if i0_owed <= min(E, room) and (
-                    not boundary or len(combo) > 1 and (d, E, combo[-1][1]) != (2, 1, 1)):
+            links = E if combo[0][0] == I0 else 0
+            if i0_owed <= links and 2 * E - links <= room and (d > 2 or links == E):
                 colours = tuple(c for c, _ in combo)
                 genera = tuple(gi for _, gi in combo)
                 opts = {i: i1_opts[gi] for i, (c, gi) in enumerate(combo) if c == I1}
                 yield colours, genera, E, opts
-            if boundary:
-                return
         if len(combo) < 2 * g - 2:
             for p in range(start, len(palette)):
                 c, gi = palette[p]
@@ -633,9 +630,10 @@ def _vertex_multisets(g: int, d: int, boundary: bool = False):
                     owes = max(min_marks(gi), 1)
                     yield from grow(combo + [palette[p]], p, gsum + gi, owed + owes,
                                     i0_owed + (c == I0) * owes,
-                                    room + (c == I1) * top_k[gi])
+                                    room + (c == I1) * top_k[gi],
+                                    short or c == I1 and top_k[gi] < owes)
 
-    yield from grow([], 0, 0, 0, 0, 0)
+    yield from grow([], 0, 0, 0, 0, 0, False)
 
 
 def _structures(d, colours, genera, E, opts):
@@ -688,8 +686,6 @@ def _structures(d, colours, genera, E, opts):
     ]
     n = len(slots)
     last = {v: ix for ix, slot in enumerate(slots) for v in slot}
-    if any(min_ends[v] > (max_ends[v] if v in last else 0) for v in range(V)):
-        return
     # Each pair of adjacent run members is compared at the slot that
     # completes both vectors, given as slot indices; an absent slot is
     # index n, whose count stays 0.
@@ -740,7 +736,7 @@ def _structures(d, colours, genera, E, opts):
     yield from rec(0, E, sum(min_ends))
 
 
-def enumerate_graphs(g: int, d: int, boundary: bool = False) -> tuple[AutoGraph, ...]:
+def enumerate_graphs(g: int, d: int) -> tuple[AutoGraph, ...]:
     """All admissible stable maximal graphs of total genus g and order d,
     one per canonical class, in canonical-encoding order.
 
@@ -753,16 +749,14 @@ def enumerate_graphs(g: int, d: int, boundary: bool = False) -> tuple[AutoGraph,
     without an edge structure, all but one structure per orbit of equal
     vertices, and all but one label assignment per orbit of the units
     (see the three generators).  The set of encodings removes the
-    isomorphs that remain.  With boundary set, only boundary components of the singular locus
-    (see `sing_stable`): one I1 vertex, some I0 vertex and, at d = 2, no
-    elliptic tail, all read off the vertex multiset by `_vertex_multisets`.
+    isomorphs that remain.
     """
     if g < 2:
         raise ValueError("total genus must be at least 2")
     if not is_prime(d):
         raise ValueError("order must be a prime number")
     found: set[tuple] = set()
-    for colours, genera, E, opts in _vertex_multisets(g, d, boundary):
+    for colours, genera, E, opts in _vertex_multisets(g, d):
         for structure, ends in _structures(d, colours, genera, E, opts):
             for graph in _labelled_graphs(d, colours, genera, structure, opts, ends):
                 found.add(canonical_encoding(graph))

@@ -3,6 +3,7 @@ import pytest
 import oracles
 from cycliccovers import sing_stable as st
 from cycliccovers import stable_graphs as sg
+from cycliccovers.combinat import primes_upto
 from cycliccovers.stable_graphs import I0, I1, Vertex, make_graph, make_link
 
 
@@ -101,6 +102,13 @@ class TestBoundaryComponents:
                 for c in st.boundary_components(g, 7):
                     if c.d == d:
                         assert sg.canonical_encoding(c.graph) in all_encs
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_closed_form_encoding(self, g):
+        # The closed-form encoding of every star is its canonical encoding.
+        for p in primes_upto(2 * g + 1):
+            for enc in st._stars(g, p):
+                assert sg.canonical_encoding(sg._decode(enc)) == enc
 
     def test_dmax_truncation_note(self):
         comps_full, _, notes = st.boundary_survey(2, 11)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from cycliccovers import sing_stable as ss
 from cycliccovers import stable_graphs as sg
 from cycliccovers.combinat import primes_upto, units_mod
 from cycliccovers.stable_graphs import (
@@ -481,17 +482,18 @@ class TestEnumeration:
                 assert sg.graph_genus(G) == g
 
     def test_filter_applied(self):
-        # The boundary selection, made on vertex multisets, keeps exactly
-        # the classes that satisfy the per-graph definition.
+        # The star generator of the boundary survey keeps exactly the
+        # classes of the generic search that satisfy the per-graph
+        # definition, in the same order.  (6, 3) is left out: its search
+        # takes about 4 s.
         n = 0
-        for g in (2, 3):
+        for g in range(2, 7):
             for d in primes_upto(2 * g + 1):
-                want = [sg.canonical_encoding(G) for G in sg.enumerate_graphs(g, d)
-                        if is_boundary_graph(G)]
-                got = [sg.canonical_encoding(G)
-                       for G in sg.enumerate_graphs(g, d, boundary=True)]
-                assert got == want
-                n += len(got)
+                if (g, d) != (6, 3):
+                    want = [sg.canonical_encoding(G) for G in sg.enumerate_graphs(g, d)
+                            if is_boundary_graph(G)]
+                    assert ss._stars(g, d) == want
+                    n += len(want)
         assert n > 0
 
 
@@ -513,9 +515,9 @@ class TestStructureSearch:
         (g, d) for g in (2, 3, 4) for d in (2, 3, 5, 7) if d <= 2 * g + 1
     ])
     def test_matches_unpruned_search(self, g, d):
-        # The search drops only vertex multisets without a structure, and
-        # keeps at least one structure of every orbit under permutations of
-        # equal (colour, genus) vertices.
+        # The search drops exactly the vertex multisets without a structure,
+        # and keeps at least one structure of every orbit under permutations
+        # of equal (colour, genus) vertices.
         ref = {m[:3]: m for m in oracles.reference_vertex_multisets(g, d)}
         multisets = list(sg._vertex_multisets(g, d))
         assert len({m[:3] for m in multisets}) == len(multisets)
@@ -530,6 +532,7 @@ class TestStructureSearch:
                     # three ends, genus-1 vertices one
                     assert all(gi >= 2 or e >= 3 - 2 * gi for gi, e in zip(genera, ends))
                     got.append(frozenset(structure.items()))
+                assert got
             want = oracles.reference_connected_structures(d, colours, genera, E, opts)
             assert len(got) == len(set(got))
             assert set(got) <= {frozenset(s.items()) for s in want}
@@ -541,14 +544,15 @@ class TestStructureSearch:
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_boundary_multisets_match_filter(self, g):
-        # The boundary generator against the full generator filtered by the
-        # per-multiset test, at every prime order.
+        # Every star's vertex multiset is one the generic search tries and
+        # the per-multiset boundary test accepts, at every prime order.
         for p in primes_upto(2 * g + 1):
-            got = list(sg._vertex_multisets(g, p, boundary=True))
-            want = [m for m in sg._vertex_multisets(g, p)
-                    if oracles.boundary_multiset(p, *m[:3])]
-            assert len({m[:3] for m in got}) == len(got)
-            assert sorted(got, key=lambda m: m[:3]) == sorted(want, key=lambda m: m[:3])
+            searched = {m[:3] for m in sg._vertex_multisets(g, p)}
+            for enc in ss._stars(g, p):
+                G = sg._decode(enc)
+                m = (tuple(v.colour for v in G.vertices), tuple(v.genus for v in G.vertices),
+                     len(G.edges))
+                assert m in searched and oracles.boundary_multiset(p, *m)
 
     @pytest.mark.parametrize("g,d", sorted(CLASS_COUNTS))
     def test_class_counts(self, g, d):
@@ -604,12 +608,11 @@ class TestLabelledGraphs:
     def test_candidates_pass_check_graph(self, g, d):
         # The search yields admissible, stable, connected maximal graphs
         # by construction and checks none of them itself.  The boundary
-        # generator selects vertex multisets; on every candidate its choice
-        # agrees with the same selection made on the labelled graph.
-        boundary = {m[:3] for m in sg._vertex_multisets(g, d, boundary=True)}
+        # test on vertex multisets agrees with the same test made on every
+        # labelled graph.
         n, candidates, structures = 0, hashlib.sha1(), hashlib.sha1()
         for colours, genera, E, opts in sg._vertex_multisets(g, d):
-            kept = (colours, genera, E) in boundary
+            kept = oracles.boundary_multiset(d, colours, genera, E)
             for structure, ends in sg._structures(d, colours, genera, E, opts):
                 structures.update(repr((colours, genera, E, structure, ends)).encode())
                 for G in sg._labelled_graphs(d, colours, genera, structure, opts, ends):
