@@ -44,7 +44,6 @@ __all__ = [
     "ExtraAutomorphismRisk",
     "monodromy_sum_vanishes",
     "unit_translate",
-    "orbit",
     "canonical_datum",
     "quotient_genus",
     "hurwitz_genus",
@@ -104,11 +103,6 @@ def unit_translate(seq: BranchingSequence, r: int) -> BranchingSequence:
     return BranchingSequence(seq.d, unit_action(seq.d, r % seq.d)(seq.counts))
 
 
-def orbit(seq: BranchingSequence) -> tuple[tuple[int, ...], ...]:
-    """All count tuples in the unit orbit of seq, sorted."""
-    return tuple(sorted({unit_action(seq.d, r)(seq.counts) for r in units_mod(seq.d)}))
-
-
 def _canonical_key(counts: tuple[int, ...]):
     # Orbit representative: prefer populated low residues (compare the
     # zero-pattern, False where populated, first), then compare the counts.
@@ -116,8 +110,21 @@ def _canonical_key(counts: tuple[int, ...]):
 
 
 def canonical_datum(seq: BranchingSequence) -> BranchingSequence:
-    """The canonical representative of the unit orbit of seq."""
-    return BranchingSequence(seq.d, min(orbit(seq), key=_canonical_key))
+    """The canonical representative of the unit orbit of seq.
+
+    By the first residue rule (module docstring) it populates the least
+    gcd e over the support, so only the units r that move a populated
+    residue s with gcd(s, d) = e to e (r = (s/e)^-1 mod d/e) are tried,
+    one image at a time.
+    """
+    d, support = seq.d, seq.support()
+    if not support:
+        return seq
+    e = min(gcd(s, d) for s in support)
+    units = {r for s in support if gcd(s, d) == e
+             for r in range(pow(s // e, -1, d // e), d, d // e) if gcd(r, d) == 1}
+    return BranchingSequence(d, min((unit_action(d, r)(seq.counts) for r in units),
+                                    key=_canonical_key))
 
 
 def quotient_genus(g: int, seq: BranchingSequence) -> int | None:

@@ -10,7 +10,8 @@ shapes built from the curve w^p = x^2 - 1.  Shapes where the single
 nontrivially acted cover is too special for a genericity argument are
 flagged instead of being silently kept or dropped: quotient data (0,3)
 as rigid_I1_cover, and (2,0), (1,2) and (0,4) as manual_review.  Each
-such type is a star, generated directly with a closed-form encoding.
+such type is a star, generated directly with a closed-form encoding, and
+its exceptional shape and flags are decided on the star's own data.
 """
 
 from __future__ import annotations
@@ -19,24 +20,14 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement as multisets
 
 from .branching import ExtraAutomorphismRisk, maximal_cyclic_exception
-from .combinat import (min_marks, prime_shapes, primes_upto, residue_sum, unit_action,
-                       units_mod, weak_compositions)
+from .combinat import (min_marks, prime_shapes, primes_upto, quotient_genus_for, residue_sum,
+                       unit_action, units_mod, weak_compositions)
 from .sing_smooth import DecompositionReport, decompose_sing
-from .stable_graphs import (
-    I1,
-    AutoGraph,
-    ExceptionalPattern,
-    _decode,
-    exceptional_pattern,
-    is_elliptic_tail_vertex,
-    stratum_dimension,
-    vertex_data,
-)
+from .stable_graphs import I1, AutoGraph, _decode, stratum_dimension
 
 __all__ = [
     "BoundaryComponent",
     "AutBoundReport",
-    "pseudoreflection_only",
     "boundary_components",
     "boundary_survey",
     "decompose_sing_bar",
@@ -66,28 +57,6 @@ class AutBoundReport:
     hurwitz_smooth: int
     special_exceeds_hurwitz: bool
     tail_orders = (2, 4, 6)  # |Aut(E, p)| of an elliptic tail; unannotated, so no field
-
-
-def pseudoreflection_only(G: AutoGraph) -> bool:
-    """Whether the generic action of the type is generated by elliptic-tail
-    involutions, hence yields smooth moduli points: order 2 with every
-    nontrivially acted component an elliptic tail."""
-    if G.d != 2:
-        return False
-    i1 = G.i1_vertices()
-    if not i1:
-        return False
-    return all(is_elliptic_tail_vertex(G, v.vid) for v in i1)
-
-
-def _flags_for(G: AutoGraph, jvid: int) -> tuple[str, ...]:
-    data = vertex_data(G, jvid)
-    shape = (data.quotient_genus, data.k)
-    if shape == (0, 3):
-        return (RIGID_FLAG,)
-    if maximal_cyclic_exception(*shape) is not ExtraAutomorphismRisk.NONE:
-        return (REVIEW_FLAG,)
-    return ()
 
 
 def _tails(budget: int, room: int, p: int):
@@ -169,9 +138,40 @@ def _stars(g: int, p: int) -> list:
     return sorted(found)
 
 
+def _verdict(enc) -> tuple[tuple[int, int], str | None, tuple[str, ...]]:
+    """The centre's shape (h, k), the excluded exceptional shape (None,
+    "II-a" or "II-b") and the flags of a star, read off its `_stars`
+    encoding: tails (0, t, ()) first, the centre (1, gj, free) last, links
+    (0, i, c, 0, m) with m the label at the centre, loops (1, c, a, b, 0).
+
+    Both excluded shapes come from the order-2p curve w^p = x^2 - 1: a
+    rational quotient with three branch points, all at nodes to tails of
+    positive genus.  II-a glues the swapped pair as a loop (a, a), and the
+    residue sum puts -2a on the link.  II-b hangs the three points on three
+    tails, the two at a repeated label carrying isomorphic pointed curves,
+    detected here as equal genus.  At p = 3 all three labels are equal;
+    p = 2 admits no k = 3, whose residue sum would be odd.
+    """
+    p, vparts, eparts = enc
+    *tails, (_, gj, free) = vparts
+    k = sum(free) + sum(1 + e[0] for e in eparts)  # a loop has both ends at the centre
+    shape = (quotient_genus_for(gj, p, k * (p - 1)), k)
+    risky = maximal_cyclic_exception(*shape) is not ExtraAutomorphismRisk.NONE
+    flags = (RIGID_FLAG,) if shape == (0, 3) else (REVIEW_FLAG,) if risky else ()
+    excluded = None
+    if shape == (0, 3) and not any(free) and min(t for _, t, _ in tails) >= 1:
+        loop, _, a, b, _ = eparts[-1]  # a loop sorts after the links
+        if loop:  # the three ends are a loop and one link, or three links
+            excluded = "II-a" if a == b else None
+        elif len(tails) == 3 and len({(vparts[i][1], m) for _, i, _, _, m in eparts}) < 3:
+            excluded = "II-b"
+    return shape, excluded, flags
+
+
 def boundary_survey(g: int, d_max: int):
     """(components, warnings, notes) of the boundary enumeration, whose
-    graphs `_stars` generates directly, in canonical-encoding order."""
+    graphs `_stars` generates directly, in canonical-encoding order, and
+    whose exceptional shapes and flags `_verdict` reads off each star."""
     if g < 2 or d_max < 2:
         raise ValueError("need g >= 2 and d_max >= 2")
     notes: list[str] = []
@@ -188,17 +188,14 @@ def boundary_survey(g: int, d_max: int):
     for p in primes_upto(d_max):
         for enc in _stars(g, p):
             G = _decode(enc)
-            patt = exceptional_pattern(G)
-            if patt is not ExceptionalPattern.NONE:
+            _, excluded, flags = _verdict(enc)
+            if excluded:
                 warnings.append(
-                    "excluded exceptional shape %s at order %d: %s"
-                    % (patt.value, p, _summary(G))
-                )
+                    "excluded exceptional shape %s at order %d: %s" % (excluded, p, _summary(G)))
                 continue
             dim = stratum_dimension(G)
             components.append(BoundaryComponent(
-                graph=G, d=p, dim=dim, codim=3 * g - 3 - dim,
-                flags=_flags_for(G, G.i1_vertices()[0].vid)))
+                graph=G, d=p, dim=dim, codim=3 * g - 3 - dim, flags=flags))
             encodings.append(enc)
     # The order leads the encoding, so the components arrive sorted.
     if encodings != sorted(set(encodings)):

@@ -52,7 +52,6 @@ __all__ = [
     "GraphError",
     "VertexCoverData",
     "DivisorException",
-    "ExceptionalPattern",
     "make_link",
     "make_loop",
     "make_graph",
@@ -72,7 +71,6 @@ __all__ = [
     "canonical_form",
     "enumerate_graphs",
     "divisor_exception",
-    "exceptional_pattern",
     "is_elliptic_tail_vertex",
     "graph_to_doc",
     "graph_from_doc",
@@ -749,10 +747,13 @@ def enumerate_graphs(g: int, d: int) -> tuple[AutoGraph, ...]:
     without an edge structure, all but one structure per orbit of equal
     vertices, and all but one label assignment per orbit of the units
     (see the three generators).  The set of encodings removes the
-    isomorphs that remain.
+    isomorphs that remain.  Above 2g + 1 it returns () at once: its only
+    I1 shapes, genus 0 with k = 2 and 1 with k = 0, fit no stable graph.
     """
     if g < 2:
         raise ValueError("total genus must be at least 2")
+    if d > 2 * g + 1:
+        return ()
     if not is_prime(d):
         raise ValueError("order must be a prime number")
     found: set[tuple] = set()
@@ -869,58 +870,9 @@ def divisor_exception(G: AutoGraph) -> DivisorException:
     return DivisorException.NONE
 
 
-class ExceptionalPattern(Enum):
-    NONE = "none"
-    IIA = "II-a"
-    IIB = "II-b"
-
-
 def is_elliptic_tail_vertex(G: AutoGraph, vid: int) -> bool:
     # One edge-end, so no loop: a loop has two.
     return G.vertex(vid).genus == 1 and _ends_at(G, vid) == 1
-
-
-def exceptional_pattern(G: AutoGraph) -> ExceptionalPattern:
-    """Boundary configurations built from the order-2p curve w^p = x^2 - 1.
-
-    Both have one nontrivially acted component with rational quotient,
-    three branch points all at nodes, and label multiset a unit multiple
-    of {p-2, 1, 1}.  The first keeps the swapped pair glued as a loop
-    and hangs one positive-genus tail; the second hangs three tails,
-    the two at the repeated labels carrying isomorphic pointed curves,
-    detected here as equal genus.
-    """
-    p = G.d
-    if p == 2:
-        return ExceptionalPattern.NONE
-    i1 = G.i1_vertices()
-    if len(i1) != 1:
-        return ExceptionalPattern.NONE
-    j = i1[0]
-    data = vertex_data(G, j.vid)
-    if any(j.free or ()):
-        return ExceptionalPattern.NONE
-    if data.quotient_genus != 0 or data.k != 3:
-        return ExceptionalPattern.NONE
-    loops = [e for e in G.edges if e.u == e.v == j.vid]
-    links = [e for e in G.edges if e.u != e.v]
-    if (len(loops), len(links)) not in ((1, 1), (0, 3)):
-        return ExceptionalPattern.NONE
-    # A swapped loop adds no branch point: k = 3 leaves no loop swapped, every link at j.
-    tails = [(e.mu, G.vertex(e.v)) if e.u == j.vid else (e.mv, G.vertex(e.u))
-             for e in links]
-    if any(t.colour != I0 or t.genus < 1 for _, t in tails):
-        return ExceptionalPattern.NONE
-    if loops:  # the residue sum at j forces the third label to -2 * loop.mu
-        loop = loops[0]
-        return ExceptionalPattern.IIA if loop.mu == loop.mv else ExceptionalPattern.NONE
-    # The swapped pair hangs on two separate components; a shared tail is a
-    # different shape and stays in the enumeration.  Two tails share label
-    # and genus.  At p = 3 all three labels are equal (a + b + c = 0 with
-    # each in {1, 2}); above 3 they never are: 3a = 0 has no unit solution.
-    if len({t.vid for _, t in tails}) == 3 and len({(m, t.genus) for m, t in tails}) < 3:
-        return ExceptionalPattern.IIB
-    return ExceptionalPattern.NONE
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,21 @@ class TestLocus:
         assert code == 2
         assert "error" in err
 
+    def test_large_prime_order(self, capsys):
+        # The canonical datum tries only the images that populate residue 1,
+        # never the whole orbit of 19,996 tuples of 19,996 counts.
+        counts = ",".join(["2"] + ["0"] * 19994 + ["2"])
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "locus", "--genus", "19996", "--order", "19997",
+                                 "--counts", counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert out.endswith(",2)]} h=0 k=4 dim=1 codim=59984\n")
+        assert peak < 10**7
+
     def test_counts_not_integers(self, capsys):
         assert run(capsys, "locus", "--genus", "3", "--order", "2", "--counts", "a") == (
             1, "", "usage error: counts must be comma-separated integers\n")
@@ -202,6 +217,16 @@ class TestGraphDocuments:
         assert code == 2 and out == ""
         assert err == "error: order %d exceeds the graph document limit of %d\n" % (
             order, sg.MAX_DOC_ORDER)
+
+    @pytest.mark.parametrize("order", [6, 1000000000000000003])
+    def test_graphs_above_2g_plus_1_unsearched(self, capsys, monkeypatch, order):
+        # No graph exists above 2g + 1, so the order is never trial-divided.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("primality tested above 2g + 1")
+
+        monkeypatch.setattr(sg, "is_prime", forbidden)
+        code, out, err = run(capsys, "graphs", "--genus", "2", "--order", str(order))
+        assert (code, out, err) == (0, "total: 0\n", "")
 
     def test_enlarge(self, capsys, tmp_path):
         G = make_graph(

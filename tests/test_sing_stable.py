@@ -7,35 +7,6 @@ from cycliccovers.combinat import primes_upto
 from cycliccovers.stable_graphs import I0, I1, Vertex, make_graph, make_link
 
 
-class TestPseudoreflectionOnly:
-    def test_single_tail(self):
-        G = make_graph(
-            2,
-            [Vertex(0, I0, 2), Vertex(1, I1, 1, (3,))],
-            [make_link(0, 1, 0, 1)],
-        )
-        assert st.pseudoreflection_only(G)
-
-    def test_bigger_vertex(self):
-        G = make_graph(
-            2,
-            [Vertex(0, I0, 1), Vertex(1, I1, 2, (5,))],
-            [make_link(0, 1, 0, 1)],
-        )
-        assert not st.pseudoreflection_only(G)
-
-    def test_odd_order(self):
-        G = make_graph(
-            3,
-            [Vertex(0, I0, 2), Vertex(1, I1, 1, (0, 1))],
-            [make_link(0, 1, 0, 2)],
-        )
-        assert not st.pseudoreflection_only(G)
-
-    def test_no_i1_vertex(self):
-        assert st.pseudoreflection_only(make_graph(2, [Vertex(0, I0, 2)], [])) is False
-
-
 class TestBoundaryComponents:
     def test_genus3_contains_named_graphs(self):
         comps = st.boundary_components(3, 7)
@@ -84,7 +55,7 @@ class TestBoundaryComponents:
                 sg.check_graph(G, require_stable=True)
                 assert len(G.i1_vertices()) == 1
                 assert [v for v in G.vertices if v.colour == I0]
-                assert sg.exceptional_pattern(G) is sg.ExceptionalPattern.NONE
+                assert st._verdict(sg.canonical_encoding(G))[1] is None
                 assert sg.graph_genus(G) == g
                 assert c.dim == sg.stratum_dimension(G)
                 assert c.codim == 3 * g - 3 - c.dim
@@ -109,6 +80,30 @@ class TestBoundaryComponents:
         for p in primes_upto(2 * g + 1):
             for enc in st._stars(g, p):
                 assert sg.canonical_encoding(sg._decode(enc)) == enc
+
+    @pytest.mark.parametrize("g, n_excluded", [(2, 0), (3, 1), (4, 3), (5, 5), (6, 7), (7, 9),
+                                               (8, 13)])
+    def test_verdict_matches_oracle(self, g, n_excluded):
+        # On every star before the exceptional filter, the verdict read off
+        # the encoding agrees with the oracle's, and its shape with the
+        # genus relation at the decoded centre.
+        n = 0
+        for p in primes_upto(2 * g + 1):
+            for enc in st._stars(g, p):
+                G = sg._decode(enc)
+                (h, k), excluded, _ = st._verdict(enc)
+                centre = G.i1_vertices()[0]
+                data = sg.vertex_data(G, centre.vid)
+                assert (h, k) == (data.quotient_genus, data.k)
+                # A link's label at the tail is 0, so mu + mv is its label at the centre.
+                tails = [(v.genus, tuple(sorted(e.mu + e.mv for e in G.edges
+                                                if v.vid in (e.u, e.v))))
+                         for v in G.vertices if v.colour == I0]
+                loops = [(e.mu, e.mv) for e in G.edges if e.u == e.v]
+                assert (excluded is not None) == oracles._is_exceptional(
+                    p, centre.genus, h, k, loops, tails, centre.free)
+                n += excluded is not None
+        assert n == n_excluded
 
     def test_dmax_truncation_note(self):
         comps_full, _, notes = st.boundary_survey(2, 11)

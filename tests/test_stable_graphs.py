@@ -13,7 +13,6 @@ from cycliccovers.stable_graphs import (
     I0,
     I1,
     DivisorException,
-    ExceptionalPattern,
     GraphError,
     Vertex,
     make_graph,
@@ -481,6 +480,17 @@ class TestEnumeration:
                 sg.check_graph(G, require_stable=True)
                 assert sg.graph_genus(G) == g
 
+    @pytest.mark.parametrize("g", range(2, 6))
+    def test_empty_above_2g_plus_1(self, g):
+        # The search itself finds nothing at the first two primes above
+        # 2g + 1, where enumerate_graphs answers () unsearched.
+        for d in [p for p in primes_upto(4 * g + 6) if p > 2 * g + 1][:2]:
+            assert sg.enumerate_graphs(g, d) == ()
+            assert not [G for colours, genera, E, opts in sg._vertex_multisets(g, d)
+                        for structure, ends in sg._structures(d, colours, genera, E, opts)
+                        for G in sg._labelled_graphs(d, colours, genera, structure, opts,
+                                                     ends)]
+
     def test_filter_applied(self):
         # The star generator of the boundary survey keeps exactly the
         # classes of the generic search that satisfy the per-graph
@@ -644,6 +654,12 @@ class TestLabelledGraphs:
         assert n > 0
 
 
+def excluded(G):
+    """The boundary survey's exceptional verdict on a star graph, read off
+    its canonical encoding: "II-a", "II-b" or None."""
+    return ss._verdict(sg.canonical_encoding(G))[1]
+
+
 def genus2_spine(*genera):
     """The order-5 genus-2 I1 spine with no free branching, vertex 0, and
     I0 tails 1, 2, ... of the given genera; the edges come separately."""
@@ -683,7 +699,7 @@ class TestPatternDetectors:
             [make_loop(0, 1, 1), make_link(0, 1, 3, 0)],
         )
         sg.check_graph(G, require_stable=True)
-        assert sg.exceptional_pattern(G) is ExceptionalPattern.IIA
+        assert excluded(G) == "II-a"
 
     def test_exceptional_iib(self):
         def triple(genera):
@@ -698,16 +714,16 @@ class TestPatternDetectors:
                 ],
             )
 
-        assert sg.exceptional_pattern(triple((1, 1, 1))) is ExceptionalPattern.IIB
-        assert sg.exceptional_pattern(triple((1, 2, 2))) is ExceptionalPattern.IIB
-        assert sg.exceptional_pattern(triple((1, 1, 2))) is ExceptionalPattern.NONE
+        assert excluded(triple((1, 1, 1))) == "II-b"
+        assert excluded(triple((1, 2, 2))) == "II-b"
+        assert excluded(triple((1, 1, 2))) is None
         # Equal genera at different labels are not the swapped pair.
-        assert sg.exceptional_pattern(triple((2, 1, 2))) is ExceptionalPattern.NONE
+        assert excluded(triple((2, 1, 2))) is None
 
     @pytest.mark.parametrize("genera, pattern", [
-        ((1, 1, 2), ExceptionalPattern.IIB),
-        ((2, 1, 1), ExceptionalPattern.IIB),
-        ((1, 2, 3), ExceptionalPattern.NONE),
+        ((1, 1, 2), "II-b"),
+        ((2, 1, 1), "II-b"),
+        ((1, 2, 3), None),
     ])
     def test_exceptional_iib_order3(self, genera, pattern):
         # At order 3 the three labels are all 1 (or all 2): any two tails
@@ -718,7 +734,7 @@ class TestPatternDetectors:
             [make_link(0, i, 1, 0) for i in (1, 2, 3)],
         )
         sg.check_graph(G, require_stable=True)
-        assert sg.exceptional_pattern(G) is pattern
+        assert excluded(G) == pattern
 
     def test_exceptional_order3(self):
         G = make_graph(
@@ -726,7 +742,7 @@ class TestPatternDetectors:
             [Vertex(0, I1, 1, (0, 0)), Vertex(1, I0, 1)],
             [make_loop(0, 1, 1), make_link(0, 1, 1, 0)],
         )
-        assert sg.exceptional_pattern(G) is ExceptionalPattern.IIA
+        assert excluded(G) == "II-a"
 
     def test_free_points_block_exceptional(self):
         G = make_graph(
@@ -735,30 +751,24 @@ class TestPatternDetectors:
             [make_loop(0, 1, 1), make_link(0, 1, 3, 0)],
         )
         sg.check_graph(G)
-        assert sg.exceptional_pattern(G) is ExceptionalPattern.NONE
+        assert excluded(G) is None
 
-    @pytest.mark.parametrize("vertices, edges, pre", [
+    @pytest.mark.parametrize("vertices, edges", [
         (genus2_spine(1, 1),
-         [make_link(0, 1, 1, 0), make_link(0, 1, 1, 0), make_link(0, 2, 3, 0)], False),
+         [make_link(0, 1, 1, 0), make_link(0, 1, 1, 0), make_link(0, 2, 3, 0)]),
         (genus2_spine(0, 1, 1),
-         [make_link(0, 1, 3, 0), make_link(0, 2, 1, 0), make_link(0, 3, 1, 0)], False),
-        (genus2_spine(0), [make_loop(0, 1, 1), make_link(0, 1, 3, 0)], False),
-        (genus2_spine(1), [make_loop(0, 1, 2), make_link(0, 1, 2, 0)], False),
-        ([Vertex(0, I0, 2)], [], False),
-        (genus2_spine(1, 1),
-         [make_loop(0, 1, 1), make_link(0, 1, 3, 0), make_link(1, 2, 0, 0)], True),
-    ], ids=["shared-tail", "rational-tail-iib", "rational-tail-iia", "unequal-loop-pair",
-            "no-i1-vertex", "tail-on-tail"])
-    def test_exceptional_near_misses(self, vertices, edges, pre):
-        # Each graph misses II-a or II-b by one condition: two swapped
-        # labels on one tail, a rational tail, an unequal loop pair, no I1
-        # vertex, or a second tail hung on the II-a tail by an I0-I0 link.
-        # The rational-tail graphs are unstable and the tail-on-tail graph
-        # is a pre graph; the detector is defined on any graph, so they
-        # must still come out NONE.
+         [make_link(0, 1, 3, 0), make_link(0, 2, 1, 0), make_link(0, 3, 1, 0)]),
+        (genus2_spine(0), [make_loop(0, 1, 1), make_link(0, 1, 3, 0)]),
+        (genus2_spine(1), [make_loop(0, 1, 2), make_link(0, 1, 2, 0)]),
+    ], ids=["shared-tail", "rational-tail-iib", "rational-tail-iia", "unequal-loop-pair"])
+    def test_exceptional_near_misses(self, vertices, edges):
+        # Each star misses II-a or II-b by one condition: two swapped
+        # labels on one tail, a rational tail or an unequal loop pair.  The
+        # rational-tail stars are unstable; the verdict reads the encoding
+        # alone, so they must still come out None.
         G = make_graph(5, vertices, edges)
-        sg.check_graph(G, pre=pre)
-        assert sg.exceptional_pattern(G) is ExceptionalPattern.NONE
+        sg.check_graph(G)
+        assert excluded(G) is None
 
 
 class TestDocumentFormat:
