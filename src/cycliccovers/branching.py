@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from math import gcd
-from operator import not_
+from operator import mul, not_
 
 from .combinat import (branch_weights, branching_term, genus_relation, is_prime,
                        prime_shapes, quotient_genus_for, residue_sum, unit_action,
@@ -43,10 +44,8 @@ __all__ = [
     "SmoothLocus",
     "ExtraAutomorphismRisk",
     "monodromy_sum_vanishes",
-    "unit_translate",
     "canonical_datum",
     "quotient_genus",
-    "hurwitz_genus",
     "etale_part_order",
     "admissible_quotient_genus",
     "is_admissible",
@@ -96,13 +95,6 @@ def monodromy_sum_vanishes(seq: BranchingSequence) -> bool:
     return residue_sum(seq.counts) % seq.d == 0
 
 
-def unit_translate(seq: BranchingSequence, r: int) -> BranchingSequence:
-    """Multiply every monodromy residue by the unit r mod d."""
-    if gcd(r, seq.d) != 1:
-        raise ValueError("%d is not a unit mod %d" % (r, seq.d))
-    return BranchingSequence(seq.d, unit_action(seq.d, r % seq.d)(seq.counts))
-
-
 def _canonical_key(counts: tuple[int, ...]):
     # Orbit representative: prefer populated low residues (compare the
     # zero-pattern, False where populated, first), then compare the counts.
@@ -135,12 +127,6 @@ def quotient_genus(g: int, seq: BranchingSequence) -> int | None:
     if g < 2:
         raise ValueError("covering genus must be at least 2")
     return quotient_genus_for(g, seq.d, branching_term(seq.counts))
-
-
-def hurwitz_genus(h: int, seq: BranchingSequence) -> int | None:
-    """Covering genus from quotient genus and branching, or None if fractional."""
-    twice, odd = divmod(2 * seq.d * (h - 1) + branching_term(seq.counts), 2)
-    return None if odd else twice + 1
 
 
 def etale_part_order(seq: BranchingSequence) -> int:
@@ -232,6 +218,13 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingSequence, int],
     Z/d; then the branch-count bound (each point adds at least d - d/2 >= 1
     to B, so k <= B at h = 0), the residue sum and the quotient genus are
     checked again.
+
+    The key compares zero patterns first and counts second.  A unit
+    permutes the zero pattern as it permutes the counts, so the leaf's
+    pattern is built once and each image's pattern is one call of the
+    unit's map on it; the image's counts are built only when its pattern
+    ties the leaf's.  The pair compared is the image's key, so the verdict
+    is the key order's.
     """
     if g < 2 or d < 2:
         raise ValueError("need g >= 2 and d >= 2")
@@ -243,27 +236,27 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingSequence, int],
     buf = [0] * (d - 1)
     out: list[tuple[tuple[int, ...], int]] = []
 
-    def leaf(h, e):
-        # No residue below e is populated in any image, so an image that
-        # leaves e empty has a larger key.
+    def leaf(h):
         nonlocal actions
         if actions is None:
             actions = [unit_action(d, r) for r in units_mod(d)[1:]]
         counts = tuple(buf)
-        key = _canonical_key(counts)
-        if any(image[e - 1] and _canonical_key(image) < key
-               for image in (act(counts) for act in actions)):
-            return
-        if h == 0 and gcd(d, *(i for i, c in enumerate(counts, 1) if c)) != 1:
+        pattern = tuple(map(not_, counts))
+        for act in actions:
+            image = act(pattern)
+            if image < pattern or image == pattern and act(counts) < counts:
+                return
+        if h == 0 and gcd(d, *compress(range(1, d), counts)) != 1:
             return
         if sum(counts) > terms[0]:
             raise AssertionError("branch count bound violated")
-        if residue_sum(counts) % d or quotient_genus_for(g, d, branching_term(counts)) != h:
+        if (residue_sum(counts) % d
+                or quotient_genus_for(g, d, sum(map(mul, weights, counts))) != h):
             raise AssertionError("inconsistent quotient genus")
         out.append((counts, h))
 
     if terms[-1] == 0:
-        leaf(len(terms) - 1, 1)  # unramified
+        leaf(len(terms) - 1)  # unramified
     for e in sorted({d - w for w in weights}):  # d - weights[r - 1] = gcd(r, d)
         residues = [r for r in range(e, d) if d - weights[r - 1] >= e]
         unit = gcd(*(weights[r - 1] for r in residues))  # weights below count in units
@@ -296,7 +289,7 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingSequence, int],
             # Residues before position j are placed; weight t and residue
             # sum s remain, and the next point goes at a position in [j, end).
             if t == 0:
-                return leaf(h, e)
+                return leaf(h)
             for i in range(j, end):
                 if not reach[i][t] >> s & 1:
                     break

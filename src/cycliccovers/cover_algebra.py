@@ -28,10 +28,8 @@ from .combinat import clipped
 __all__ = [
     "PicardModel",
     "DivisorClass",
-    "RootDatum",
     "BranchAssignment",
     "IrreducibilityResult",
-    "normalize_root",
     "carry",
     "multiplication_exponents",
     "branch_assignment",
@@ -125,45 +123,6 @@ class DivisorClass:
         for a, t in zip(self.torsion, self.model.torsion):
             o = lcm(o, t // gcd(a, t))
         return o
-
-
-@dataclass(frozen=True)
-class RootDatum:
-    """A d-th root datum: prime-divisor symbols with integer exponents.
-
-    Positive exponents are numerator primes, negative exponents
-    denominator primes; exponents divisible by d contribute nothing.
-    """
-
-    d: int
-    factors: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("order must be at least 2")
-        seen = set()
-        for sym, e in self.factors:
-            if sym in seen:
-                raise ValueError("repeated prime symbol %s" % clipped(sym))
-            seen.add(sym)
-            if e == 0:
-                raise ValueError("exponents must be nonzero")
-
-
-def normalize_root(rd: RootDatum) -> dict[int, tuple[str, ...]]:
-    """Group root-datum symbols by exponent residue mod d.
-
-    A symbol with exponent e lands at residue e mod d (dropped when the
-    residue is 0); the set at residue i is the branch divisor carrying
-    local monodromy i.
-    """
-    grouped: dict[int, list[str]] = {}
-    for sym, e in rd.factors:
-        r = e % rd.d
-        if r == 0:
-            continue
-        grouped.setdefault(r, []).append(sym)
-    return {r: tuple(sorted(syms)) for r, syms in sorted(grouped.items())}
 
 
 def carry(d: int, a: int, b: int) -> int:

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from operator import not_
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,16 @@ from hypothesis import given, strategies as st
 import oracles
 from cycliccovers import branching as br
 from cycliccovers.branching import BranchingSequence, ExtraAutomorphismRisk
-from cycliccovers.combinat import primes_upto
+from cycliccovers.combinat import (branching_term, genus_relation, primes_upto,
+                                   unit_action, units_mod)
+
+
+ORDER_AND_COUNTS = st.integers(min_value=2, max_value=12).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.integers(min_value=0, max_value=4), min_size=d - 1, max_size=d - 1),
+    )
+)
 
 
 def seq(d, *counts):
@@ -89,18 +99,7 @@ class TestCanonicalDatum:
         assert br.canonical_datum(seq(2, 6)).counts == (6,)
         assert br.canonical_datum(seq(3, 4, 1)).counts == (1, 4)
 
-    @given(
-        st.integers(min_value=2, max_value=12).flatmap(
-            lambda d: st.tuples(
-                st.just(d),
-                st.lists(
-                    st.integers(min_value=0, max_value=4),
-                    min_size=d - 1,
-                    max_size=d - 1,
-                ),
-            )
-        )
-    )
+    @given(ORDER_AND_COUNTS)
     def test_idempotent_and_orbit_constant(self, dc):
         d, counts = dc
         s = BranchingSequence(d, tuple(counts))
@@ -108,7 +107,18 @@ class TestCanonicalDatum:
         assert br.canonical_datum(can) == can
         for r in range(1, d):
             if gcd(r, d) == 1:
-                assert br.canonical_datum(br.unit_translate(s, r)) == can
+                image = BranchingSequence(d, unit_action(d, r)(s.counts))
+                assert br.canonical_datum(image) == can
+
+    @given(ORDER_AND_COUNTS)
+    def test_unit_moves_zero_pattern_with_counts(self, dc):
+        # enumerate_admissible compares an image's key as this pair.
+        d, counts = dc
+        counts = tuple(counts)
+        pattern = tuple(map(not_, counts))
+        for r in units_mod(d):
+            act = unit_action(d, r)
+            assert (act(pattern), act(counts)) == br._canonical_key(act(counts))
 
     def test_canonical_in_orbit(self):
         s = seq(7, 0, 1, 1, 0, 1, 0)
@@ -160,7 +170,8 @@ class TestEnumeration:
         for g in range(2, 11):
             assert br.enumerate_admissible(g, d) == oracles.seen_set_admissible(g, d)
 
-    @pytest.mark.parametrize("g,d", [(27, 19), (27, 53), (28, 16), (30, 42), (24, 60)])
+    @pytest.mark.parametrize(
+        "g,d", [(27, 19), (27, 53), (28, 16), (30, 42), (24, 60), (40, 12), (44, 15)])
     def test_matches_seen_set_path_large(self, g, d):
         assert br.enumerate_admissible(g, d) == oracles.seen_set_admissible(g, d)
 
@@ -175,7 +186,7 @@ class TestEnumeration:
         for g in range(2, 7):
             for d in range(2, 8):
                 for datum, h in br.enumerate_admissible(g, d):
-                    assert br.hurwitz_genus(h, datum) == g
+                    assert genus_relation(g, d)[h] == branching_term(datum.counts)
 
     def test_shapes_match_enumeration(self):
         for g in range(2, 9):

@@ -38,38 +38,6 @@ class TestPicardModel:
         assert 3 * a == M.element((3, 6), (0,))
 
 
-class TestNormalizeRoot:
-    def test_grouping(self):
-        rd = ca.RootDatum(4, (("s1", 5), ("s2", 2), ("t", -3)))
-        # -3 is 1 mod 4, so t joins s1 at residue 1
-        assert ca.normalize_root(rd) == {1: ("s1", "t"), 2: ("s2",)}
-
-    def test_drops_multiples(self):
-        assert ca.normalize_root(ca.RootDatum(3, (("s", 6),))) == {}
-
-    def test_negative_exponent(self):
-        rd = ca.RootDatum(2, (("s", 1), ("t", -1)))
-        assert ca.normalize_root(rd) == {1: ("s", "t")}
-
-    def test_never_residue_zero_and_disjoint(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            d = rng.randrange(2, 13)
-            n = rng.randrange(1, 6)
-            factors = tuple(
-                ("s%d" % i, rng.choice([e for e in range(-3 * d, 3 * d + 1) if e]))
-                for i in range(n)
-            )
-            grouped = ca.normalize_root(ca.RootDatum(d, factors))
-            assert 0 not in grouped
-            seen = [s for syms in grouped.values() for s in syms]
-            assert len(seen) == len(set(seen))
-            for r, syms in grouped.items():
-                for s in syms:
-                    e = dict(factors)[s]
-                    assert e % d == r
-
-
 class TestCarry:
     def test_examples(self):
         assert ca.carry(4, 3, 2) == 1
@@ -225,7 +193,6 @@ class TestValidation:
         other = ca.PicardModel(free_rank=2).zero()
         sym = "S" * 5000
         for build, message in (
-            (lambda: ca.RootDatum(3, ((sym, 1), (sym, 2))), "repeated prime symbol"),
             (lambda: ca.branch_assignment(2, M, z, {1: [(sym, z), (sym, z)]}),
              "appears in two divisors"),
             (lambda: ca.branch_assignment(2, M, z, {1: [(sym, other)]}),
