@@ -120,8 +120,7 @@ def boundary_doc(c: BoundaryComponent) -> dict:
 
 def boundary_from_doc(doc: dict) -> BoundaryComponent:
     return BoundaryComponent(
-        graph=stable_graphs.graph_from_doc(doc["graph"]),
-        d=doc["order"],
+        star=stable_graphs.canonical_encoding(stable_graphs.graph_from_doc(doc["graph"])),
         dim=doc["dim"],
         codim=doc["codim"],
         flags=tuple(doc["flags"]),

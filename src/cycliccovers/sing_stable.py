@@ -10,8 +10,9 @@ shapes built from the curve w^p = x^2 - 1.  Shapes where the single
 nontrivially acted cover is too special for a genericity argument are
 flagged instead of being silently kept or dropped: quotient data (0,3)
 as rigid_I1_cover, and (2,0), (1,2) and (0,4) as manual_review.  Each
-such type is a star, generated directly with a closed-form encoding, and
-its exceptional shape and flags are decided on the star's own data.
+such type is a star, generated directly with a closed-form encoding.  A
+component is its star: its dimension, exceptional shape and flags are
+read off the star's data, and its graph is decoded only to print it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .branching import ExtraAutomorphismRisk, maximal_cyclic_exception
 from .combinat import (min_marks, prime_shapes, primes_upto, quotient_genus_for, residue_sum,
                        unit_action, units_mod, weak_compositions)
 from .sing_smooth import DecompositionReport, decompose_sing
-from .stable_graphs import I1, AutoGraph, _decode, stratum_dimension
+from .stable_graphs import AutoGraph, _decode
 
 __all__ = [
     "BoundaryComponent",
@@ -40,11 +41,18 @@ REVIEW_FLAG = "manual_review"
 
 @dataclass(frozen=True)
 class BoundaryComponent:
-    graph: AutoGraph
-    d: int
+    star: tuple
     dim: int
     codim: int
     flags: tuple[str, ...] = ()
+
+    @property
+    def d(self) -> int:
+        return self.star[0]
+
+    @property
+    def graph(self) -> AutoGraph:
+        return _decode(self.star)
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,9 @@ def _stars(g: int, p: int) -> list:
     return sorted(found)
 
 
-def _verdict(enc) -> tuple[tuple[int, int], str | None, tuple[str, ...]]:
-    """The centre's shape (h, k), the excluded exceptional shape (None,
+def _verdict(enc) -> tuple[tuple[int, int], int, str | None, tuple[str, ...]]:
+    """The centre's shape (h, k), the dimension (`stratum_dimension`'s sum
+    of 3g - 3 + n over the factors), the excluded exceptional shape (None,
     "II-a" or "II-b") and the flags of a star, read off its `_stars`
     encoding: tails (0, t, ()) first, the centre (1, gj, free) last, links
     (0, i, c, 0, m) with m the label at the centre, loops (1, c, a, b, 0).
@@ -158,6 +167,8 @@ def _verdict(enc) -> tuple[tuple[int, int], str | None, tuple[str, ...]]:
     shape = (quotient_genus_for(gj, p, k * (p - 1)), k)
     risky = maximal_cyclic_exception(*shape) is not ExtraAutomorphismRisk.NONE
     flags = (RIGID_FLAG,) if shape == (0, 3) else (REVIEW_FLAG,) if risky else ()
+    links = sum(1 - e[0] for e in eparts)  # a tail is marked at its links
+    dim = 3 * shape[0] - 3 + k + sum(3 * t - 3 for _, t, _ in tails) + links
     excluded = None
     if shape == (0, 3) and not any(free) and min(t for _, t, _ in tails) >= 1:
         loop, _, a, b, _ = eparts[-1]  # a loop sorts after the links
@@ -165,13 +176,13 @@ def _verdict(enc) -> tuple[tuple[int, int], str | None, tuple[str, ...]]:
             excluded = "II-a" if a == b else None
         elif len(tails) == 3 and len({(vparts[i][1], m) for _, i, _, _, m in eparts}) < 3:
             excluded = "II-b"
-    return shape, excluded, flags
+    return shape, dim, excluded, flags
 
 
 def boundary_survey(g: int, d_max: int):
-    """(components, warnings, notes) of the boundary enumeration, whose
-    graphs `_stars` generates directly, in canonical-encoding order, and
-    whose exceptional shapes and flags `_verdict` reads off each star."""
+    """(components, warnings, notes) of the boundary enumeration: the
+    stars `_stars` generates, in canonical-encoding order, with the dim,
+    exceptional shape and flags `_verdict` reads off each."""
     if g < 2 or d_max < 2:
         raise ValueError("need g >= 2 and d_max >= 2")
     notes: list[str] = []
@@ -183,22 +194,18 @@ def boundary_survey(g: int, d_max: int):
         )
         d_max = cap
     components: list[BoundaryComponent] = []
-    encodings = []
     warnings: list[str] = []
     for p in primes_upto(d_max):
         for enc in _stars(g, p):
-            G = _decode(enc)
-            _, excluded, flags = _verdict(enc)
+            _, dim, excluded, flags = _verdict(enc)
             if excluded:
                 warnings.append(
-                    "excluded exceptional shape %s at order %d: %s" % (excluded, p, _summary(G)))
+                    "excluded exceptional shape %s at order %d: %s" % (excluded, p, _summary(enc)))
                 continue
-            dim = stratum_dimension(G)
             components.append(BoundaryComponent(
-                graph=G, d=p, dim=dim, codim=3 * g - 3 - dim, flags=flags))
-            encodings.append(enc)
+                star=enc, dim=dim, codim=3 * g - 3 - dim, flags=flags))
     # The order leads the encoding, so the components arrive sorted.
-    if encodings != sorted(set(encodings)):
+    if [c.star for c in components] != sorted({c.star for c in components}):
         raise AssertionError("boundary components are not distinct and sorted")
     return components, warnings, notes
 
@@ -217,7 +224,7 @@ def decompose_sing_bar(g: int, d_max: int) -> DecompositionReport:
     comps, warnings, notes = boundary_survey(g, d_max)
     flagged = tuple(
         "%s boundary component flagged %s: %s"
-        % ("order-%d" % c.d, ",".join(c.flags), _summary(c.graph))
+        % ("order-%d" % c.d, ",".join(c.flags), _summary(c.star))
         for c in comps
         if c.flags
     )
@@ -252,11 +259,8 @@ def aut_bounds(g: int) -> AutBoundReport:
     )
 
 
-def _summary(G: AutoGraph) -> str:
-    parts = []
-    for v in G.vertices:
-        if v.colour == I1:
-            parts.append("I1(g=%d,free=%s)" % (v.genus, list(v.free or ())))
-        else:
-            parts.append("I0(g=%d)" % v.genus)
-    return "d=%d %s edges=%d" % (G.d, "+".join(parts), len(G.edges))
+def _summary(enc) -> str:
+    p, vparts, eparts = enc
+    parts = ["I1(g=%d,free=%s)" % (genus, list(free)) if coloured else "I0(g=%d)" % genus
+             for coloured, genus, free in vparts]
+    return "d=%d %s edges=%d" % (p, "+".join(parts), len(eparts))

@@ -66,7 +66,6 @@ __all__ = [
     "enlarge_attached",
     "enlarge_max",
     "stratum_dimension",
-    "unit_transform",
     "canonical_encoding",
     "canonical_form",
     "enumerate_graphs",
@@ -473,18 +472,6 @@ def stratum_dimension(G: AutoGraph) -> int:
             )
         total += 3 * pair[0] - 3 + pair[1]
     return total
-
-
-def unit_transform(G: AutoGraph, r: int) -> AutoGraph:
-    """Multiply every label and free-branching index by a unit r mod d."""
-    d = G.d
-    r = r % d
-    if r not in units_mod(d):
-        raise ValueError("%d is not a unit mod %d" % (r, d))
-    act = unit_action(d, r)
-    vertices = [v if v.colour == I0 else replace(v, free=act(v.free)) for v in G.vertices]
-    edges = [_edge(e.u, e.v, (r * e.mu) % d, (r * e.mv) % d, e.swapped) for e in G.edges]
-    return make_graph(d, vertices, edges)
 
 
 def _twin_groups(G: AutoGraph) -> dict[tuple, list]:

@@ -12,9 +12,8 @@ for the boundary enumeration.  What the oracles take from the package:
   `is_prime`, `primes_upto`, `quotient_genus_for`, `residue_sum`,
   `unit_action`, `units_mod` and `weak_compositions`;
 - `stable_graphs`: the graph containers and constructors (`I0`, `I1`,
-  `AutoGraph`, `Vertex`, `make_graph`, `make_link`, `make_loop`),
-  `unit_transform`, and `canonical_encoding`, so that set comparisons
-  are possible.
+  `AutoGraph`, `Vertex`, `make_graph`, `make_link`, `make_loop`) and
+  `canonical_encoding`, so that set comparisons are possible.
 """
 
 import itertools
@@ -41,7 +40,6 @@ from cycliccovers.stable_graphs import (
     make_graph,
     make_link,
     make_loop,
-    unit_transform,
 )
 
 
@@ -1036,6 +1034,19 @@ def _encode(G: AutoGraph, order: list[int]):
         else:
             eparts.append((1, pos[e.v], e.mu, e.mv, int(e.swapped)))
     return (G.d, vparts, tuple(sorted(eparts)))
+
+
+def unit_transform(G: AutoGraph, r: int) -> AutoGraph:
+    """Multiply every label and free-branching index by a unit r mod d."""
+    d = G.d
+    r = r % d
+    if r not in units_mod(d):
+        raise ValueError("%d is not a unit mod %d" % (r, d))
+    act = unit_action(d, r)
+    vertices = [v if v.colour == I0 else replace(v, free=act(v.free)) for v in G.vertices]
+    edges = [make_link(e.u, e.v, r * e.mu % d, r * e.mv % d) if e.u != e.v
+             else make_loop(e.v, r * e.mu % d, r * e.mv % d, e.swapped) for e in G.edges]
+    return make_graph(d, vertices, edges)
 
 
 def _best_presentation(G: AutoGraph):

@@ -1,6 +1,6 @@
 from math import gcd
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import weighted_compositions
@@ -13,6 +13,9 @@ def check_against_reference(total, weights):
     assert set(got) == set(oracles.reference_weighted_compositions(total, weights))
 
 
+# The reference takes about 0.5 s at the largest draw (total 24 over six
+# weights of 1, 118,755 tuples), past Hypothesis's default 200 ms deadline.
+@settings(deadline=3000)
 @given(
     st.integers(min_value=0, max_value=24),
     st.lists(st.integers(min_value=1, max_value=7), max_size=6),

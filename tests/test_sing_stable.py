@@ -55,7 +55,7 @@ class TestBoundaryComponents:
                 sg.check_graph(G, require_stable=True)
                 assert len(G.i1_vertices()) == 1
                 assert [v for v in G.vertices if v.colour == I0]
-                assert st._verdict(sg.canonical_encoding(G))[1] is None
+                assert st._verdict(sg.canonical_encoding(G))[2] is None
                 assert sg.graph_genus(G) == g
                 assert c.dim == sg.stratum_dimension(G)
                 assert c.codim == 3 * g - 3 - c.dim
@@ -85,16 +85,17 @@ class TestBoundaryComponents:
                                                (8, 13)])
     def test_verdict_matches_oracle(self, g, n_excluded):
         # On every star before the exceptional filter, the verdict read off
-        # the encoding agrees with the oracle's, and its shape with the
-        # genus relation at the decoded centre.
+        # the encoding agrees with the oracle's, its shape with the genus
+        # relation at the decoded centre, and its dimension with the graph's.
         n = 0
         for p in primes_upto(2 * g + 1):
             for enc in st._stars(g, p):
                 G = sg._decode(enc)
-                (h, k), excluded, _ = st._verdict(enc)
+                (h, k), dim, excluded, _ = st._verdict(enc)
                 centre = G.i1_vertices()[0]
                 data = sg.vertex_data(G, centre.vid)
                 assert (h, k) == (data.quotient_genus, data.k)
+                assert dim == sg.stratum_dimension(G)
                 # A link's label at the tail is 0, so mu + mv is its label at the centre.
                 tails = [(v.genus, tuple(sorted(e.mu + e.mv for e in G.edges
                                                 if v.vid in (e.u, e.v))))
@@ -104,6 +105,17 @@ class TestBoundaryComponents:
                     p, centre.genus, h, k, loops, tails, centre.free)
                 n += excluded is not None
         assert n == n_excluded
+
+    def test_survey_builds_no_graph(self, monkeypatch):
+        # A component is its star; only printing one decodes its graph.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(sg, "make_graph", forbidden)
+        comps, warnings, _ = st.boundary_survey(8, 17)
+        assert comps and warnings
+        rep = st.decompose_sing_bar(6, 13)
+        assert rep.boundary and any("flagged" in w for w in rep.warnings)
 
     def test_dmax_truncation_note(self):
         comps_full, _, notes = st.boundary_survey(2, 11)
