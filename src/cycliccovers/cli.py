@@ -342,16 +342,11 @@ def _load_json(path: str) -> dict:
 def cmd_simplify(args) -> int:
     doc = _load_json(args.input)
     G = stable_graphs.graph_from_doc(doc)
-    trace = []
-    cur = G
-    for edge, cur in stable_graphs._smoothing_steps(G, require_stable=True):
-        if edge.u != edge.v:
-            trace.append("smooth link %d-%d labels (%d,%d)"
-                         % (edge.u, edge.v, edge.mu, edge.mv))
-        else:
-            trace.append("smooth loop at %d pair {%d,%d}%s"
-                         % (edge.u, edge.mu, edge.mv, " swapped" if edge.swapped else ""))
-    out = stable_graphs.canonical_form(cur)
+    steps, out = stable_graphs._smoothing_steps(G, require_stable=True)
+    trace = ["smooth link %d-%d labels (%d,%d)" % (e.u, e.v, e.mu, e.mv) if e.u != e.v
+             else "smooth loop at %d pair {%d,%d}%s"
+             % (e.u, e.mu, e.mv, " swapped" if e.swapped else "") for e in steps]
+    out = stable_graphs.canonical_form(out)
     if args.format == "doc":
         _emit_doc({"result": stable_graphs.graph_to_doc(out), "trace": trace})
     else:

@@ -98,12 +98,18 @@ def min_marks(genus: int) -> int:
 
 def connects(n: int, pairs) -> bool:
     """Whether the vertex pairs (i, j) join vertices 0..n-1 into one piece."""
-    comp = list(range(n))
+    # Union-find; each root search points what it passes at its grandparent.
+    parent = list(range(n))
+    pieces = n
     for i, j in pairs:
-        a, b = comp[i], comp[j]
-        if a != b:
-            comp = [a if c == b else c for c in comp]
-    return n > 0 and len(set(comp)) == 1
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[i] = j
+            pieces -= 1
+    return pieces == 1
 
 
 def weak_compositions(total: int, parts: int):

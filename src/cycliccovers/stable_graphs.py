@@ -38,6 +38,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .combinat import (clipped, connects, is_prime, min_marks, prime_shapes,
                        quotient_genus_for, residue_sum, unit_action, units_mod,
@@ -60,7 +62,6 @@ __all__ = [
     "graph_genus",
     "is_stable",
     "smoothable_nodes",
-    "smooth_node",
     "simplify",
     "enlarge_detached",
     "enlarge_attached",
@@ -111,11 +112,25 @@ class AutoGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...] = ()
 
+    @cached_property
+    def _index(self) -> dict[int, tuple[Vertex, list]]:
+        # vid -> (its vertex, the (label, edge) pair of each edge-end at
+        # it in edge order, a loop giving two), built once per graph.
+        index = {v.vid: (v, []) for v in self.vertices}
+        for e in self.edges:
+            for end, label in ((e.u, e.mu), (e.v, e.mv)):
+                if end in index:
+                    index[end][1].append((label, e))
+        return index
+
     def vertex(self, vid: int) -> Vertex:
-        for v in self.vertices:
-            if v.vid == vid:
-                return v
-        raise GraphError("no vertex with id %d" % vid)
+        if vid not in self._index:
+            raise GraphError("no vertex with id %d" % vid)
+        return self._index[vid][0]
+
+    def ends(self, vid: int) -> list[tuple[int, Edge]]:
+        """The (label, edge) pair of each edge-end at vertex vid, in edge order."""
+        return self._index[vid][1]
 
     def colour(self, vid: int) -> str:
         return self.vertex(vid).colour
@@ -162,15 +177,6 @@ def make_graph(d: int, vertices, edges=()) -> AutoGraph:
     return AutoGraph(d=d, vertices=tuple(vs), edges=tuple(es))
 
 
-def _ends_at(G: AutoGraph, vid: int) -> int:
-    return sum((e.u == vid) + (e.v == vid) for e in G.edges)
-
-
-def _neighbours(G: AutoGraph, vid: int) -> set[int]:
-    # The other ends of the edges at vid; vid itself when it has a loop.
-    return {e.v if e.u == vid else e.u for e in G.edges if vid in (e.u, e.v)}
-
-
 @dataclass(frozen=True)
 class VertexCoverData:
     """Branching bookkeeping of one vertex.
@@ -190,24 +196,16 @@ class VertexCoverData:
 def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
     v = G.vertex(vid)
     d = G.d
-    ends = _ends_at(G, vid)
+    ends = G.ends(vid)
     if v.colour == I0:
-        return VertexCoverData(counts=(0,) * (d - 1), k=0, quotient_genus=v.genus, ends=ends)
+        return VertexCoverData((0,) * (d - 1), k=0, quotient_genus=v.genus, ends=len(ends))
     counts = list(v.free or (0,) * (d - 1))
-    labels = []
-    for e in G.edges:
-        if e.swapped:
-            # A swapped loop's two preimages form one orbit and are not
-            # fixed points, so it contributes nothing here.
-            continue
-        for end, label in ((e.u, e.mu), (e.v, e.mv)):
-            if end == vid:
-                if label == 0:
-                    raise GraphError(
-                        "vertex %d: zero label on a branch of a nontrivially "
-                        "acted component" % vid
-                    )
-                labels.append(label)
+    # A swapped loop's two preimages form one orbit and are not fixed
+    # points, so it contributes nothing here.
+    labels = [label for label, e in ends if not e.swapped]
+    if 0 in labels:
+        raise GraphError("vertex %d: zero label on a branch of a nontrivially "
+                         "acted component" % vid)
     for label in labels:
         if not 0 < label < d:
             raise GraphError("vertex %d: branch label %d outside 1..%d" % (vid, label, d - 1))
@@ -226,7 +224,7 @@ def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
             "vertex %d: genus relation has no non-negative integer quotient genus "
             "(genus %d, k %d, order %d)" % (vid, v.genus, k, d)
         )
-    return VertexCoverData(counts=tuple(counts), k=k, quotient_genus=h, ends=ends)
+    return VertexCoverData(counts=tuple(counts), k=k, quotient_genus=h, ends=len(ends))
 
 
 def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -> None:
@@ -241,8 +239,7 @@ def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -
         raise GraphError("order must be a prime number")
     if not G.vertices:
         raise GraphError("graph has no vertices")
-    vids = [v.vid for v in G.vertices]
-    if len(set(vids)) != len(vids):
+    if len(G._index) != len(G.vertices):
         raise GraphError("duplicate vertex ids")
     for v in G.vertices:
         if v.colour not in (I0, I1):
@@ -258,10 +255,9 @@ def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -
         elif v.free is not None:
             raise GraphError("vertex %d: identity components carry no branching"
                              % v.vid)
-    vidset = set(vids)
     for e in G.edges:
         if e.u != e.v:
-            if e.u not in vidset or e.v not in vidset:
+            if e.u not in G._index or e.v not in G._index:
                 raise GraphError("link references a missing vertex")
             cu, cv = G.colour(e.u), G.colour(e.v)
             for end, c, m in ((e.u, cu, e.mu), (e.v, cv, e.mv)):
@@ -278,7 +274,7 @@ def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -
                 raise GraphError("maximal graphs admit no link with labels "
                                  "summing to 0 mod %d" % d)
         else:
-            if e.v not in vidset:
+            if e.v not in G._index:
                 raise GraphError("loop references a missing vertex")
             c = G.colour(e.v)
             if e.swapped:
@@ -300,8 +296,8 @@ def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -
                 if (e.mu + e.mv) % d == 0 and not pre:
                     raise GraphError("maximal graphs admit no loop with labels "
                                      "summing to 0 mod %d" % d)
-    index = {vid: i for i, vid in enumerate(vids)}
-    if not connects(len(vids), [(index[e.u], index[e.v]) for e in G.edges]):
+    index = {vid: i for i, vid in enumerate(G._index)}
+    if not connects(len(index), [(index[e.u], index[e.v]) for e in G.edges]):
         raise GraphError("graph is not connected")
     for v in G.vertices:
         vertex_data(G, v.vid)
@@ -317,7 +313,7 @@ def graph_genus(G: AutoGraph) -> int:
 
 def is_stable(G: AutoGraph) -> bool:
     """Genus-0 components need 3 nodes, genus-1 components 1; total genus >= 2."""
-    if any(_ends_at(G, v.vid) < min_marks(v.genus) for v in G.vertices):
+    if any(len(G.ends(v.vid)) < min_marks(v.genus) for v in G.vertices):
         return False
     return graph_genus(G) >= 2
 
@@ -332,42 +328,6 @@ def smoothable_nodes(G: AutoGraph) -> tuple:
     return tuple(sorted(out, key=_edge_key))
 
 
-def smooth_node(G: AutoGraph, e) -> AutoGraph:
-    """Smooth one node: a loop raises the vertex genus, a link merges
-    its two vertices.  Total genus is preserved."""
-    if e not in G.edges or not _smoothable(G.d, e):
-        raise GraphError("node is not smoothable: %r" % (e,))
-    edges = list(G.edges)
-    edges.remove(e)
-    if e.u == e.v:
-        v = G.vertex(e.v)
-        free = v.free
-        if e.swapped:
-            # Smoothing a swapped node creates two fixed points of the
-            # involution on the new component (d = 2 forced here).
-            flist = list(free or (0,) * (G.d - 1))
-            flist[0] += 2
-            free = tuple(flist)
-        new_v = replace(v, genus=v.genus + 1, free=free)
-        vertices = [new_v if w.vid == v.vid else w for w in G.vertices]
-        return make_graph(G.d, vertices, edges)
-    u, v = G.vertex(e.u), G.vertex(e.v)
-    if u.colour != v.colour:
-        raise AssertionError("smoothable links join same-coloured vertices")
-    w_id = min(u.vid, v.vid)
-    if u.colour == I1:
-        free = tuple(a + b for a, b in zip(u.free, v.free))
-    else:
-        free = None
-    merged = Vertex(vid=w_id, colour=u.colour, genus=u.genus + v.genus, free=free)
-    old = {u.vid, v.vid}
-    # A parallel link between the two becomes a loop on the merged vertex.
-    new_edges = [_edge(w_id if f.u in old else f.u, w_id if f.v in old else f.v,
-                       f.mu, f.mv, f.swapped) for f in edges]
-    vertices = [w for w in G.vertices if w.vid not in old] + [merged]
-    return make_graph(G.d, vertices, new_edges)
-
-
 def simplify(G: AutoGraph) -> AutoGraph:
     """Rewrite to the maximal type by smoothing until nothing is smoothable.
 
@@ -375,24 +335,63 @@ def simplify(G: AutoGraph) -> AutoGraph:
     used so the function is deterministic.  Raises when a branch-swapping
     loop survives at odd order, since no such pair exists.
     """
-    out = G
-    for _, out in _smoothing_steps(G):
-        pass
-    return out
+    return _smoothing_steps(G)[1]
 
 
 def _smoothing_steps(G: AutoGraph, require_stable: bool = False):
-    """The steps of `simplify`: yields (smoothed edge, resulting graph),
-    after validating the input as a pre graph and before validating the
-    final graph as maximal."""
+    """The steps of `simplify`: (the smoothed nodes in order, the maximal
+    graph), validating the input as a pre graph and the result as maximal.
+
+    No step changes a label, so the nodes smoothed are G's smoothable
+    nodes, each the least one left in `_edge_key` order.  So the links go
+    first: each piece they join merges into its least vertex s, nearest
+    (far end w, label at s's side, label at w) first, and a link whose far
+    end is merged already has become a loop.  Then the loops, renamed to
+    their piece's vertex: each adds 1 to its genus, and a swapped one two
+    fixed points of residue 1.
+    """
     check_graph(G, pre=True, require_stable=require_stable)
-    while True:
-        sm = smoothable_nodes(G)
-        if not sm:
-            break
-        G = smooth_node(G, sm[0])
-        yield sm[0], G
-    check_graph(G, pre=False)
+    d = G.d
+    links = {v.vid: [] for v in G.vertices}  # (far end, label here, label there, index)
+    loops = [e for e in G.edges if e.u == e.v and _smoothable(d, e)]
+    for ix, e in enumerate(G.edges):
+        if e.u != e.v and _smoothable(d, e):
+            links[e.u].append((e.v, e.mu, e.mv, ix))
+            links[e.v].append((e.u, e.mv, e.mu, ix))
+    root, steps = {}, []
+    for s in sorted(links):
+        if root.setdefault(s, s) != s:
+            continue
+        # Each link enters the heap once, from the end merged first.
+        heapify(heap := links[s])
+        while heap:
+            w, a, b, _ = heappop(heap)
+            if root.get(w) == s:
+                loops.append(_edge(s, s, a, b))
+                continue
+            root[w] = s
+            steps.append(Edge(s, w, a, b))
+            for item in links[w]:
+                if root.get(item[0]) != s:
+                    heappush(heap, item)
+    loops = sorted((_edge(root[e.u], root[e.u], e.mu, e.mv, e.swapped) for e in loops),
+                   key=_edge_key)
+    genus, free = {}, {}
+    for v in G.vertices:
+        r = root[v.vid]
+        genus[r] = genus.get(r, 0) + v.genus
+        if v.colour == I1:
+            free[r] = [x + y for x, y in zip(free.get(r, (0,) * (d - 1)), v.free)]
+    for e in loops:
+        genus[e.u] += 1
+        if e.swapped:
+            free[e.u][0] += 2
+    vertices = [Vertex(r, G.colour(r), genus[r], tuple(free[r]) if r in free else None)
+                for r in genus]
+    out = make_graph(d, vertices, [_edge(root[e.u], root[e.v], e.mu, e.mv, e.swapped)
+                                   for e in G.edges if not _smoothable(d, e)])
+    check_graph(out, pre=False)
+    return steps + loops, out
 
 
 def _trivialise(G: AutoGraph, vids: set[int]) -> AutoGraph:
@@ -408,10 +407,12 @@ def _trivialise(G: AutoGraph, vids: set[int]) -> AutoGraph:
     return make_graph(G.d, vertices, edges)
 
 
-def _enlargeable(G: AutoGraph, j: int) -> None:
+def _enlargeable(G: AutoGraph, j: int) -> bool:
+    # Validates G and j; returns whether j meets an identity component.
     check_graph(G, pre=False)
     if G.colour(j) != I1:
         raise GraphError("vertex %d is not an I1 component" % j)
+    return any(G.colour(e.v if e.u == j else e.u) == I0 for _, e in G.ends(j))
 
 
 def _enlarged(G: AutoGraph, vids: set[int]) -> AutoGraph:
@@ -425,8 +426,7 @@ def _enlarged(G: AutoGraph, vids: set[int]) -> AutoGraph:
 
 def enlarge_detached(G: AutoGraph, j: int) -> AutoGraph:
     """Trivialise the action on an I1 component meeting no I0 component."""
-    _enlargeable(G, j)
-    if any(G.colour(nb) == I0 for nb in _neighbours(G, j)):
+    if _enlargeable(G, j):
         raise GraphError("vertex %d meets an identity component" % j)
     return _enlarged(G, {j})
 
@@ -434,8 +434,7 @@ def enlarge_detached(G: AutoGraph, j: int) -> AutoGraph:
 def enlarge_attached(G: AutoGraph, j: int) -> AutoGraph:
     """Trivialise the action on an I1 component meeting some I0 component,
     merging it with the adjacent identity components."""
-    _enlargeable(G, j)
-    if not any(G.colour(nb) == I0 for nb in _neighbours(G, j)):
+    if not _enlargeable(G, j):
         raise GraphError("vertex %d meets no identity component" % j)
     if len(G.i1_vertices()) < 2:
         raise GraphError("need another nontrivially acted component")
@@ -859,7 +858,7 @@ def divisor_exception(G: AutoGraph) -> DivisorException:
 
 def is_elliptic_tail_vertex(G: AutoGraph, vid: int) -> bool:
     # One edge-end, so no loop: a loop has two.
-    return G.vertex(vid).genus == 1 and _ends_at(G, vid) == 1
+    return G.vertex(vid).genus == 1 and len(G.ends(vid)) == 1
 
 
 # ---------------------------------------------------------------------------

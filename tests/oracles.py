@@ -12,8 +12,10 @@ for the boundary enumeration.  What the oracles take from the package:
   `is_prime`, `primes_upto`, `quotient_genus_for`, `residue_sum`,
   `unit_action`, `units_mod` and `weak_compositions`;
 - `stable_graphs`: the graph containers and constructors (`I0`, `I1`,
-  `AutoGraph`, `Vertex`, `make_graph`, `make_link`, `make_loop`) and
-  `canonical_encoding`, so that set comparisons are possible.
+  `AutoGraph`, `Vertex`, `make_graph`, `make_link`, `make_loop`),
+  `canonical_encoding`, so that set comparisons are possible, and
+  `GraphError`, `check_graph` and `smoothable_nodes`, which the one-step
+  smoothing reference shares with `simplify`.
 """
 
 import itertools
@@ -35,11 +37,14 @@ from cycliccovers.stable_graphs import (
     I0,
     I1,
     AutoGraph,
+    GraphError,
     Vertex,
     canonical_encoding,
+    check_graph,
     make_graph,
     make_link,
     make_loop,
+    smoothable_nodes,
 )
 
 
@@ -575,8 +580,6 @@ def _i1_pairs(d, genus):
 
 def pregraph_box(d, max_v=5, max_e=6, genus_values=(2, 3, 4)):
     """Every valid stable pre graph in the box, one per canonical class."""
-    from cycliccovers.stable_graphs import GraphError, check_graph
-
     maxg = max(genus_values)
     palette = [(I0, gi) for gi in range(maxg + 1)] + [
         (I1, gi) for gi in range(maxg + 1)
@@ -777,10 +780,63 @@ def _assemble_pregraphs(d, colours, genera, slots, counts, opts):
             yield make_graph(d, vertices, edges)
 
 
+def smooth_node(G: AutoGraph, e) -> AutoGraph:
+    """Smooth one node: a loop raises the vertex genus, a link merges
+    its two vertices.  Total genus is preserved."""
+    if e not in smoothable_nodes(G):
+        raise GraphError("node is not smoothable: %r" % (e,))
+    edges = list(G.edges)
+    edges.remove(e)
+    if e.u == e.v:
+        v = G.vertex(e.v)
+        free = v.free
+        if e.swapped:
+            # Smoothing a swapped node creates two fixed points of the
+            # involution on the new component (d = 2 forced here).
+            flist = list(free or (0,) * (G.d - 1))
+            flist[0] += 2
+            free = tuple(flist)
+        new_v = replace(v, genus=v.genus + 1, free=free)
+        vertices = [new_v if w.vid == v.vid else w for w in G.vertices]
+        return make_graph(G.d, vertices, edges)
+    u, v = G.vertex(e.u), G.vertex(e.v)
+    if u.colour != v.colour:
+        raise AssertionError("smoothable links join same-coloured vertices")
+    w_id = min(u.vid, v.vid)
+    if u.colour == I1:
+        free = tuple(a + b for a, b in zip(u.free, v.free))
+    else:
+        free = None
+    merged = Vertex(vid=w_id, colour=u.colour, genus=u.genus + v.genus, free=free)
+    old = {u.vid, v.vid}
+    # A parallel link between the two becomes a loop on the merged vertex.
+    new_edges = []
+    for f in edges:
+        a, b = (w_id if x in old else x for x in (f.u, f.v))
+        new_edges.append(make_loop(a, f.mu, f.mv, f.swapped) if a == b
+                         else make_link(a, b, f.mu, f.mv))
+    vertices = [w for w in G.vertices if w.vid not in old] + [merged]
+    return make_graph(G.d, vertices, new_edges)
+
+
+def reference_smoothing_steps(G: AutoGraph, require_stable: bool = False):
+    """The one-step smoothing loop: smooth `smoothable_nodes(G)[0]` until
+    none is left.  Returns (the smoothed nodes in order, the maximal graph),
+    validating the input as a pre graph and the result as maximal."""
+    check_graph(G, pre=True, require_stable=require_stable)
+    steps = []
+    while True:
+        sm = smoothable_nodes(G)
+        if not sm:
+            break
+        steps.append(sm[0])
+        G = smooth_node(G, sm[0])
+    check_graph(G, pre=False)
+    return steps, G
+
+
 def all_normal_forms(G, memo=None):
     """Canonical encodings reachable by every maximal smoothing order."""
-    from cycliccovers.stable_graphs import smooth_node, smoothable_nodes
-
     if memo is None:
         memo = {}
     if G in memo:

@@ -1,10 +1,11 @@
+import itertools
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import weighted_compositions
-from cycliccovers.combinat import min_marks
+from cycliccovers.combinat import connects, min_marks
 
 
 def check_against_reference(total, weights):
@@ -42,3 +43,20 @@ def test_min_marks_is_the_stability_threshold():
     # A genus-g curve with n marked points is stable iff 2g - 2 + n > 0.
     for genus in range(10):
         assert min_marks(genus) == min(n for n in range(4) if 2 * genus - 2 + n > 0)
+
+
+def test_connects_matches_reachability():
+    # Every multiset of up to four ordered pairs on up to four vertices,
+    # loops and repeats included, against growing the piece of vertex 0.
+    for n in range(5):
+        for size in range(5):
+            for pairs in itertools.combinations_with_replacement(
+                    itertools.product(range(n), repeat=2), size):
+                reached = set(range(min(n, 1)))
+                while True:
+                    grown = reached | {j for i, j in pairs if i in reached} \
+                        | {i for i, j in pairs if j in reached}
+                    if grown == reached:
+                        break
+                    reached = grown
+                assert connects(n, pairs) == (n > 0 and len(reached) == n)

@@ -109,7 +109,7 @@ class TestSmoothing:
             [Vertex(0, I0, 1), Vertex(1, I0, 1), Vertex(2, I1, 1, (3,))],
             [make_link(0, 1, 0, 0), make_link(1, 2, 0, 1)],
         )
-        out = sg.smooth_node(P, make_link(0, 1, 0, 0))
+        out = oracles.smooth_node(P, make_link(0, 1, 0, 0))
         assert len(out.vertices) == 2
         merged = out.vertex(0)
         assert merged.colour == I0 and merged.genus == 2
@@ -118,14 +118,14 @@ class TestSmoothing:
     def test_loop_smoothing(self):
         Q = make_graph(5, [Vertex(0, I1, 5, None)], [make_loop(0, 2, 3)])
         sg.check_graph(Q, pre=True)
-        out = sg.smooth_node(Q, make_loop(0, 2, 3))
+        out = oracles.smooth_node(Q, make_loop(0, 2, 3))
         assert out.vertex(0).genus == 6 and not out.edges
         sg.check_graph(out)
         assert sg.graph_genus(out) == sg.graph_genus(Q)
 
     def test_swapped_loop_creates_fixed_points(self):
         R = make_graph(2, [Vertex(0, I1, 1, (4,))], [make_loop(0, 1, 1, swapped=True)])
-        out = sg.smooth_node(R, make_loop(0, 1, 1, swapped=True))
+        out = oracles.smooth_node(R, make_loop(0, 1, 1, swapped=True))
         assert out.vertex(0).genus == 2
         assert out.vertex(0).free == (6,)
         sg.check_graph(out)
@@ -133,12 +133,44 @@ class TestSmoothing:
     def test_non_smoothable_rejected(self):
         G = elliptic_tail_graph(3)
         with pytest.raises(GraphError):
-            sg.smooth_node(G, G.edges[0])
+            oracles.smooth_node(G, G.edges[0])
         # Smoothable by their labels, but not nodes of G.
         G = make_graph(2, [Vertex(0, I0, 1), Vertex(1, I0, 1)], [make_link(0, 1, 0, 0)])
         for e in (make_loop(1, 0, 0), make_link(0, 2, 0, 0)):
             with pytest.raises(GraphError, match="node is not smoothable"):
-                sg.smooth_node(G, e)
+                oracles.smooth_node(G, e)
+
+
+def smoothing_outcome(steps_of, G, require_stable):
+    # (the smoothed nodes, the maximal graph), or the GraphError message.
+    try:
+        return steps_of(G, require_stable)
+    except GraphError as exc:
+        return str(exc)
+
+
+# Pre graphs beside the box, by order, with their traces (None: the pass
+# fails): a swapped loop; a path that merges 5 into 0 before 1, nearest id
+# first from the piece's least vertex; two identical links, the second a
+# loop once the first has merged.
+SMOOTHING_CASES = {
+    2: [
+        (make_graph(2, [Vertex(0, I1, 1, (4,))], [make_loop(0, 1, 1, swapped=True)]),
+         [make_loop(0, 1, 1, swapped=True)]),
+        (make_graph(2, [Vertex(v, I0, 1) for v in (0, 1, 5)],
+                    [make_link(0, 5, 0, 0), make_link(5, 1, 0, 0)]),
+         [make_link(0, 5, 0, 0), make_link(0, 1, 0, 0)]),
+        (make_graph(2, [Vertex(0, I0, 1), Vertex(1, I0, 1)], [make_link(0, 1, 0, 0)] * 2),
+         [make_link(0, 1, 0, 0), make_loop(0, 0, 0)]),
+    ],
+    3: [
+        (make_graph(3, [Vertex(0, I1, 1, (3, 0))], [make_loop(0, 1, 1, swapped=True)]),
+         None),
+        (make_graph(3, [Vertex(0, I1, 1, (1, 0)), Vertex(1, I1, 1, (0, 1))],
+                    [make_link(0, 1, 1, 2)] * 2),
+         [make_link(0, 1, 1, 2), make_loop(0, 1, 2)]),
+    ],
+}
 
 
 class TestSimplify:
@@ -172,6 +204,34 @@ class TestSimplify:
         sg.check_graph(P, pre=True)
         with pytest.raises(GraphError):
             sg.simplify(P)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_stepwise_reference(self, d):
+        # The trace is stdout: the one pass must smooth in the order of the
+        # one-step loop.
+        for G, trace in SMOOTHING_CASES[d]:
+            got = smoothing_outcome(sg._smoothing_steps, G, False)
+            if trace is None:
+                assert got == "maximal graphs admit no branch-swapping loop"
+            else:
+                assert got[0] == trace
+        box = oracles.pregraph_box(d, max_v=5, max_e=6, genus_values=(2, 3, 4))
+        for G in [G for G, _ in SMOOTHING_CASES[d]] + box:
+            for require_stable in (False, True):
+                assert (smoothing_outcome(sg._smoothing_steps, G, require_stable)
+                        == smoothing_outcome(oracles.reference_smoothing_steps, G,
+                                             require_stable))
+
+    def test_simplify_builds_one_graph(self, monkeypatch):
+        n = 200
+        path = make_graph(2, [Vertex(v, I0, 1) for v in range(n)],
+                          [make_link(v, v + 1, 0, 0) for v in range(n - 1)])
+        want = make_graph(2, [Vertex(0, I0, n)])
+        calls = []
+        build = sg.make_graph
+        monkeypatch.setattr(sg, "make_graph", lambda *args: calls.append(args) or build(*args))
+        assert sg.simplify(path) == want
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("d,pair,smoothable", [
         (2, (1, 1), True), (2, (0, 1), True), (3, (1, 1), False), (3, (1, 2), False),
