@@ -16,6 +16,8 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import branching, cover_algebra, sing_smooth, sing_stable, stable_graphs
 from .combinat import clipped
@@ -110,7 +112,7 @@ def record_from_doc(doc: dict) -> ClassificationRecord:
 
 def boundary_doc(c: BoundaryComponent) -> dict:
     return {
-        "graph": stable_graphs.graph_to_doc(c.graph),
+        "graph": stable_graphs.graph_doc(c.star),
         "order": c.d,
         "dim": c.dim,
         "codim": c.codim,
@@ -130,8 +132,8 @@ def boundary_from_doc(doc: dict) -> BoundaryComponent:
 def report_doc(rep: DecompositionReport) -> dict:
     return {
         "genus": rep.g,
-        "records": [record_doc(r) for r in rep.records],
-        "boundary": [boundary_doc(c) for c in rep.boundary],
+        "records": map(record_doc, rep.records),
+        "boundary": map(boundary_doc, rep.boundary),
         "warnings": list(rep.warnings),
         "notes": list(rep.notes),
     }
@@ -183,29 +185,57 @@ def _assignment_from_doc(doc: dict) -> cover_algebra.BranchAssignment:
 # Rendering
 
 
-def _emit_doc(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _json(x, pad: str) -> str:
+    """x as json.dumps(x, sort_keys=True, indent=2) renders it at indent pad,
+    keys being str, and an int past the digit limit of str(int) in full."""
+    if type(x) is str:
+        return _quote(x)
+    if type(x) is int:  # a bool is not: json.dumps renders it below
+        try:
+            return int.__repr__(x)
+        except ValueError:  # more digits than str(int) allows
+            return "-" * (x < 0) + _decimal(abs(x))
+    if not x or not isinstance(x, (dict, list, tuple)):
+        return json.dumps(x)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict):
+        return "{\n%s%s\n%s}" % (inner, sep.join([_quote(k) + ": " + _json(v, inner)
+                                                 for k, v in sorted(x.items())]), pad)
+    return "[\n%s%s\n%s]" % (inner, sep.join([_json(v, inner) for v in x]), pad)
 
 
-def _graph_line(G) -> str:
-    parts = []
-    for v in G.vertices:
-        if v.colour == stable_graphs.I1:
-            parts.append("I1#%d(g=%d,free=%s)" % (v.vid, v.genus, list(v.free or ())))
+def _emit_doc(doc: dict) -> None:
+    """Print doc as json.dumps(doc, sort_keys=True, indent=2) would, writing
+    each key, and each item of a list value (or iterator), once rendered."""
+    write = sys.stdout.write
+    sep = "{"
+    for key, value in sorted(doc.items()):
+        write(sep + "\n  " + _quote(key) + ": ")
+        sep = ","
+        if isinstance(value, (list, tuple, Iterator)):
+            opener = "["
+            for item in value:
+                write(opener + "\n    " + _json(item, "    "))
+                opener = ","
+            write("[]" if opener == "[" else "\n  ]")
         else:
-            parts.append("I0#%d(g=%d)" % (v.vid, v.genus))
-    eparts = []
-    for e in G.edges:
-        if e.u != e.v:
-            eparts.append("%d-%d(%d,%d)" % (e.u, e.v, e.mu, e.mv))
-        else:
-            tag = "~" if e.swapped else ""
-            eparts.append("loop%s@%d{%d,%d}" % (tag, e.u, e.mu, e.mv))
-    return " ".join(parts) + (" | " + " ".join(eparts) if eparts else "")
+            write(_json(value, "  "))
+    write("{}\n" if sep == "{" else "\n}\n")
+
+
+def _graph_line(enc) -> str:
+    """The table line of the graph a canonical encoding describes."""
+    _, vparts, eparts = enc
+    vs = ["I1#%d(g=%d,free=%s)" % (ix, genus, list(free)) if coloured
+          else "I0#%d(g=%d)" % (ix, genus) for ix, (coloured, genus, free) in enumerate(vparts)]
+    es = ["%d-%d(%d,%d)" % e[1:] if e[0] == 0 else "loop%s@%d{%d,%d}" % ("~" * e[4], *e[1:4])
+          for e in eparts]
+    return " ".join(vs) + (" | " + " ".join(es) if es else "")
 
 
 def _boundary_line(c: BoundaryComponent) -> str:
-    line = "d=%d dim=%d codim=%d %s" % (c.d, c.dim, c.codim, _graph_line(c.graph))
+    line = "d=%d dim=%d codim=%d %s" % (c.d, c.dim, c.codim, _graph_line(c.star))
     return line + " [%s]" % ",".join(c.flags) if c.flags else line
 
 
@@ -254,8 +284,7 @@ def _parse_counts(text: str, d: int) -> branching.BranchingSequence:
 def cmd_admissible(args) -> int:
     loci = branching.enumerate_loci(args.genus, args.order)
     if args.format == "doc":
-        _emit_doc({"genus": args.genus, "order": args.order,
-                   "loci": [locus_doc(l) for l in loci]})
+        _emit_doc({"genus": args.genus, "order": args.order, "loci": map(locus_doc, loci)})
     else:
         for l in loci:
             print(
@@ -296,17 +325,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_graphs(args) -> int:
-    graphs = stable_graphs.enumerate_graphs(args.genus, args.order)
+    encs = stable_graphs.enumerate_graphs(args.genus, args.order)
     if args.format == "doc":
-        _emit_doc({
-            "genus": args.genus,
-            "order": args.order,
-            "graphs": [stable_graphs.graph_to_doc(G) for G in graphs],
-        })
+        _emit_doc({"genus": args.genus, "order": args.order,
+                   "graphs": map(stable_graphs.graph_doc, encs)})
     else:
-        for G in graphs:
-            print("dim=%d %s" % (stable_graphs.stratum_dimension(G), _graph_line(G)))
-        print("total: %d" % len(graphs))
+        for enc in encs:
+            print("dim=%d %s" % (stable_graphs.encoding_dimension(enc), _graph_line(enc)))
+        print("total: %d" % len(encs))
     return EXIT_OK
 
 
@@ -346,9 +372,9 @@ def cmd_simplify(args) -> int:
     trace = ["smooth link %d-%d labels (%d,%d)" % (e.u, e.v, e.mu, e.mv) if e.u != e.v
              else "smooth loop at %d pair {%d,%d}%s"
              % (e.u, e.mu, e.mv, " swapped" if e.swapped else "") for e in steps]
-    out = stable_graphs.canonical_form(out)
+    out = stable_graphs.canonical_encoding(out)
     if args.format == "doc":
-        _emit_doc({"result": stable_graphs.graph_to_doc(out), "trace": trace})
+        _emit_doc({"result": stable_graphs.graph_doc(out), "trace": trace})
     else:
         for line in trace:
             print(line)
@@ -367,28 +393,21 @@ def cmd_enlarge(args) -> int:
     out = op(G, args.vertex)  # validates G before anything reads it
     before = stable_graphs.stratum_dimension(G)
     after = stable_graphs.stratum_dimension(out)
+    out = stable_graphs.canonical_encoding(out)
     if args.format == "doc":
-        _emit_doc({
-            "result": stable_graphs.graph_to_doc(stable_graphs.canonical_form(out)),
-            "dim_before": before,
-            "dim_after": after,
-        })
+        _emit_doc({"result": stable_graphs.graph_doc(out), "dim_before": before,
+                   "dim_after": after})
     else:
         print("dim %d -> %d" % (before, after))
-        print(_graph_line(stable_graphs.canonical_form(out)))
+        print(_graph_line(out))
     return EXIT_OK
 
 
 def cmd_boundary(args) -> int:
     comps, warnings, notes = sing_stable.boundary_survey(args.genus, args.dmax)
     if args.format == "doc":
-        _emit_doc({
-            "genus": args.genus,
-            "dmax": args.dmax,
-            "components": [boundary_doc(c) for c in comps],
-            "warnings": list(warnings),
-            "notes": list(notes),
-        })
+        _emit_doc({"genus": args.genus, "dmax": args.dmax, "components": map(boundary_doc, comps),
+                   "warnings": warnings, "notes": notes})
     else:
         for c in comps:
             print(_boundary_line(c))
@@ -428,21 +447,13 @@ def _decimal(n: int) -> str:
 
 def cmd_bounds(args) -> int:
     rep = sing_stable.aut_bounds(args.genus)
-    # 2^g and 2g*6^g outgrow the interpreter's digit limit for str(int) and
-    # hence for json: they are rendered by _decimal instead.
-    exact = {"generic_lower": rep.generic_lower, "special_config": rep.special_config}
+    # 2^g and 2g*6^g outgrow the interpreter's digit limit for str(int):
+    # both formats render them by _decimal.
     if args.format == "doc":
-        placeholders = {key: "\0" + key for key in exact}
-        text = json.dumps({
-            "genus": rep.g,
-            "hurwitz_smooth": rep.hurwitz_smooth,
-            "special_exceeds_hurwitz": rep.special_exceeds_hurwitz,
-            "tail_orders": list(rep.tail_orders),
-            **placeholders,
-        }, sort_keys=True, indent=2)
-        for key, value in exact.items():
-            text = text.replace(json.dumps(placeholders[key]), _decimal(value))
-        print(text)
+        _emit_doc({"genus": rep.g, "generic_lower": rep.generic_lower,
+                   "special_config": rep.special_config, "hurwitz_smooth": rep.hurwitz_smooth,
+                   "special_exceeds_hurwitz": rep.special_exceeds_hurwitz,
+                   "tail_orders": rep.tail_orders})
     else:
         print(
             "genus=%d generic>=%s special=%s hurwitz=%d special_exceeds=%s"

@@ -12,7 +12,7 @@ flagged instead of being silently kept or dropped: quotient data (0,3)
 as rigid_I1_cover, and (2,0), (1,2) and (0,4) as manual_review.  Each
 such type is a star, generated directly with a closed-form encoding.  A
 component is its star: its dimension, exceptional shape and flags are
-read off the star's data, and its graph is decoded only to print it.
+read off the star's data, and the star's encoding is what is printed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .branching import ExtraAutomorphismRisk, maximal_cyclic_exception
 from .combinat import (min_marks, prime_shapes, primes_upto, quotient_genus_for, residue_sum,
                        unit_action, units_mod, weak_compositions)
 from .sing_smooth import DecompositionReport, decompose_sing
-from .stable_graphs import AutoGraph, _decode
+from .stable_graphs import encoding_dimension
 
 __all__ = [
     "BoundaryComponent",
@@ -49,10 +49,6 @@ class BoundaryComponent:
     @property
     def d(self) -> int:
         return self.star[0]
-
-    @property
-    def graph(self) -> AutoGraph:
-        return _decode(self.star)
 
 
 @dataclass(frozen=True)
@@ -147,11 +143,11 @@ def _stars(g: int, p: int) -> list:
 
 
 def _verdict(enc) -> tuple[tuple[int, int], int, str | None, tuple[str, ...]]:
-    """The centre's shape (h, k), the dimension (`stratum_dimension`'s sum
-    of 3g - 3 + n over the factors), the excluded exceptional shape (None,
-    "II-a" or "II-b") and the flags of a star, read off its `_stars`
-    encoding: tails (0, t, ()) first, the centre (1, gj, free) last, links
-    (0, i, c, 0, m) with m the label at the centre, loops (1, c, a, b, 0).
+    """The centre's shape (h, k), the dimension (`encoding_dimension`), the
+    excluded exceptional shape (None, "II-a" or "II-b") and the flags of a
+    star, read off its `_stars` encoding: tails (0, t, ()) first, the
+    centre (1, gj, free) last, links (0, i, c, 0, m) with m the label at the
+    centre, loops (1, c, a, b, 0).
 
     Both excluded shapes come from the order-2p curve w^p = x^2 - 1: a
     rational quotient with three branch points, all at nodes to tails of
@@ -167,8 +163,6 @@ def _verdict(enc) -> tuple[tuple[int, int], int, str | None, tuple[str, ...]]:
     shape = (quotient_genus_for(gj, p, k * (p - 1)), k)
     risky = maximal_cyclic_exception(*shape) is not ExtraAutomorphismRisk.NONE
     flags = (RIGID_FLAG,) if shape == (0, 3) else (REVIEW_FLAG,) if risky else ()
-    links = sum(1 - e[0] for e in eparts)  # a tail is marked at its links
-    dim = 3 * shape[0] - 3 + k + sum(3 * t - 3 for _, t, _ in tails) + links
     excluded = None
     if shape == (0, 3) and not any(free) and min(t for _, t, _ in tails) >= 1:
         loop, _, a, b, _ = eparts[-1]  # a loop sorts after the links
@@ -176,7 +170,7 @@ def _verdict(enc) -> tuple[tuple[int, int], int, str | None, tuple[str, ...]]:
             excluded = "II-a" if a == b else None
         elif len(tails) == 3 and len({(vparts[i][1], m) for _, i, _, _, m in eparts}) < 3:
             excluded = "II-b"
-    return shape, dim, excluded, flags
+    return shape, encoding_dimension(enc), excluded, flags
 
 
 def boundary_survey(g: int, d_max: int):

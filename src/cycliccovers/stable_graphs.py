@@ -67,12 +67,13 @@ __all__ = [
     "enlarge_attached",
     "enlarge_max",
     "stratum_dimension",
+    "encoding_dimension",
     "canonical_encoding",
     "canonical_form",
     "enumerate_graphs",
     "divisor_exception",
     "is_elliptic_tail_vertex",
-    "graph_to_doc",
+    "graph_doc",
     "graph_from_doc",
     "doc_int",
     "MAX_DOC_ORDER",
@@ -473,6 +474,22 @@ def stratum_dimension(G: AutoGraph) -> int:
     return total
 
 
+def encoding_dimension(enc) -> int:
+    """`stratum_dimension` of the maximal graph an encoding describes, read
+    off the encoding: every end at an I1 vertex is one of its k branch
+    points."""
+    d, vparts, eparts = enc
+    ends = [0] * len(vparts)
+    for e in eparts:
+        ends[e[1]] += 1
+        ends[e[2] if e[0] == 0 else e[1]] += 1
+    total = 0
+    for (coloured, genus, free), n in zip(vparts, ends):
+        n += sum(free)  # free is () at an I0 vertex
+        total += 3 * (quotient_genus_for(genus, d, n * (d - 1)) if coloured else genus) - 3 + n
+    return total
+
+
 def _twin_groups(G: AutoGraph) -> dict[tuple, list]:
     # The `_arrangements` of the twin classes of each attribute class
     # (colour, genus, free).  Twins have equal fields and equal labelled
@@ -720,9 +737,9 @@ def _structures(d, colours, genera, E, opts):
     yield from rec(0, E, sum(min_ends))
 
 
-def enumerate_graphs(g: int, d: int) -> tuple[AutoGraph, ...]:
-    """All admissible stable maximal graphs of total genus g and order d,
-    one per canonical class, in canonical-encoding order.
+def enumerate_graphs(g: int, d: int) -> list:
+    """The sorted canonical encodings of the admissible stable maximal
+    graphs of total genus g and order d, one per class.
 
     Search is bounded by the stable-curve limits of at most 2g - 2
     vertices and 3g - 3 edges, with per-vertex end counts capped by the
@@ -733,13 +750,13 @@ def enumerate_graphs(g: int, d: int) -> tuple[AutoGraph, ...]:
     without an edge structure, all but one structure per orbit of equal
     vertices, and all but one label assignment per orbit of the units
     (see the three generators).  The set of encodings removes the
-    isomorphs that remain.  Above 2g + 1 it returns () at once: its only
+    isomorphs that remain.  Above 2g + 1 it returns [] at once: its only
     I1 shapes, genus 0 with k = 2 and 1 with k = 0, fit no stable graph.
     """
     if g < 2:
         raise ValueError("total genus must be at least 2")
     if d > 2 * g + 1:
-        return ()
+        return []
     if not is_prime(d):
         raise ValueError("order must be a prime number")
     found: set[tuple] = set()
@@ -747,7 +764,7 @@ def enumerate_graphs(g: int, d: int) -> tuple[AutoGraph, ...]:
         for structure, ends in _structures(d, colours, genera, E, opts):
             for graph in _labelled_graphs(d, colours, genera, structure, opts, ends):
                 found.add(canonical_encoding(graph))
-    return tuple(_decode(enc) for enc in sorted(found))
+    return sorted(found)
 
 
 def _labelled_graphs(d, colours, genera, structure, opts, ends):
@@ -865,24 +882,16 @@ def is_elliptic_tail_vertex(G: AutoGraph, vid: int) -> bool:
 # Document format
 
 
-def graph_to_doc(G: AutoGraph) -> dict:
-    vertices = []
-    for v in G.vertices:
-        entry: dict = {"id": v.vid, "colour": v.colour, "genus": v.genus}
-        if v.colour == I1:
-            entry["free_branching"] = list(v.free or ())
-        vertices.append(entry)
-    edges = []
-    for e in G.edges:
-        if e.u != e.v:
-            edges.append({"type": "link", "ends": [e.u, e.v],
-                          "labels": [e.mu, e.mv]})
-        else:
-            entry = {"type": "loop", "vertex": e.u, "pair": [e.mu, e.mv]}
-            if e.swapped:
-                entry["branch_swapped"] = True
-            edges.append(entry)
-    return {"order": G.d, "vertices": vertices, "edges": edges}
+def graph_doc(enc) -> dict:
+    """The document of the graph an encoding describes, vertex i with id i."""
+    d, vparts, eparts = enc
+    vertices = [{"id": ix, "colour": I1, "genus": genus, "free_branching": list(free)}
+                if coloured else {"id": ix, "colour": I0, "genus": genus}
+                for ix, (coloured, genus, free) in enumerate(vparts)]
+    edges = [{"type": "link", "ends": [e[1], e[2]], "labels": [e[3], e[4]]} if e[0] == 0
+             else {"type": "loop", "vertex": e[1], "pair": [e[2], e[3]]}
+             | ({"branch_swapped": True} if e[4] else {}) for e in eparts]
+    return {"order": d, "vertices": vertices, "edges": edges}
 
 
 # Largest order a graph document may declare.  Canonicalisation costs

@@ -13,11 +13,12 @@ for the boundary enumeration.  What the oracles take from the package:
   `unit_action`, `units_mod` and `weak_compositions`;
 - `stable_graphs`: the graph containers and constructors (`I0`, `I1`,
   `AutoGraph`, `Vertex`, `make_graph`, `make_link`, `make_loop`),
-  `canonical_encoding`, so that set comparisons are possible, and
+  `canonical_encoding` and `graph_doc`, for set comparisons and documents, and
   `GraphError`, `check_graph` and `smoothable_nodes`, which the one-step
   smoothing reference shares with `simplify`.
 """
 
+import functools
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -41,6 +42,7 @@ from cycliccovers.stable_graphs import (
     Vertex,
     canonical_encoding,
     check_graph,
+    graph_doc,
     make_graph,
     make_link,
     make_loop,
@@ -578,8 +580,10 @@ def _i1_pairs(d, genus):
     return out
 
 
+@functools.cache  # two tests walk the same box; it takes seconds to build
 def pregraph_box(d, max_v=5, max_e=6, genus_values=(2, 3, 4)):
-    """Every valid stable pre graph in the box, one per canonical class."""
+    """Every valid stable pre graph in the box, one per canonical class, as
+    a tuple: the cache hands the same one to every caller."""
     maxg = max(genus_values)
     palette = [(I0, gi) for gi in range(maxg + 1)] + [
         (I1, gi) for gi in range(maxg + 1)
@@ -638,7 +642,7 @@ def pregraph_box(d, max_v=5, max_e=6, genus_values=(2, 3, 4)):
                         enc = canonical_encoding(G)
                         if enc not in found:
                             found[enc] = G
-    return list(found.values())
+    return tuple(found.values())
 
 
 def _bounded_multiplicities(slots, E, V, maxk, min_ends, colours):
@@ -1135,6 +1139,11 @@ def reference_canonical_form(G: AutoGraph) -> AutoGraph:
         else:
             edges.append(make_loop(pos[e.v], e.mu, e.mv, e.swapped))
     return make_graph(H.d, vertices, edges)
+
+
+def graph_to_doc(G: AutoGraph) -> dict:
+    """`graph_doc` of G encoded in vertex-id order: ids 0..n-1 are kept."""
+    return graph_doc(_encode(G, [v.vid for v in G.vertices]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from cycliccovers import cli
 from cycliccovers import stable_graphs as sg
 from cycliccovers.stable_graphs import I0, I1, Vertex, make_graph, make_link, make_loop
@@ -134,7 +135,7 @@ class TestSing:
 class TestGraphDocuments:
     def make_doc(self, tmp_path, G, name="graph.json"):
         path = tmp_path / name
-        path.write_text(json.dumps(sg.graph_to_doc(G)), encoding="utf-8")
+        path.write_text(json.dumps(oracles.graph_to_doc(G)), encoding="utf-8")
         return str(path)
 
     def test_simplify_already_maximal(self, capsys, tmp_path):
@@ -227,6 +228,26 @@ class TestGraphDocuments:
         monkeypatch.setattr(sg, "is_prime", forbidden)
         code, out, err = run(capsys, "graphs", "--genus", "2", "--order", str(order))
         assert (code, out, err) == (0, "total: 0\n", "")
+
+    @pytest.mark.parametrize("fmt", ["table", "doc"])
+    @pytest.mark.parametrize("order", [4, 9])
+    def test_graphs_composite_order_refused(self, capsys, order, fmt):
+        # Up to 2g + 1 the order is tested for primality before any output.
+        code, out, err = run(capsys, "graphs", "--genus", "4", "--order", str(order),
+                             "--format", fmt)
+        assert (code, out, err) == (2, "", "error: order must be a prime number\n")
+
+    @pytest.mark.parametrize("fmt", ["table", "doc"])
+    def test_printed_from_encodings(self, capsys, monkeypatch, fmt):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a graph was decoded to be printed")
+
+        monkeypatch.setattr(sg, "_decode", forbidden)
+        for argv in (("graphs", "--genus", "3", "--order", "3"),
+                     ("boundary", "--genus", "4", "--dmax", "7"),
+                     ("sing-bar", "--genus", "4", "--dmax", "7")):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert code == 0 and out and not err
 
     def test_enlarge(self, capsys, tmp_path):
         G = make_graph(
@@ -1014,7 +1035,7 @@ class TestReentrantMain:
         graph, pair, cover, bad = (tmp_path / name for name in
                                    ("g.json", "p.json", "c.json", "bad.json"))
         graph.write_text(json.dumps(TAIL_GRAPH_DOC), encoding="utf-8")
-        pair.write_text(json.dumps(sg.graph_to_doc(make_graph(
+        pair.write_text(json.dumps(oracles.graph_to_doc(make_graph(
             3, [Vertex(0, I1, 1, (2, 0)), Vertex(1, I1, 1, (2, 0))],
             [make_link(0, 1, 1, 1)]))), encoding="utf-8")
         cover.write_text(json.dumps(COVER_DOC), encoding="utf-8")
@@ -1090,7 +1111,7 @@ class TestRangeRule:
     def test_vertex_is_not_range_checked(self, capsys, tmp_path):
         G = make_graph(2, [Vertex(0, I0, 2), Vertex(1, I1, 1, (3,))], [make_link(0, 1, 0, 1)])
         path = tmp_path / "graph.json"
-        path.write_text(json.dumps(sg.graph_to_doc(G)), encoding="utf-8")
+        path.write_text(json.dumps(oracles.graph_to_doc(G)), encoding="utf-8")
         code, out, err = run(capsys, "enlarge", "--input", str(path), "--vertex", "-1",
                              "--kind", "max")
         assert (code, out, err) == (2, "", "error: no vertex with id -1\n")
@@ -1224,3 +1245,54 @@ class TestDocumentFuzz:
         if code:
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
             assert out.getvalue() == ""
+
+
+# Text that json escapes: non-ASCII characters, quotes, backslashes,
+# brackets, commas and control characters.
+DOC_TEXT = st.text(st.sampled_from('"\\[]{},: \n\t\x00\x1f\x7fa\u00e9\u20ac\U0001f600')
+                   | st.characters(), max_size=6)
+DOC_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+    | st.floats() | DOC_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(DOC_TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+class TestDocWriter:
+    """`_emit_doc` prints what json.dumps(doc, sort_keys=True, indent=2)
+    and a newline give."""
+
+    @staticmethod
+    def emitted(doc):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit_doc(doc)
+        return out.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(DOC_TEXT, DOC_VALUES, max_size=5))
+    def test_matches_json_dumps(self, doc):
+        assert self.emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_list_value_may_be_an_iterator(self):
+        doc = {"b": [{"y": 1, "x": [True, None, ()]}, "\u00e9", {}], "a": [], "c": -3}
+        out = io.StringIO()
+        seen = []
+
+        def items(values):
+            for value in values:  # each item is written before the next is drawn
+                seen.append(len(out.getvalue()))
+                yield value
+
+        with contextlib.redirect_stdout(out):
+            cli._emit_doc({key: items(v) if isinstance(v, list) else v
+                           for key, v in doc.items()})
+        assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert seen == sorted(set(seen))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_past_digit_limit(self, sign):
+        # str(int) and json.dumps refuse it; the writer prints it in full.
+        assert self.emitted({"n": [sign * 10 ** 5000]}) == \
+            '{\n  "n": [\n    %s1%s\n  ]\n}\n' % ("-" * (sign < 0), "0" * 5000)

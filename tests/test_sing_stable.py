@@ -10,7 +10,7 @@ from cycliccovers.stable_graphs import I0, I1, Vertex, make_graph, make_link
 class TestBoundaryComponents:
     def test_genus3_contains_named_graphs(self):
         comps = st.boundary_components(3, 7)
-        encs = {sg.canonical_encoding(c.graph) for c in comps}
+        encs = {sg.canonical_encoding(sg._decode(c.star)) for c in comps}
         named = [
             # genus-2 part with elliptic quotient + elliptic identity tail
             make_graph(2, [Vertex(0, I0, 1), Vertex(1, I1, 2, (1,))],
@@ -33,7 +33,7 @@ class TestBoundaryComponents:
     def test_matches_oracle(self, g, dmax):
         comps = st.boundary_components(g, dmax)
         lib = {
-            (c.d, sg.canonical_encoding(c.graph)): (c.dim, c.flags) for c in comps
+            (c.d, sg.canonical_encoding(sg._decode(c.star))): (c.dim, c.flags) for c in comps
         }
         assert lib == oracles.boundary_oracle(g, dmax)
 
@@ -45,13 +45,14 @@ class TestBoundaryComponents:
         assert len(comps) == 1
         (c,) = comps
         assert c.d == 3 and c.flags == (st.RIGID_FLAG,)
-        data = sg.vertex_data(c.graph, c.graph.i1_vertices()[0].vid)
+        G = sg._decode(c.star)
+        data = sg.vertex_data(G, G.i1_vertices()[0].vid)
         assert (data.quotient_genus, data.k) == (0, 3)
 
     def test_invariants(self):
         for g in (2, 3, 4):
             for c in st.boundary_components(g, 7):
-                G = c.graph
+                G = sg._decode(c.star)
                 sg.check_graph(G, require_stable=True)
                 assert len(G.i1_vertices()) == 1
                 assert [v for v in G.vertices if v.colour == I0]
@@ -68,11 +69,11 @@ class TestBoundaryComponents:
         for g in (2, 3):
             for d in (2, 3, 5, 7):
                 all_encs = {
-                    sg.canonical_encoding(G) for G in sg.enumerate_graphs(g, d)
+                    sg.canonical_encoding(sg._decode(enc)) for enc in sg.enumerate_graphs(g, d)
                 }
                 for c in st.boundary_components(g, 7):
                     if c.d == d:
-                        assert sg.canonical_encoding(c.graph) in all_encs
+                        assert sg.canonical_encoding(sg._decode(c.star)) in all_encs
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_closed_form_encoding(self, g):
@@ -107,7 +108,7 @@ class TestBoundaryComponents:
         assert n == n_excluded
 
     def test_survey_builds_no_graph(self, monkeypatch):
-        # A component is its star; only printing one decodes its graph.
+        # A component is its star: neither the survey nor printing builds a graph.
         def forbidden(*args, **kwargs):
             raise AssertionError("a graph was built")
 
@@ -121,9 +122,9 @@ class TestBoundaryComponents:
         comps_full, _, notes = st.boundary_survey(2, 11)
         assert any("truncated" in n for n in notes)
         assert [
-            (c.d, sg.canonical_encoding(c.graph)) for c in comps_full
+            (c.d, sg.canonical_encoding(sg._decode(c.star))) for c in comps_full
         ] == [
-            (c.d, sg.canonical_encoding(c.graph))
+            (c.d, sg.canonical_encoding(sg._decode(c.star)))
             for c in st.boundary_components(2, 5)
         ]
 
@@ -138,7 +139,7 @@ class TestDecomposeSingBar:
 
     def test_distinct_canonical_types(self):
         rep = st.decompose_sing_bar(3, 7)
-        encs = [sg.canonical_encoding(c.graph) for c in rep.boundary]
+        encs = [sg.canonical_encoding(sg._decode(c.star)) for c in rep.boundary]
         assert len(encs) == len(set(encs))
         loci = [r.locus for r in rep.records]
         assert len(loci) == len(set(loci))

@@ -216,7 +216,7 @@ class TestSimplify:
             else:
                 assert got[0] == trace
         box = oracles.pregraph_box(d, max_v=5, max_e=6, genus_values=(2, 3, 4))
-        for G in [G for G, _ in SMOOTHING_CASES[d]] + box:
+        for G in [*(G for G, _ in SMOOTHING_CASES[d]), *box]:
             for require_stable in (False, True):
                 assert (smoothing_outcome(sg._smoothing_steps, G, require_stable)
                         == smoothing_outcome(oracles.reference_smoothing_steps, G,
@@ -324,7 +324,7 @@ class TestEnlargements:
         assert sg.stratum_dimension(out) == before + 1
 
     def test_dimension_never_decreases(self):
-        for G in sg.enumerate_graphs(3, 3):
+        for G in map(sg._decode, sg.enumerate_graphs(3, 3)):
             i1 = [v.vid for v in G.i1_vertices()]
             if len(i1) < 2:
                 continue
@@ -378,7 +378,7 @@ class TestCanonical:
             assert sg.canonical_encoding(H) == sg.canonical_encoding(G)
 
     def test_unit_invariance(self):
-        for G in sg.enumerate_graphs(3, 5):
+        for G in map(sg._decode, sg.enumerate_graphs(3, 5)):
             for r in (2, 3, 4):
                 assert sg.canonical_encoding(oracles.unit_transform(G, r)) == \
                     sg.canonical_encoding(G)
@@ -389,7 +389,7 @@ class TestCanonical:
         assert A == B
 
     def test_canonical_form_idempotent(self):
-        for G in sg.enumerate_graphs(3, 2):
+        for G in map(sg._decode, sg.enumerate_graphs(3, 2)):
             C = sg.canonical_form(G)
             assert sg.canonical_form(C) == C
             assert sg.canonical_encoding(C) == sg.canonical_encoding(G)
@@ -512,7 +512,7 @@ class TestCanonicalOracle:
 
 class TestEnumeration:
     def test_genus2_order2(self):
-        graphs = sg.enumerate_graphs(2, 2)
+        graphs = [sg._decode(enc) for enc in sg.enumerate_graphs(2, 2)]
         encodings = {sg.canonical_encoding(G) for G in graphs}
         tail = make_graph(
             2,
@@ -525,14 +525,14 @@ class TestEnumeration:
 
     def test_no_order2_loops_or_i1_links(self):
         for g in (2, 3, 4):
-            for G in sg.enumerate_graphs(g, 2):
+            for G in map(sg._decode, sg.enumerate_graphs(g, 2)):
                 for e in G.edges:
                     assert e.u != e.v
                     assert {G.colour(e.u), G.colour(e.v)} == {I0, I1}
 
     def test_postconditions(self):
         for g, d in ((2, 3), (3, 2), (3, 3), (3, 5)):
-            graphs = sg.enumerate_graphs(g, d)
+            graphs = [sg._decode(enc) for enc in sg.enumerate_graphs(g, d)]
             encs = [sg.canonical_encoding(G) for G in graphs]
             assert len(encs) == len(set(encs))
             assert encs == sorted(encs)
@@ -540,12 +540,16 @@ class TestEnumeration:
                 sg.check_graph(G, require_stable=True)
                 assert sg.graph_genus(G) == g
 
+    def test_composite_order_refused(self):
+        with pytest.raises(ValueError, match="order must be a prime number"):
+            sg.enumerate_graphs(4, 4)
+
     @pytest.mark.parametrize("g", range(2, 6))
     def test_empty_above_2g_plus_1(self, g):
         # The search itself finds nothing at the first two primes above
-        # 2g + 1, where enumerate_graphs answers () unsearched.
+        # 2g + 1, where enumerate_graphs answers [] unsearched.
         for d in [p for p in primes_upto(4 * g + 6) if p > 2 * g + 1][:2]:
-            assert sg.enumerate_graphs(g, d) == ()
+            assert sg.enumerate_graphs(g, d) == []
             assert not [G for colours, genera, E, opts in sg._vertex_multisets(g, d)
                         for structure, ends in sg._structures(d, colours, genera, E, opts)
                         for G in sg._labelled_graphs(d, colours, genera, structure, opts,
@@ -560,7 +564,8 @@ class TestEnumeration:
         for g in range(2, 7):
             for d in primes_upto(2 * g + 1):
                 if (g, d) != (6, 3):
-                    want = [sg.canonical_encoding(G) for G in sg.enumerate_graphs(g, d)
+                    want = [sg.canonical_encoding(G)
+                            for G in map(sg._decode, sg.enumerate_graphs(g, d))
                             if is_boundary_graph(G)]
                     assert ss._stars(g, d) == want
                     n += len(want)
@@ -689,7 +694,7 @@ class TestLabelledGraphs:
                     sg.check_graph(G, pre=False, require_stable=True)
                     assert sg.graph_genus(G) == g
                     assert kept == is_boundary_graph(G)
-                    candidates.update(json.dumps(sg.graph_to_doc(G)).encode())
+                    candidates.update(json.dumps(oracles.graph_to_doc(G)).encode())
                     n += 1
         assert (n, candidates.hexdigest(), structures.hexdigest()) == CANDIDATES[g, d]
 
@@ -834,14 +839,14 @@ class TestPatternDetectors:
 class TestDocumentFormat:
     def test_roundtrip(self):
         rng = random.Random(5)
-        pool = list(sg.enumerate_graphs(3, 3)) + list(sg.enumerate_graphs(3, 2))
+        pool = [sg._decode(enc) for d in (3, 2) for enc in sg.enumerate_graphs(3, d)]
         for G in rng.sample(pool, 10):
-            doc = sg.graph_to_doc(G)
+            doc = oracles.graph_to_doc(G)
             assert sg.graph_from_doc(doc) == G
 
     def test_swapped_flag_roundtrip(self):
         P = make_graph(2, [Vertex(0, I1, 1, (4,))], [make_loop(0, 1, 1, swapped=True)])
-        assert sg.graph_from_doc(sg.graph_to_doc(P)) == P
+        assert sg.graph_from_doc(oracles.graph_to_doc(P)) == P
 
     def test_malformed(self):
         with pytest.raises(GraphError):
