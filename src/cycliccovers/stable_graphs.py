@@ -397,12 +397,7 @@ def _smoothing_steps(G: AutoGraph, require_stable: bool = False):
 
 def _trivialise(G: AutoGraph, vids: set[int]) -> AutoGraph:
     # Replace the action on the given I1 components by the identity.
-    vertices = []
-    for v in G.vertices:
-        if v.vid in vids:
-            vertices.append(Vertex(vid=v.vid, colour=I0, genus=v.genus, free=None))
-        else:
-            vertices.append(v)
+    vertices = [Vertex(v.vid, I0, v.genus) if v.vid in vids else v for v in G.vertices]
     edges = [_edge(e.u, e.v, 0 if e.u in vids else e.mu, 0 if e.v in vids else e.mv,
                    e.swapped) for e in G.edges]
     return make_graph(G.d, vertices, edges)
@@ -490,29 +485,11 @@ def encoding_dimension(enc) -> int:
     return total
 
 
-def _twin_groups(G: AutoGraph) -> dict[tuple, list]:
-    # The `_arrangements` of the twin classes of each attribute class
-    # (colour, genus, free).  Twins have equal fields and equal labelled
-    # links and loops, so neither is linked to the other and swapping them
-    # is an automorphism, under every unit action alike.  A unit only
-    # permutes residues, so it neither splits nor merges an attribute class.
-    ends: dict[int, list] = {v.vid: [] for v in G.vertices}
-    for e in G.edges:
-        if e.u == e.v:
-            ends[e.u].append((1, e.mu, e.mv, int(e.swapped)))
-        else:
-            ends[e.u].append((0, e.v, e.mu, e.mv))
-            ends[e.v].append((0, e.u, e.mv, e.mu))
-    groups: dict[tuple, dict[tuple, list[int]]] = {}
-    for v in G.vertices:
-        twins = groups.setdefault((v.colour, v.genus, v.free), {})
-        twins.setdefault(tuple(sorted(ends[v.vid])), []).append(v.vid)
-    return {attr: _arrangements(list(twins.values())) for attr, twins in groups.items()}
-
-
 def _arrangements(classes: list[list[int]]):
     # Every vertex order of the union of `classes` up to reordering inside
     # a class: the multiset permutations of the class tokens.
+    if len(classes) == 1:
+        return [tuple(classes[0])]
     stacks = [cls[::-1] for cls in classes]
     size = sum(map(len, classes))
     order: list[int] = []
@@ -540,8 +517,29 @@ def canonical_encoding(G: AutoGraph):
     arrangements do not depend on the unit and are built once per graph;
     a unit changes only the attributes, hence the class order, and labels.
     """
-    d = G.d
-    groups = _twin_groups(G)
+    return _canonical(G.d, [(v.vid, v.colour, v.genus, v.free) for v in G.vertices],
+                      [(e.u, e.v, e.mu, e.mv, e.swapped) for e in G.edges])
+
+
+def _canonical(d: int, vertices, edges):
+    # `canonical_encoding` of a graph given as rows: (vid, colour, genus,
+    # free) per vertex and (u, v, mu, mv, swapped) per edge.  Twins, equal
+    # in their fields and in their labelled links and loops, are not linked
+    # to each other, and swapping them is an automorphism under every unit
+    # alike; a unit only permutes residues, so it neither splits nor merges
+    # an attribute class (colour, genus, free).
+    ends: dict[int, list] = {vid: [] for vid, *_ in vertices}
+    for u, v, mu, mv, swapped in edges:
+        if u == v:
+            ends[u].append((1, mu, mv, int(swapped)))
+        else:
+            ends[u].append((0, v, mu, mv))
+            ends[v].append((0, u, mv, mu))
+    classes: dict[tuple, dict[tuple, list[int]]] = {}
+    for vid, colour, genus, free in vertices:
+        twins = classes.setdefault((colour, genus, free), {})
+        twins.setdefault(tuple(sorted(ends[vid])), []).append(vid)
+    groups = {attr: _arrangements(list(twins.values())) for attr, twins in classes.items()}
     best = None
     for r in units_mod(d):
         act = unit_action(d, r)
@@ -551,10 +549,9 @@ def canonical_encoding(G: AutoGraph):
         vparts = tuple(attr for attr, pool in scaled for _ in pool[0])
         if best is not None and vparts > best[1]:
             continue
-        links = [(e.u, e.v, (r * e.mu) % d, (r * e.mv) % d)
-                 for e in G.edges if e.u != e.v]
-        loops = [(e.u, *sorted(((r * e.mu) % d, (r * e.mv) % d)),
-                  int(e.swapped)) for e in G.edges if e.u == e.v]
+        links = [(u, v, (r * mu) % d, (r * mv) % d) for u, v, mu, mv, _ in edges if u != v]
+        loops = [(u, *sorted(((r * mu) % d, (r * mv) % d)), int(swapped))
+                 for u, v, mu, mv, swapped in edges if u == v]
         for combo in itertools.product(*(pool for _, pool in scaled)):
             pos = {vid: ix for ix, vid in enumerate(itertools.chain(*combo))}
             eparts = [(1, pos[v], a, b, s) for v, a, b, s in loops]
@@ -659,15 +656,15 @@ def _structures(d, colours, genera, E, opts):
     or a few: call a run the vertices with equal (colour, genus), and a
     member's vector its loop count, then its link count to each vertex
     outside the run by id.  A structure is kept when the vectors do not
-    increase along each run; the search checks each pair of adjacent
-    members once the slots of both vectors are set.  Swapping two adjacent
-    members of a run whose vectors increase is an isomorphism that raises
-    (the loop counts by vertex, then the vectors by vertex)
-    lexicographically.  Either the loop counts rise, or the two vectors
-    first differ at an outside vertex w: then the vector at the first
-    member and w's vector rise, and only the vector at the second member
-    and those after w can fall.  So such swaps end, and they end at a kept
-    member of the orbit.
+    increase along each run; the search compares each pair of adjacent
+    members on the longest prefixes of both vectors whose slots are set.
+    Swapping two adjacent members of a run whose vectors increase is an
+    isomorphism that raises (the loop counts by vertex, then the vectors
+    by vertex) lexicographically.  Either the loop counts rise, or the
+    two vectors first differ at an outside vertex w: then the vector at
+    the first member and w's vector rise, and only the vector at the
+    second member and those after w can fall.  So such swaps end, and
+    they end at a kept member of the orbit.
     """
     V = len(colours)
     i1 = [c == I1 for c in colours]
@@ -687,9 +684,9 @@ def _structures(d, colours, genera, E, opts):
     ]
     n = len(slots)
     last = {v: ix for ix, slot in enumerate(slots) for v in slot}
-    # Each pair of adjacent run members is compared at the slot that
-    # completes both vectors, given as slot indices; an absent slot is
-    # index n, whose count stays 0.
+    # Each pair of adjacent run members, their vectors given as slot
+    # indices (an absent slot is index n, whose count stays 0), compares
+    # its longest prefixes whose slots are set at each slot that sets one.
     index = {slot: ix for ix, slot in enumerate(slots)}
     compared = [[] for _ in range(n)]
     for _, run in itertools.groupby(range(V), lambda i: (colours[i], genera[i])):
@@ -698,10 +695,12 @@ def _structures(d, colours, genera, E, opts):
                    + [index.get((min(a, w), max(a, w)), n) for w in range(V)
                       if w not in run]
                    for a in run]
-        for pair in zip(vectors, vectors[1:]):
-            known = [ix for ix in pair[0] + pair[1] if ix < n]
-            if known:
-                compared[max(known)].append(pair)
+        for a, b in zip(vectors, vectors[1:]):
+            at = {max([ix for ix in a[:k] + b[:k] if ix < n], default=n): k
+                  for k in range(1, len(a) + 1)}
+            at.pop(n, None)
+            for ix, k in at.items():
+                compared[ix].append((a[:k], b[:k]))
     # plan[ix]: (touched vertices, ends per edge, vertices closing at ix,
     # member pairs compared at ix)
     plan = [
@@ -744,12 +743,12 @@ def enumerate_graphs(g: int, d: int) -> list:
     Search is bounded by the stable-curve limits of at most 2g - 2
     vertices and 3g - 3 edges, with per-vertex end counts capped by the
     genus relation.  Every labelled candidate is valid by construction
-    (see `_labelled_graphs`) and is canonicalised without a re-check;
-    TestLabelledGraphs.test_candidates_pass_check_graph holds this.
-    Isomorphs are cut before canonicalisation, never a class: multisets
-    without an edge structure, all but one structure per orbit of equal
-    vertices, and all but one label assignment per orbit of the units
-    (see the three generators).  The set of encodings removes the
+    (see `_labelled_graphs`) and is canonicalised from its rows without a
+    re-check; TestLabelledGraphs.test_candidates_pass_check_graph holds
+    this.  Isomorphs are cut before canonicalisation, never a class:
+    multisets without an edge structure, all but one structure per orbit
+    of equal vertices, and all but one label assignment per orbit of the
+    units (see the three generators).  The set of encodings removes the
     isomorphs that remain.  Above 2g + 1 it returns [] at once: its only
     I1 shapes, genus 0 with k = 2 and 1 with k = 0, fit no stable graph.
     """
@@ -760,91 +759,96 @@ def enumerate_graphs(g: int, d: int) -> list:
     if not is_prime(d):
         raise ValueError("order must be a prime number")
     found: set[tuple] = set()
+    tables: dict[tuple, list] = {}
     for colours, genera, E, opts in _vertex_multisets(g, d):
         for structure, ends in _structures(d, colours, genera, E, opts):
-            for graph in _labelled_graphs(d, colours, genera, structure, opts, ends):
-                found.add(canonical_encoding(graph))
+            for rows in _labelled_graphs(d, colours, genera, structure, opts, ends, tables):
+                found.add(_canonical(d, *rows))
     return sorted(found)
 
 
-def _labelled_graphs(d, colours, genera, structure, opts, ends):
-    """Every labelled graph on one edge structure, valid by construction:
-    the label pools put 0 exactly at I0 ends and no pair summing to 0 mod
-    d, `_structures` gives a stable connected structure with no I0-I0
-    link and no loop at d = 2 or on I0, and each free tuple completes its
-    vertex's residue sum to 0 mod d with a k of `prime_shapes`.  The test
-    TestLabelledGraphs.test_candidates_pass_check_graph in
-    tests/test_stable_graphs.py runs `check_graph` on every candidate.
+def _labelled_graphs(d, colours, genera, structure, opts, ends, tables):
+    """Every labelled graph on one edge structure, as rows: (vid, colour,
+    genus, free) per vertex and (u, v, mu, mv, swapped) per edge in
+    `_edge`'s normal form.  Each is valid by construction, as
+    TestLabelledGraphs.test_candidates_pass_check_graph checks: the label
+    pools put 0 exactly at I0 ends and no pair summing to 0 mod d,
+    `_structures` gives a stable connected structure with no I0-I0 link
+    and no loop at d = 2 or on I0, and each free tuple completes its
+    vertex's residue sum to 0 mod d with a k of `prime_shapes`.
 
-    Only one graph per unit orbit is yielded.  The label pools and free
-    menus are closed under multiplying every residue by a unit, so the
-    units permute the graphs of one structure by isomorphisms.  A graph's
-    key is its label choice per slot, each a sorted tuple of pairs, then
-    its free tuples, and it is yielded when no unit maps it to a smaller
-    key: the least key of each orbit passes.  Label choices are compared
-    first, by index; free tuples only under the units that fix those.
+    One graph per unit orbit is yielded.  The units permute the graphs of
+    a structure, and a graph passes when no unit maps its key (its label
+    choice per slot, a sorted tuple of pairs, then its free tuples) below
+    it.  The slots are set in structure order, carrying the units whose
+    image choices tie so far: a larger image drops the unit, a smaller one
+    cuts the prefix, as does an empty free menu at an I1 vertex it closes.
+
+    `tables`, one per `enumerate_graphs` call, maps (colour, colour, loop,
+    count) to a slot's label choices in key order, each with the residue
+    it adds at both ends and its image index per unit, and (genus, ends)
+    to the free menus by residue.
     """
     V = len(colours)
     i1_list = [i for i in range(V) if colours[i] == I1]
-    # menus[i][r]: the free tuples of I1 vertex i, over all its (h, k)
-    # options, whose residue sum is r mod d.
+    units = units_mod(d)[1:]  # unit 1 fixes every candidate
+    acts = [unit_action(d, r) for r in units]
     menus = {}
     for i in i1_list:
-        menus[i] = [[] for _ in range(d)]
-        for _, k in opts[i]:
-            if k >= ends[i]:
-                for free in weak_compositions(k - ends[i], d - 1):
-                    menus[i][residue_sum(free) % d].append(free)
-    # Per slot, the label choices (sorted tuples of pairs, hence in key
-    # order), their edges and the residue each adds at both ends, and the
-    # index of the choice each unit makes of each.
-    units = units_mod(d)[1:]  # unit 1 fixes every candidate
+        if (genera[i], ends[i]) not in tables:
+            menu = tables[genera[i], ends[i]] = [[] for _ in range(d)]
+            for _, k in opts[i]:
+                if k >= ends[i]:
+                    for free in weak_compositions(k - ends[i], d - 1):
+                        menu[residue_sum(free) % d].append(free)
+        menus[i] = tables[genera[i], ends[i]]
 
     def scaled(chosen, r, loop):
         pairs = (((r * a) % d, (r * b) % d) for a, b in chosen)
         return tuple(sorted(tuple(sorted(pair)) if loop else pair for pair in pairs))
 
-    per_slot_choices = []
-    images = [[] for _ in units]
-    for (i, j), count in structure.items():
-        # The label pairs, in sorted order: an end carries 0 exactly at an
-        # I0 vertex, no pair sums to 0 mod d, and a loop's pair is sorted.
-        at_i, at_j = (range(1, d) if colours[v] == I1 else (0,) for v in (i, j))
-        pool = [(a, b) for a in at_i for b in at_j if (a + b) % d and (i < j or a <= b)]
-        choices = list(itertools.combinations_with_replacement(pool, count))
-        per_slot_choices.append([
-            ([_edge(i, j, a, b) for a, b in chosen],
-             ((i, sum(a for a, _ in chosen)), (j, sum(b for _, b in chosen))))
-            for chosen in choices
-        ])
-        where = {chosen: ix for ix, chosen in enumerate(choices)}
-        for table, r in zip(images, units):
-            table.append([where[scaled(chosen, r, i == j)] for chosen in choices])
-    acts = [unit_action(d, r) for r in units]
+    last = {v: ix for ix, slot in enumerate(structure) for v in slot}
+    plan = []  # per slot: its ends, its choice table, the I1 vertices it closes
+    for ix, ((i, j), count) in enumerate(structure.items()):
+        key = (colours[i], colours[j], i == j, count)
+        if key not in tables:
+            # An end carries 0 exactly at an I0 vertex, no pair sums to 0
+            # mod d, and a loop's pair is sorted.
+            at_i, at_j = (range(1, d) if c == I1 else (0,) for c in key[:2])
+            pool = [(a, b) for a in at_i for b in at_j if (a + b) % d and (i < j or a <= b)]
+            choices = list(itertools.combinations_with_replacement(pool, count))
+            where = {chosen: p for p, chosen in enumerate(choices)}
+            tables[key] = [(chosen, sum(a for a, _ in chosen), sum(b for _, b in chosen),
+                            [where[scaled(chosen, r, i == j)] for r in units])
+                           for chosen in choices]
+        plan.append((i, j, tables[key],
+                     [v for v in {i, j} if last[v] == ix and colours[v] == I1]))
+    residues = [0] * V
+    chosen = [()] * len(plan)
 
-    for picks in itertools.product(*(range(len(c)) for c in per_slot_choices)):
-        mapped = [tuple(t[p] for t, p in zip(table, picks)) for table in images]
-        if any(m < picks for m in mapped):
-            continue
-        ties = [act for m, act in zip(mapped, acts) if m == picks]
-        residues = [0] * V
-        edges = []
-        for choices, p in zip(per_slot_choices, picks):
-            slot_edges, added = choices[p]
-            edges += slot_edges
-            for v, r in added:
-                residues[v] += r
-        free_menus = [menus[i][-residues[i] % d] for i in i1_list]
-        for frees in itertools.product(*free_menus):
-            if any(tuple(map(act, frees)) < frees for act in ties):
+    def rec(s, ties):
+        if s == len(plan):
+            edges = [(i, j, a, b, False) for (i, j, _, _), pairs in zip(plan, chosen)
+                     for a, b in pairs]
+            tied = [acts[u] for u in ties]
+            for frees in itertools.product(*(menus[i][-residues[i] % d] for i in i1_list)):
+                if not any(tuple(map(act, frees)) < frees for act in tied):
+                    free_of = dict(zip(i1_list, frees))
+                    yield [(v, colours[v], genera[v], free_of.get(v)) for v in range(V)], edges
+            return
+        i, j, table, closing = plan[s]
+        for p, (pairs, ri, rj, image) in enumerate(table):
+            if any(image[u] < p for u in ties):
                 continue
-            free_of = dict(zip(i1_list, frees))
-            vertices = [
-                Vertex(vid=i, colour=colours[i], genus=genera[i],
-                       free=free_of.get(i))
-                for i in range(V)
-            ]
-            yield make_graph(d, vertices, edges)
+            residues[i] += ri
+            residues[j] += rj
+            if all(menus[v][-residues[v] % d] for v in closing):
+                chosen[s] = pairs
+                yield from rec(s + 1, [u for u in ties if image[u] == p])
+            residues[i] -= ri
+            residues[j] -= rj
+
+    yield from rec(0, range(len(units)))
 
 
 # ---------------------------------------------------------------------------
@@ -920,15 +924,10 @@ def graph_from_doc(doc: dict) -> AutoGraph:
         for entry in doc["vertices"]:
             colour = entry["colour"]
             free = entry.get("free_branching")
-            vertices.append(
-                Vertex(
-                    vid=doc_int(entry["id"], "a vertex id"),
-                    colour=colour,
-                    genus=doc_int(entry["genus"], "a genus"),
-                    free=(tuple(doc_int(c, "a free-branching count") for c in free)
-                          if free is not None else None),
-                )
-            )
+            vertices.append(Vertex(
+                doc_int(entry["id"], "a vertex id"), colour, doc_int(entry["genus"], "a genus"),
+                None if free is None else tuple(doc_int(c, "a free-branching count")
+                                                for c in free)))
         edges = []
         for entry in doc.get("edges", ()):
             if entry["type"] == "link":

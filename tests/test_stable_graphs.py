@@ -1,7 +1,11 @@
+import ast
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -442,6 +446,13 @@ def structure_ends(V, structure):
     return ends
 
 
+def labelled_graphs(d, colours, genera, structure, opts, ends):
+    """`_labelled_graphs` on one structure with a table dict of its own:
+    each row candidate, (vertex rows, edge rows), with its decoded graph."""
+    for rows in sg._labelled_graphs(d, colours, genera, structure, opts, ends, {}):
+        yield rows, make_graph(d, [Vertex(*v) for v in rows[0]], [sg.Edge(*e) for e in rows[1]])
+
+
 class TestCanonicalOracle:
     @pytest.mark.parametrize("g,d", [
         (g, d) for g in (2, 3, 4) for d in (2, 3, 5, 7) if d <= 2 * g + 1
@@ -552,14 +563,14 @@ class TestEnumeration:
             assert sg.enumerate_graphs(g, d) == []
             assert not [G for colours, genera, E, opts in sg._vertex_multisets(g, d)
                         for structure, ends in sg._structures(d, colours, genera, E, opts)
-                        for G in sg._labelled_graphs(d, colours, genera, structure, opts,
-                                                     ends)]
+                        for _, G in labelled_graphs(d, colours, genera, structure, opts,
+                                                    ends)]
 
     def test_filter_applied(self):
         # The star generator of the boundary survey keeps exactly the
         # classes of the generic search that satisfy the per-graph
         # definition, in the same order.  (6, 3) is left out: its search
-        # takes about 4 s.
+        # takes about 1.6 s, and test_class_counts runs it.
         n = 0
         for g in range(2, 7):
             for d in primes_upto(2 * g + 1):
@@ -573,15 +584,14 @@ class TestEnumeration:
 
 
 # Class counts of enumerate_graphs for every prime order up to 2g + 1.
-# Genus 5 takes about 0.4 s over all its orders, and genus 6 about 0.6 s
-# over the orders except 3; (6, 3) -> 4,258 takes about 4 s and was
-# checked once outside this suite.
+# Genus 5 takes about 0.3 s over all its orders, and genus 6 about 0.5 s
+# over the orders except 3; (6, 3) -> 4,258 takes about 1.6 s.
 CLASS_COUNTS = {
     (2, 2): 3, (2, 3): 4, (2, 5): 1,
     (3, 2): 12, (3, 3): 20, (3, 5): 4, (3, 7): 2,
     (4, 2): 39, (4, 3): 106, (4, 5): 19, (4, 7): 6,
     (5, 2): 151, (5, 3): 625, (5, 5): 86, (5, 7): 14, (5, 11): 2,
-    (6, 2): 617, (6, 5): 433, (6, 7): 49, (6, 11): 10, (6, 13): 3,
+    (6, 2): 617, (6, 3): 4258, (6, 5): 433, (6, 7): 49, (6, 11): 10, (6, 13): 3,
 }
 
 
@@ -632,6 +642,25 @@ class TestStructureSearch:
     @pytest.mark.parametrize("g,d", sorted(CLASS_COUNTS))
     def test_class_counts(self, g, d):
         assert len(sg.enumerate_graphs(g, d)) == CLASS_COUNTS[(g, d)]
+
+    def test_no_table_carries_between_calls(self):
+        # Each call builds its own label and menu tables, so calls made one
+        # after another in one process return what a fresh process returns.
+        calls = [(4, 3), (4, 5), (4, 3), (3, 3)]
+        got = [sg.enumerate_graphs(g, d) for g, d in calls]
+        src = os.path.dirname(os.path.dirname(sg.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys; from cycliccovers import stable_graphs as sg; "
+                "print(repr(sg.enumerate_graphs(*map(int, sys.argv[1:]))))")
+        fresh = {}
+        for g, d in sorted(set(calls)):
+            proc = subprocess.run([sys.executable, "-c", code, str(g), str(d)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            fresh[g, d] = ast.literal_eval(proc.stdout)
+        assert got == [fresh[call] for call in calls]
+        assert got[0] and got[0] != got[1]
 
 
 # (count, SHA-1) of the labelled candidates and SHA-1 of the vertex
@@ -690,7 +719,7 @@ class TestLabelledGraphs:
             kept = oracles.boundary_multiset(d, colours, genera, E)
             for structure, ends in sg._structures(d, colours, genera, E, opts):
                 structures.update(repr((colours, genera, E, structure, ends)).encode())
-                for G in sg._labelled_graphs(d, colours, genera, structure, opts, ends):
+                for _, G in labelled_graphs(d, colours, genera, structure, opts, ends):
                     sg.check_graph(G, pre=False, require_stable=True)
                     assert sg.graph_genus(G) == g
                     assert kept == is_boundary_graph(G)
@@ -698,6 +727,20 @@ class TestLabelledGraphs:
                     n += 1
         assert (n, candidates.hexdigest(), structures.hexdigest()) == CANDIDATES[g, d]
 
+
+    @pytest.mark.parametrize("g,d", [
+        (g, d) for g in (2, 3, 4) for d in primes_upto(2 * g + 1)
+    ])
+    def test_row_canonicaliser(self, g, d):
+        # enumerate_graphs canonicalises each candidate from its rows, in
+        # search order; canonical_encoding of the decoded graph agrees.
+        n = 0
+        for colours, genera, E, opts in sg._vertex_multisets(g, d):
+            for structure, ends in sg._structures(d, colours, genera, E, opts):
+                for rows, G in labelled_graphs(d, colours, genera, structure, opts, ends):
+                    assert sg._canonical(d, *rows) == sg.canonical_encoding(G)
+                    n += 1
+        assert n > 0
 
     @pytest.mark.parametrize("g,d", [
         (g, d) for g in (2, 3, 4) for d in primes_upto(2 * g + 1)
@@ -709,7 +752,7 @@ class TestLabelledGraphs:
         for colours, genera, E, opts in sg._vertex_multisets(g, d):
             for structure, ends in sg._structures(d, colours, genera, E, opts):
                 args = (d, colours, genera, structure, opts, ends)
-                got = list(sg._labelled_graphs(*args))
+                got = [G for _, G in labelled_graphs(*args)]
                 want = set(oracles.reference_labelled_graphs(*args))
                 assert len(set(got)) == len(got)
                 assert set(got) <= want
