@@ -30,7 +30,6 @@ at most 4g + 2, so above it `enumerate_admissible` returns () unsearched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import compress
 from math import gcd
 from operator import mul, not_
@@ -42,7 +41,7 @@ from .combinat import (branch_weights, branching_term, genus_relation, is_prime,
 __all__ = [
     "BranchingSequence",
     "SmoothLocus",
-    "ExtraAutomorphismRisk",
+    "SPECIAL_SHAPES",
     "monodromy_sum_vanishes",
     "canonical_datum",
     "quotient_genus",
@@ -53,7 +52,6 @@ __all__ = [
     "enumerate_admissible",
     "enumerate_loci",
     "iter_admissible_shapes",
-    "maximal_cyclic_exception",
 ]
 
 
@@ -327,22 +325,7 @@ def iter_admissible_shapes(g: int, p: int):
     yield from (shape for shape in prime_shapes(g, p) if shape[1] != 1)
 
 
-class ExtraAutomorphismRisk(Enum):
-    """Shapes where a general member may admit symmetry beyond the cyclic group."""
-
-    NONE = "none"
-    GENUS_TWO_QUOTIENT = "quotient-genus-2-unramified"
-    ELLIPTIC_TWO_POINTS = "elliptic-quotient-two-points"
-    RATIONAL_FEW_POINTS = "rational-quotient-3-or-4-points"
-
-
-def maximal_cyclic_exception(h: int, k: int) -> ExtraAutomorphismRisk:
-    if h < 0 or k < 0:
-        raise ValueError("h and k must be non-negative")
-    if (h, k) == (2, 0):
-        return ExtraAutomorphismRisk.GENUS_TWO_QUOTIENT
-    if (h, k) == (1, 2):
-        return ExtraAutomorphismRisk.ELLIPTIC_TWO_POINTS
-    if h == 0 and k in (3, 4):
-        return ExtraAutomorphismRisk.RATIONAL_FEW_POINTS
-    return ExtraAutomorphismRisk.NONE
+# The quotient shapes (h, k) where a general member may admit symmetry
+# beyond the cyclic group: an unramified genus-2 quotient, an elliptic
+# quotient with two branch points, and a rational one with three or four.
+SPECIAL_SHAPES = frozenset({(2, 0), (1, 2), (0, 3), (0, 4)})

@@ -392,8 +392,8 @@ def cmd_enlarge(args) -> int:
     }[args.kind]
     out = op(G, args.vertex)  # validates G before anything reads it
     before = stable_graphs.stratum_dimension(G)
-    after = stable_graphs.stratum_dimension(out)
     out = stable_graphs.canonical_encoding(out)
+    after = stable_graphs.encoding_dimension(out)
     if args.format == "doc":
         _emit_doc({"result": stable_graphs.graph_doc(out), "dim_before": before,
                    "dim_after": after})

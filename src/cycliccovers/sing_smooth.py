@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .branching import (
+    SPECIAL_SHAPES,
     BranchingSequence,
-    ExtraAutomorphismRisk,
     SmoothLocus,
     enumerate_loci,
     iter_admissible_shapes,
-    maximal_cyclic_exception,
     smooth_locus,
 )
 from .combinat import is_prime, primes_upto, unit_action
@@ -134,13 +133,11 @@ def case_pattern(locus: SmoothLocus) -> tuple[CaseTag | None, NormalizerShape | 
         raise ValueError("prime order required")
     if locus.g < 3:
         raise ValueError("classification requires genus at least 3")
-    risk = maximal_cyclic_exception(locus.h, locus.k)
-    tag = {ExtraAutomorphismRisk.GENUS_TWO_QUOTIENT: CaseTag.GENUS2_QUOTIENT,
-           ExtraAutomorphismRisk.ELLIPTIC_TWO_POINTS: CaseTag.ELLIPTIC_QUOTIENT}.get(risk)
-    if tag is not None:
-        return tag, NormalizerShape.KLEIN_FOUR if p == 2 else NormalizerShape.DIHEDRAL
-    if risk is not ExtraAutomorphismRisk.RATIONAL_FEW_POINTS:
+    if (locus.h, locus.k) not in SPECIAL_SHAPES:
         return None, None
+    if locus.h:  # unramified over genus 2, or two points over genus 1
+        tag = CaseTag.GENUS2_QUOTIENT if locus.h == 2 else CaseTag.ELLIPTIC_QUOTIENT
+        return tag, NormalizerShape.KLEIN_FOUR if p == 2 else NormalizerShape.DIHEDRAL
     if locus.k == 4 and unit_action(p, p - 1)(locus.counts) == locus.counts:
         # Negation-symmetric quadruple: {a, a, -a, -a}, which is the unit
         # multiple a of {1, 1, -1, -1}, or {a, -a, b, -b} with b != +-a.

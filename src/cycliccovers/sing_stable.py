@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement as multisets
 
-from .branching import ExtraAutomorphismRisk, maximal_cyclic_exception
+from .branching import SPECIAL_SHAPES
 from .combinat import (min_marks, prime_shapes, primes_upto, quotient_genus_for, residue_sum,
                        unit_action, units_mod, weak_compositions)
 from .sing_smooth import DecompositionReport, decompose_sing
@@ -161,8 +161,7 @@ def _verdict(enc) -> tuple[tuple[int, int], int, str | None, tuple[str, ...]]:
     *tails, (_, gj, free) = vparts
     k = sum(free) + sum(1 + e[0] for e in eparts)  # a loop has both ends at the centre
     shape = (quotient_genus_for(gj, p, k * (p - 1)), k)
-    risky = maximal_cyclic_exception(*shape) is not ExtraAutomorphismRisk.NONE
-    flags = (RIGID_FLAG,) if shape == (0, 3) else (REVIEW_FLAG,) if risky else ()
+    flags = (RIGID_FLAG,) if shape == (0, 3) else (REVIEW_FLAG,) if shape in SPECIAL_SHAPES else ()
     excluded = None
     if shape == (0, 3) and not any(free) and min(t for _, t, _ in tails) >= 1:
         loop, _, a, b, _ = eparts[-1]  # a loop sorts after the links

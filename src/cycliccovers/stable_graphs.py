@@ -52,13 +52,11 @@ __all__ = [
     "Edge",
     "AutoGraph",
     "GraphError",
-    "VertexCoverData",
     "DivisorException",
     "make_link",
     "make_loop",
     "make_graph",
     "check_graph",
-    "vertex_data",
     "graph_genus",
     "is_stable",
     "smoothable_nodes",
@@ -178,54 +176,28 @@ def make_graph(d: int, vertices, edges=()) -> AutoGraph:
     return AutoGraph(d=d, vertices=tuple(vs), edges=tuple(es))
 
 
-@dataclass(frozen=True)
-class VertexCoverData:
-    """Branching bookkeeping of one vertex.
-
-    counts includes the edge contributions; quotient_genus solves the
-    normalisation genus relation; ends counts edge-ends, which
-    for I0 vertices is the number of marked points of the quotient
-    factor and for I1 vertices is bounded by k.
-    """
-
-    counts: tuple[int, ...]
-    k: int
-    quotient_genus: int
-    ends: int
-
-
-def vertex_data(G: AutoGraph, vid: int) -> VertexCoverData:
-    v = G.vertex(vid)
-    d = G.d
-    ends = G.ends(vid)
-    if v.colour == I0:
-        return VertexCoverData((0,) * (d - 1), k=0, quotient_genus=v.genus, ends=len(ends))
-    counts = list(v.free or (0,) * (d - 1))
-    # A swapped loop's two preimages form one orbit and are not fixed
-    # points, so it contributes nothing here.
-    labels = [label for label, e in ends if not e.swapped]
-    if 0 in labels:
-        raise GraphError("vertex %d: zero label on a branch of a nontrivially "
-                         "acted component" % vid)
-    for label in labels:
-        if not 0 < label < d:
-            raise GraphError("vertex %d: branch label %d outside 1..%d" % (vid, label, d - 1))
-        counts[label - 1] += 1
-    k = sum(counts)
-    total = residue_sum(counts) % d
-    if total:
-        raise GraphError(
-            "vertex %d: branch residues sum to %d mod %d, no vertex cover exists"
-            % (vid, total, d)
-        )
-    # Every residue is a unit mod the prime d: each point weighs d - 1.
-    h = quotient_genus_for(v.genus, d, k * (d - 1))
+def _factor(d: int, vid: int, coloured: bool, genus: int, marks: int) -> tuple[int, int]:
+    # The quotient factor (h, marks) of one vertex.  An identity component
+    # is its own quotient, marked at its edge-ends; an I1 component's
+    # marks are its k branch points, each weighing d - 1 since every
+    # residue is a unit mod the prime d, and h solves the genus relation.
+    if not coloured:
+        return genus, marks
+    h = quotient_genus_for(genus, d, marks * (d - 1))
     if h is None:
         raise GraphError(
             "vertex %d: genus relation has no non-negative integer quotient genus "
-            "(genus %d, k %d, order %d)" % (vid, v.genus, k, d)
+            "(genus %d, k %d, order %d)" % (vid, genus, marks, d)
         )
-    return VertexCoverData(counts=tuple(counts), k=k, quotient_genus=h, ends=len(ends))
+    return h, marks
+
+
+def _branching(G: AutoGraph, v: Vertex) -> tuple[int, int]:
+    # (k, residue sum) of an I1 vertex: its free points and the fixed
+    # points at its edge-ends.  A swapped loop's two preimages form one
+    # orbit and are not fixed points, so it contributes nothing here.
+    labels = [label for label, e in G.ends(v.vid) if not e.swapped]
+    return sum(v.free) + len(labels), residue_sum(v.free) + sum(labels)
 
 
 def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -> None:
@@ -300,8 +272,14 @@ def check_graph(G: AutoGraph, pre: bool = False, require_stable: bool = False) -
     index = {vid: i for i, vid in enumerate(G._index)}
     if not connects(len(index), [(index[e.u], index[e.v]) for e in G.edges]):
         raise GraphError("graph is not connected")
-    for v in G.vertices:
-        vertex_data(G, v.vid)
+    for v in G.i1_vertices():
+        k, total = _branching(G, v)
+        if total % d:
+            raise GraphError(
+                "vertex %d: branch residues sum to %d mod %d, no vertex cover exists"
+                % (v.vid, total % d, d)
+            )
+        _factor(d, v.vid, True, v.genus, k)
     if require_stable and not is_stable(G):
         raise GraphError("graph fails stability")
 
@@ -451,37 +429,35 @@ def stratum_dimension(G: AutoGraph) -> int:
 
     Identity components contribute their genus marked at the edge-ends;
     the others contribute the quotient genus marked at all k branch
-    points.
+    points.  G is validated as a pre graph first, and an unstable factor
+    is refused.
     """
+    check_graph(G, pre=True)
     total = 0
     for v in G.vertices:
-        data = vertex_data(G, v.vid)
-        if v.colour == I0:
-            pair = (v.genus, data.ends)
-        else:
-            pair = (data.quotient_genus, data.k)
-        if pair[1] < min_marks(pair[0]):
-            raise GraphError(
-                "unstable summand at vertex %d: genus %d with %d marks"
-                % (v.vid, pair[0], pair[1])
-            )
-        total += 3 * pair[0] - 3 + pair[1]
+        coloured = v.colour == I1
+        marks = _branching(G, v)[0] if coloured else len(G.ends(v.vid))
+        h, n = _factor(G.d, v.vid, coloured, v.genus, marks)
+        if n < min_marks(h):
+            raise GraphError("unstable summand at vertex %d: genus %d with %d marks"
+                             % (v.vid, h, n))
+        total += 3 * h - 3 + n
     return total
 
 
 def encoding_dimension(enc) -> int:
     """`stratum_dimension` of the maximal graph an encoding describes, read
     off the encoding: every end at an I1 vertex is one of its k branch
-    points."""
+    points.  An unstable factor counts like any other."""
     d, vparts, eparts = enc
     ends = [0] * len(vparts)
     for e in eparts:
         ends[e[1]] += 1
         ends[e[2] if e[0] == 0 else e[1]] += 1
     total = 0
-    for (coloured, genus, free), n in zip(vparts, ends):
-        n += sum(free)  # free is () at an I0 vertex
-        total += 3 * (quotient_genus_for(genus, d, n * (d - 1)) if coloured else genus) - 3 + n
+    for ix, ((coloured, genus, free), n) in enumerate(zip(vparts, ends)):
+        h, n = _factor(d, ix, coloured, genus, n + sum(free))  # free is () at an I0 vertex
+        total += 3 * h - 3 + n
     return total
 
 

@@ -8,9 +8,13 @@ from hypothesis import given, strategies as st
 
 import oracles
 from cycliccovers import branching as br
-from cycliccovers.branching import BranchingSequence, ExtraAutomorphismRisk
+from cycliccovers import sing_smooth as ss
+from cycliccovers import sing_stable as sst
+from cycliccovers import stable_graphs as sg
+from cycliccovers.branching import BranchingSequence
 from cycliccovers.combinat import (branching_term, genus_relation, primes_upto,
                                    unit_action, units_mod)
+from cycliccovers.sing_smooth import CaseTag
 
 
 ORDER_AND_COUNTS = st.integers(min_value=2, max_value=12).flatmap(
@@ -273,22 +277,25 @@ class TestCodimExceptions:
 
 
 class TestMaximalCyclicException:
+    # (shape, the genus, order and counts of a locus of that shape, its
+    # case tag, the flags of the lone I1 vertex of that locus)
+    CASES = [
+        ((2, 0), (4, 3, (0, 0)), CaseTag.GENUS2_QUOTIENT, (sst.REVIEW_FLAG,)),
+        ((1, 2), (3, 3, (1, 1)), CaseTag.ELLIPTIC_QUOTIENT, (sst.REVIEW_FLAG,)),
+        ((0, 3), (3, 7, (1, 0, 2, 0, 0, 0)), CaseTag.RATIONAL_INVOLUTION, (sst.RIGID_FLAG,)),
+        ((0, 4), (4, 5, (2, 0, 0, 2)), CaseTag.RATIONAL_FOUR_POINTS, (sst.REVIEW_FLAG,)),
+        ((3, 5), (12, 3, (4, 1)), None, ()),
+        ((0, 5), (3, 3, (4, 1)), None, ()),
+    ]
+
     def test_cases(self):
-        assert (
-            br.maximal_cyclic_exception(2, 0)
-            is ExtraAutomorphismRisk.GENUS_TWO_QUOTIENT
-        )
-        assert (
-            br.maximal_cyclic_exception(1, 2)
-            is ExtraAutomorphismRisk.ELLIPTIC_TWO_POINTS
-        )
-        assert (
-            br.maximal_cyclic_exception(0, 3)
-            is ExtraAutomorphismRisk.RATIONAL_FEW_POINTS
-        )
-        assert (
-            br.maximal_cyclic_exception(0, 4)
-            is ExtraAutomorphismRisk.RATIONAL_FEW_POINTS
-        )
-        assert br.maximal_cyclic_exception(3, 5) is ExtraAutomorphismRisk.NONE
-        assert br.maximal_cyclic_exception(0, 5) is ExtraAutomorphismRisk.NONE
+        # The special shapes, each read by case_pattern and by the boundary
+        # verdict, and two shapes that are not special.
+        for shape, (g, d, counts), tag, flags in self.CASES:
+            locus = br.smooth_locus(g, BranchingSequence(d, counts))
+            assert (locus.h, locus.k) == shape
+            assert (shape in br.SPECIAL_SHAPES) == bool(flags)
+            assert ss.case_pattern(locus)[0] is tag
+            enc = sg.canonical_encoding(sg.make_graph(d, [sg.Vertex(0, sg.I1, g, counts)]))
+            got, _, _, got_flags = sst._verdict(enc)
+            assert (got, got_flags) == (shape, flags)

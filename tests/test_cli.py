@@ -289,6 +289,17 @@ class TestGraphDocuments:
                    "--kind", "detached") == (
             2, "", "error: unstable summand at vertex 0: genus 0 with 1 marks\n")
 
+    def test_enlarge_unstable_summand_names_vertex_id(self, capsys, tmp_path):
+        # The same graph with ids 7, 3 and 12: the refusal names the
+        # document's vertex id, not the vertex's position.
+        doc = graph_doc(3, [(7, "I0", 0), (3, "I1", 1, [1, 0]), (12, "I1", 0, [0, 1])],
+                        [link_entry(7, 3, 0, 1), link_entry(3, 12, 1, 1)])
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, "enlarge", "--input", str(path), "--vertex", "12",
+                   "--kind", "detached") == (
+            2, "", "error: unstable summand at vertex 7: genus 0 with 1 marks\n")
+
     def test_unreadable_input(self, capsys, tmp_path):
         code, out, err = run(capsys, "simplify", "--input", str(tmp_path / "missing.json"))
         assert (code, out) == (2, "")
@@ -687,7 +698,7 @@ def clause_params(rows):
 
 
 class TestCheckGraphMessages:
-    """Every clause of check_graph, and of vertex_data, by its exact message."""
+    """Every clause of check_graph by its exact message."""
 
     def run_doc(self, capsys, tmp_path, doc, *argv):
         path = tmp_path / "graph.json"
@@ -705,20 +716,19 @@ class TestCheckGraphMessages:
         assert self.run_doc(capsys, tmp_path, doc, *argv) == (2, "", "error: %s\n" % message)
 
     @pytest.mark.parametrize("G,message", [
+        # A zero label at an I1 end is refused by the edge clauses.
         pytest.param(make_graph(3, [Vertex(0, I1, 1, (0, 0)), Vertex(1, I0, 1)],
                                 [make_link(0, 1, 0, 0)]),
-                     "vertex 0: zero label on a branch of a nontrivially acted component",
-                     id="zero-label"),
+                     "link end at vertex 0 needs a nonzero residue", id="zero-label"),
         pytest.param(make_graph(3, [Vertex(0, I1, 1, (0, 0))], [make_loop(0, 0, 1)]),
-                     "vertex 0: zero label on a branch of a nontrivially acted component",
-                     id="zero-label-on-loop"),
+                     "loop labels out of range at vertex 0", id="zero-label-on-loop"),
         pytest.param(make_graph(3, [Vertex(0, I1, 1, (1, 1))]),
                      "vertex 0: genus relation has no non-negative integer quotient genus "
                      "(genus 1, k 2, order 3)", id="no-quotient-genus"),
     ])
     def test_vertex_data_clause(self, G, message):
         with pytest.raises(sg.GraphError) as info:
-            sg.vertex_data(G, 0)
+            sg.check_graph(G)
         assert str(info.value) == message
 
 

@@ -3,7 +3,7 @@ import pytest
 import oracles
 from cycliccovers import sing_stable as st
 from cycliccovers import stable_graphs as sg
-from cycliccovers.combinat import primes_upto
+from cycliccovers.combinat import primes_upto, quotient_genus_for
 from cycliccovers.stable_graphs import I0, I1, Vertex, make_graph, make_link
 
 
@@ -46,8 +46,9 @@ class TestBoundaryComponents:
         (c,) = comps
         assert c.d == 3 and c.flags == (st.RIGID_FLAG,)
         G = sg._decode(c.star)
-        data = sg.vertex_data(G, G.i1_vertices()[0].vid)
-        assert (data.quotient_genus, data.k) == (0, 3)
+        (centre,) = G.i1_vertices()
+        k = len(G.ends(centre.vid)) + sum(centre.free)
+        assert (quotient_genus_for(centre.genus, 3, 2 * k), k) == (0, 3)
 
     def test_invariants(self):
         for g in (2, 3, 4):
@@ -93,9 +94,9 @@ class TestBoundaryComponents:
             for enc in st._stars(g, p):
                 G = sg._decode(enc)
                 (h, k), dim, excluded, _ = st._verdict(enc)
-                centre = G.i1_vertices()[0]
-                data = sg.vertex_data(G, centre.vid)
-                assert (h, k) == (data.quotient_genus, data.k)
+                (centre,) = G.i1_vertices()
+                marks = len(G.ends(centre.vid)) + sum(centre.free)
+                assert (h, k) == (quotient_genus_for(centre.genus, p, marks * (p - 1)), marks)
                 assert dim == sg.stratum_dimension(G)
                 # A link's label at the tail is 0, so mu + mv is its label at the centre.
                 tails = [(v.genus, tuple(sorted(e.mu + e.mv for e in G.edges

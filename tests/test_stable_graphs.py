@@ -12,7 +12,7 @@ import pytest
 import oracles
 from cycliccovers import sing_stable as ss
 from cycliccovers import stable_graphs as sg
-from cycliccovers.combinat import primes_upto, units_mod
+from cycliccovers.combinat import primes_upto, quotient_genus_for, units_mod
 from cycliccovers.stable_graphs import (
     I0,
     I1,
@@ -33,28 +33,37 @@ def elliptic_tail_graph(g):
     )
 
 
+def factor_counts(G, vid):
+    """(counts by residue, k, quotient genus) of an I1 vertex, recounted
+    from its free branching and its edge-ends."""
+    v = G.vertex(vid)
+    counts = list(v.free)
+    for label, _ in G.ends(vid):
+        counts[label - 1] += 1
+    k = len(G.ends(vid)) + sum(v.free)
+    return tuple(counts), k, quotient_genus_for(v.genus, G.d, k * (G.d - 1))
+
+
 class TestVertexData:
     def test_tail_vertex(self):
         G = elliptic_tail_graph(4)
-        data = sg.vertex_data(G, 1)
-        assert data.k == 4 and data.quotient_genus == 0
-        assert data.counts == (4,)
+        sg.check_graph(G)
+        assert factor_counts(G, 1) == ((4,), 4, 0)
 
     def test_loop_vertex_order3(self):
         G = make_graph(3, [Vertex(0, I1, 1, (1, 0))], [make_loop(0, 1, 1)])
-        data = sg.vertex_data(G, 0)
-        assert data.counts == (3, 0)
-        assert data.k == 3 and data.quotient_genus == 0
+        sg.check_graph(G)
+        assert factor_counts(G, 0) == ((3, 0), 3, 0)
 
     def test_residue_violation(self):
         G = make_graph(3, [Vertex(0, I1, 1, (0, 1))], [make_loop(0, 1, 1)])
         with pytest.raises(GraphError, match="residues"):
-            sg.vertex_data(G, 0)
+            sg.check_graph(G)
 
     def test_bad_quotient_genus(self):
         G = make_graph(3, [Vertex(0, I1, 2, (3, 0))])
-        with pytest.raises(GraphError):
-            sg.vertex_data(G, 0)
+        with pytest.raises(GraphError, match="genus relation"):
+            sg.check_graph(G)
 
 
 class TestGenusAndStability:
@@ -89,7 +98,7 @@ class TestGenusAndStability:
         # A genus-0 component with a loop and one link is stable.
         G = make_graph(2, [Vertex(0, I0, 0), Vertex(1, I0, 1)],
                        [make_loop(0, 0, 0), make_link(0, 1, 0, 0)])
-        assert sg.vertex_data(G, 0).ends == 3
+        assert len(G.ends(0)) == 3
         assert sg.is_stable(G)
 
 
@@ -547,9 +556,10 @@ class TestEnumeration:
             encs = [sg.canonical_encoding(G) for G in graphs]
             assert len(encs) == len(set(encs))
             assert encs == sorted(encs)
-            for G in graphs:
+            for G, enc in zip(graphs, encs):
                 sg.check_graph(G, require_stable=True)
                 assert sg.graph_genus(G) == g
+                assert sg.stratum_dimension(G) == sg.encoding_dimension(enc)
 
     def test_composite_order_refused(self):
         with pytest.raises(ValueError, match="order must be a prime number"):
@@ -895,24 +905,27 @@ class TestDocumentFormat:
         with pytest.raises(GraphError):
             sg.graph_from_doc({"order": 2, "vertices": [{"id": 0}], "edges": []})
 
-    @pytest.mark.parametrize("edges", [
-        [{"type": "link", "ends": [0, 1], "labels": [0, 5]}],
-        [{"type": "link", "ends": [0, 1], "labels": [0, 1]},
-         {"type": "loop", "vertex": 1, "pair": [1, 5]}],
+    @pytest.mark.parametrize("edges, message", [
+        pytest.param([{"type": "link", "ends": [0, 1], "labels": [0, 5]}],
+                     "link end at vertex 1 needs a nonzero residue", id="edges0"),
+        pytest.param([{"type": "link", "ends": [0, 1], "labels": [0, 1]},
+                      {"type": "loop", "vertex": 1, "pair": [1, 5]}],
+                     "loop labels out of range at vertex 1", id="edges1"),
     ])
-    def test_label_out_of_range_is_graph_error(self, edges):
-        # vertex_data indexed the free branching by the label, so on an
-        # unchecked graph it raised IndexError (or wrapped round at 0).
+    def test_label_out_of_range_is_graph_error(self, edges, message):
+        # graph_from_doc does not check labels; check_graph refuses them,
+        # and stratum_dimension validates first, so it raises GraphError
+        # rather than indexing the free branching by a stray label.
         G = sg.graph_from_doc({
             "order": 2,
             "vertices": [{"id": 0, "colour": "I0", "genus": 1},
                          {"id": 1, "colour": "I1", "genus": 1, "free_branching": [3]}],
             "edges": edges,
         })
-        with pytest.raises(GraphError, match="outside 1..1"):
-            sg.vertex_data(G, 1)
-        with pytest.raises(GraphError, match="outside 1..1"):
-            sg.stratum_dimension(G)
+        for check in (sg.check_graph, sg.stratum_dimension):
+            with pytest.raises(GraphError) as info:
+                check(G)
+            assert str(info.value) == message
 
     def test_validation_messages(self):
         G = make_graph(
