@@ -385,15 +385,8 @@ def cmd_simplify(args) -> int:
 def cmd_enlarge(args) -> int:
     doc = _load_json(args.input)
     G = stable_graphs.graph_from_doc(doc)
-    op = {
-        "detached": stable_graphs.enlarge_detached,
-        "attached": stable_graphs.enlarge_attached,
-        "max": stable_graphs.enlarge_max,
-    }[args.kind]
-    out = op(G, args.vertex)  # validates G before anything reads it
-    before = stable_graphs.stratum_dimension(G)
+    before, out, after = stable_graphs.enlarge(G, args.vertex, args.kind)
     out = stable_graphs.canonical_encoding(out)
-    after = stable_graphs.encoding_dimension(out)
     if args.format == "doc":
         _emit_doc({"result": stable_graphs.graph_doc(out), "dim_before": before,
                    "dim_after": after})

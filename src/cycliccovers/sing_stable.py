@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement as multisets
 
 from .branching import SPECIAL_SHAPES
-from .combinat import (min_marks, prime_shapes, primes_upto, quotient_genus_for, residue_sum,
-                       unit_action, units_mod, weak_compositions)
+from .combinat import (min_marks, prime_shapes, primes_upto, residue_sum, unit_action,
+                       units_mod, weak_compositions)
 from .sing_smooth import DecompositionReport, decompose_sing
-from .stable_graphs import encoding_dimension
+from .stable_graphs import encoding_dimension, encoding_factors
 
 __all__ = [
     "BoundaryComponent",
@@ -143,11 +143,11 @@ def _stars(g: int, p: int) -> list:
 
 
 def _verdict(enc) -> tuple[tuple[int, int], int, str | None, tuple[str, ...]]:
-    """The centre's shape (h, k), the dimension (`encoding_dimension`), the
-    excluded exceptional shape (None, "II-a" or "II-b") and the flags of a
-    star, read off its `_stars` encoding: tails (0, t, ()) first, the
-    centre (1, gj, free) last, links (0, i, c, 0, m) with m the label at the
-    centre, loops (1, c, a, b, 0).
+    """The centre's shape (h, k), its quotient factor in `encoding_factors`,
+    the dimension (`encoding_dimension`), the excluded exceptional shape
+    (None, "II-a" or "II-b") and the flags of a star, read off its `_stars`
+    encoding: tails (0, t, ()) first, the centre (1, gj, free) last, links
+    (0, i, c, 0, m) with m the label at the centre, loops (1, c, a, b, 0).
 
     Both excluded shapes come from the order-2p curve w^p = x^2 - 1: a
     rational quotient with three branch points, all at nodes to tails of
@@ -158,9 +158,8 @@ def _verdict(enc) -> tuple[tuple[int, int], int, str | None, tuple[str, ...]]:
     p = 2 admits no k = 3, whose residue sum would be odd.
     """
     p, vparts, eparts = enc
-    *tails, (_, gj, free) = vparts
-    k = sum(free) + sum(1 + e[0] for e in eparts)  # a loop has both ends at the centre
-    shape = (quotient_genus_for(gj, p, k * (p - 1)), k)
+    *tails, (_, _, free) = vparts
+    shape = encoding_factors(enc)[-1]
     flags = (RIGID_FLAG,) if shape == (0, 3) else (REVIEW_FLAG,) if shape in SPECIAL_SHAPES else ()
     excluded = None
     if shape == (0, 3) and not any(free) and min(t for _, t, _ in tails) >= 1:

@@ -61,10 +61,9 @@ __all__ = [
     "is_stable",
     "smoothable_nodes",
     "simplify",
-    "enlarge_detached",
-    "enlarge_attached",
-    "enlarge_max",
+    "enlarge",
     "stratum_dimension",
+    "encoding_factors",
     "encoding_dimension",
     "canonical_encoding",
     "canonical_form",
@@ -381,47 +380,34 @@ def _trivialise(G: AutoGraph, vids: set[int]) -> AutoGraph:
     return make_graph(G.d, vertices, edges)
 
 
-def _enlargeable(G: AutoGraph, j: int) -> bool:
-    # Validates G and j; returns whether j meets an identity component.
+def enlarge(G: AutoGraph, j: int, kind: str) -> tuple[int, AutoGraph, int]:
+    """(G's stratum dimension, the maximal graph, its stratum dimension)
+    after trivialising the action on chosen I1 components and simplifying.
+
+    "detached" trivialises j, which meets no identity component;
+    "attached" trivialises j, which meets one, and merges it with its
+    identity neighbours; "max" trivialises every I1 component but j.  The
+    total genus is kept and the dimension does not fall.
+    """
     check_graph(G, pre=False)
     if G.colour(j) != I1:
         raise GraphError("vertex %d is not an I1 component" % j)
-    return any(G.colour(e.v if e.u == j else e.u) == I0 for _, e in G.ends(j))
-
-
-def _enlarged(G: AutoGraph, vids: set[int]) -> AutoGraph:
-    out = simplify(_trivialise(G, vids))
+    meets = any(G.colour(e.v if e.u == j else e.u) == I0 for _, e in G.ends(j))
+    if kind == "detached" and meets:
+        raise GraphError("vertex %d meets an identity component" % j)
+    if kind == "attached" and not meets:
+        raise GraphError("vertex %d meets no identity component" % j)
+    others = {v.vid for v in G.i1_vertices() if v.vid != j}
+    if kind != "detached" and not others:
+        raise GraphError("need another nontrivially acted component")
+    out = simplify(_trivialise(G, others if kind == "max" else {j}))
     if graph_genus(out) != graph_genus(G):
         raise AssertionError("enlargement changed the total genus")
-    if stratum_dimension(out) < stratum_dimension(G):
+    after = _dimension(out)  # the result's unstable summand is refused first
+    before = _dimension(G)
+    if after < before:
         raise AssertionError("enlargement decreased the stratum dimension")
-    return out
-
-
-def enlarge_detached(G: AutoGraph, j: int) -> AutoGraph:
-    """Trivialise the action on an I1 component meeting no I0 component."""
-    if _enlargeable(G, j):
-        raise GraphError("vertex %d meets an identity component" % j)
-    return _enlarged(G, {j})
-
-
-def enlarge_attached(G: AutoGraph, j: int) -> AutoGraph:
-    """Trivialise the action on an I1 component meeting some I0 component,
-    merging it with the adjacent identity components."""
-    if not _enlargeable(G, j):
-        raise GraphError("vertex %d meets no identity component" % j)
-    if len(G.i1_vertices()) < 2:
-        raise GraphError("need another nontrivially acted component")
-    return _enlarged(G, {j})
-
-
-def enlarge_max(G: AutoGraph, j: int) -> AutoGraph:
-    """Trivialise the action everywhere except on vertex j."""
-    _enlargeable(G, j)
-    others = {v.vid for v in G.i1_vertices() if v.vid != j}
-    if not others:
-        raise GraphError("need another nontrivially acted component")
-    return _enlarged(G, others)
+    return before, out, after
 
 
 def stratum_dimension(G: AutoGraph) -> int:
@@ -433,6 +419,11 @@ def stratum_dimension(G: AutoGraph) -> int:
     is refused.
     """
     check_graph(G, pre=True)
+    return _dimension(G)
+
+
+def _dimension(G: AutoGraph) -> int:
+    # `stratum_dimension` of a graph that passed check_graph.
     total = 0
     for v in G.vertices:
         coloured = v.colour == I1
@@ -445,20 +436,22 @@ def stratum_dimension(G: AutoGraph) -> int:
     return total
 
 
-def encoding_dimension(enc) -> int:
-    """`stratum_dimension` of the maximal graph an encoding describes, read
-    off the encoding: every end at an I1 vertex is one of its k branch
-    points.  An unstable factor counts like any other."""
+def encoding_factors(enc) -> list[tuple[int, int]]:
+    """The quotient factor (h, n) of each vertex of an encoding, in its
+    order: every end at an I1 vertex is one of its k branch points."""
     d, vparts, eparts = enc
     ends = [0] * len(vparts)
     for e in eparts:
         ends[e[1]] += 1
         ends[e[2] if e[0] == 0 else e[1]] += 1
-    total = 0
-    for ix, ((coloured, genus, free), n) in enumerate(zip(vparts, ends)):
-        h, n = _factor(d, ix, coloured, genus, n + sum(free))  # free is () at an I0 vertex
-        total += 3 * h - 3 + n
-    return total
+    return [_factor(d, ix, coloured, genus, n + sum(free))  # free is () at an I0 vertex
+            for ix, ((coloured, genus, free), n) in enumerate(zip(vparts, ends))]
+
+
+def encoding_dimension(enc) -> int:
+    """`stratum_dimension` of the maximal graph an encoding describes, read
+    off its factors.  An unstable factor counts like any other."""
+    return sum(3 * h - 3 + n for h, n in encoding_factors(enc))
 
 
 def _arrangements(classes: list[list[int]]):

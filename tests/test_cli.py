@@ -300,6 +300,43 @@ class TestGraphDocuments:
                    "--kind", "detached") == (
             2, "", "error: unstable summand at vertex 7: genus 0 with 1 marks\n")
 
+    def test_enlarge_refuses_result_summand_first(self, capsys, tmp_path):
+        # Both the result and G have an unstable summand at vertex 0: the
+        # trivialised rational vertex keeps one edge-end, and G's I1 vertex
+        # 0 has a quotient of genus 0 with 2 marks.  The result's is named.
+        G = make_graph(3, [Vertex(0, I1, 0, (0, 1)), Vertex(1, I1, 1, (2, 0))],
+                       [make_link(0, 1, 1, 1)])
+        path = self.make_doc(tmp_path, G)
+        assert run(capsys, "enlarge", "--input", path, "--vertex", "0",
+                   "--kind", "detached") == (
+            2, "", "error: unstable summand at vertex 0: genus 0 with 1 marks\n")
+
+    @pytest.mark.parametrize("kind,vertex,vertices,edges", [
+        ("detached", 1, [Vertex(0, I1, 1, (2, 0)), Vertex(1, I1, 1, (2, 0))],
+         [make_link(0, 1, 1, 1)]),
+        ("attached", 1, [Vertex(0, I1, 1, (2, 0)), Vertex(1, I1, 1, (1, 0)), Vertex(2, I0, 1)],
+         [make_link(0, 1, 1, 1), make_link(1, 2, 1, 0)]),
+        ("max", 0, [Vertex(0, I1, 1, (2, 0)), Vertex(1, I1, 1, (1, 0)),
+                    Vertex(2, I1, 1, (2, 0))],
+         [make_link(0, 1, 1, 1), make_link(1, 2, 1, 1)]),
+    ])
+    def test_enlarge_checks_each_graph_once(self, capsys, tmp_path, monkeypatch, kind,
+                                            vertex, vertices, edges):
+        # G, the trivialised graph and the result are each validated once.
+        calls = []
+        check_graph = sg.check_graph
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return check_graph(*args, **kwargs)
+
+        monkeypatch.setattr(sg, "check_graph", counted)
+        path = self.make_doc(tmp_path, make_graph(3, vertices, edges))
+        code, out, err = run(capsys, "enlarge", "--input", path, "--vertex", str(vertex),
+                             "--kind", kind)
+        assert (code, err) == (0, "") and out
+        assert len(calls) == 3
+
     def test_unreadable_input(self, capsys, tmp_path):
         code, out, err = run(capsys, "simplify", "--input", str(tmp_path / "missing.json"))
         assert (code, out) == (2, "")

@@ -280,7 +280,7 @@ class TestEnlargements:
             [Vertex(0, I1, 1, (2, 0)), Vertex(1, I1, 1, (2, 0))],
             [make_link(0, 1, 1, 1)],
         )
-        out = sg.enlarge_detached(G, 1)
+        out = sg.enlarge(G, 1, "detached")[1]
         assert out.vertex(1).colour == I0
         e = out.edges[0]
         assert (e.mu, e.mv) == (1, 0)
@@ -296,7 +296,7 @@ class TestEnlargements:
             ],
             [make_link(0, 1, 1, 1), make_link(1, 2, 1, 0)],
         )
-        out = sg.enlarge_attached(G, 1)
+        out = sg.enlarge(G, 1, "attached")[1]
         assert len(out.vertices) == 2
         assert {v.colour for v in out.vertices} == {I0, I1}
         assert sg.graph_genus(out) == 3
@@ -311,9 +311,9 @@ class TestEnlargements:
             ],
             [make_link(0, 1, 1, 1), make_link(1, 2, 1, 1)],
         )
-        via_max = sg.enlarge_max(G, 0)
-        step1 = sg.enlarge_detached(G, 2)
-        step2 = sg.enlarge_attached(step1, 1)
+        via_max = sg.enlarge(G, 0, "max")[1]
+        step1 = sg.enlarge(G, 2, "detached")[1]
+        step2 = sg.enlarge(step1, 1, "attached")[1]
         assert sg.canonical_encoding(via_max) == sg.canonical_encoding(step2)
 
     def test_elliptic_tail_order2(self):
@@ -331,7 +331,7 @@ class TestEnlargements:
         )
         sg.check_graph(G, require_stable=True)
         before = sg.stratum_dimension(G)
-        out = sg.enlarge_max(G, 0)
+        out = sg.enlarge(G, 0, "max")[1]
         assert len(out.i1_vertices()) == 1
         assert sg.graph_genus(out) == sg.graph_genus(G)
         assert sg.stratum_dimension(out) == before + 1
@@ -342,7 +342,8 @@ class TestEnlargements:
             if len(i1) < 2:
                 continue
             for j in i1:
-                out = sg.enlarge_max(G, j)
+                before, out, after = sg.enlarge(G, j, "max")
+                assert (before, after) == (sg.stratum_dimension(G), sg.stratum_dimension(out))
                 assert sg.stratum_dimension(out) >= sg.stratum_dimension(G)
                 assert sg.graph_genus(out) == sg.graph_genus(G)
 
