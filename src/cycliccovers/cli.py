@@ -161,24 +161,29 @@ def _assignment_from_doc(doc: dict) -> cover_algebra.BranchAssignment:
         torsion=tuple(doc_int(t, "a torsion factor") for t in picard.get("torsion", ())),
     )
 
-    def cls(entry):
+    def coordinates(entry):
+        # (free, torsion) of a class entry.  Integer lists of the group's lengths pass
+        # one test; element() reads any other entry and refuses its first fault.
         entry = mapping(entry, "a divisor class")
-        return model.element(
-            tuple(doc_int(x, "a free coordinate") for x in entry.get("free", ())),
-            tuple(doc_int(x, "a torsion coordinate") for x in entry.get("torsion", ())),
-        )
+        free, torsion = entry.get("free", ()), entry.get("torsion", ())
+        if not (type(free) is type(torsion) is list and len(free) == model.free_rank
+                and len(torsion) == len(model.torsion) and {*map(type, free + torsion)} <= {int}):
+            c = model.element(tuple(doc_int(x, "a free coordinate") for x in free),
+                              tuple(doc_int(x, "a torsion coordinate") for x in torsion))
+            return c.free, c.torsion
+        return tuple(free), tuple(torsion)
 
-    divisors = {}
+    divisors = []
     for residue, items in mapping(doc.get("divisors", {}), "divisors").items():
         # Keys are text: only the canonical decimal of an integer names a
         # residue, so "02" or " 2" cannot stand in for (and overwrite) "2".
         if not residue.removeprefix("-").isdecimal() or str(int(residue)) != residue:
             raise GraphError("malformed cover document: divisor residue %s is not "
                              "a canonical decimal integer" % clipped(residue))
-        divisors[int(residue)] = [(item["symbol"], cls(item["class"])) for item in items]
-    return cover_algebra.branch_assignment(
-        d=doc_int(doc["order"], "order"), model=model, L=cls(doc["L"]), divisors=divisors
-    )
+        divisors.append((int(residue), [(item["symbol"], *coordinates(item["class"]))
+                                        for item in items]))
+    return cover_algebra.BranchAssignment(
+        doc_int(doc["order"], "order"), model, model.element(*coordinates(doc["L"])), divisors)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +469,7 @@ def cmd_cover_check(args) -> int:
         raise GraphError("malformed cover document: %s" % exc) from exc
     res = cover_algebra.irreducibility(ba)
     if args.format == "doc":
-        _emit_doc({
-            "irreducible": res.irreducible,
-            "inertia_gcd": res.inertia_gcd,
-            "torsion_order": res.torsion_order,
-        })
+        _emit_doc(vars(res))
     else:
         print(
             "%s (inertia gcd %d, torsion class order %d)"

@@ -8,6 +8,11 @@ local monodromy residue, together with a class L satisfying d*L =
 sum_i i*[D_i].  Character classes, multiplication sections and the
 irreducibility criterion are pure bookkeeping on these classes.
 
+A `BranchAssignment` keeps its divisors as a table of symbol rows, not as
+class objects.  Each class it reports (the validity defect, a character
+class, the irreducibility witness, a branch class) is one weighted sum
+n*L + sum_i w(i)*[D_i], taken down the coordinate columns of the table.
+
 For a character exponent x the class L_x satisfies d*L_x =
 sum_i ((x*i) mod d) * [D_i].  It is given in closed form by
 L_x = x*L - sum_i floor(x*i/d) * [D_i]: stepping from L_x to L_{x+1}
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from operator import add, mod
+from operator import add, itemgetter, mod, mul, neg
 
 from .combinat import clipped
 
@@ -45,19 +50,15 @@ class PicardModel:
 
     free_rank: int
     torsion: tuple[int, ...] = ()
-    # Built by the first zero() call, never earlier: a document may name a vast free rank.
-    _zero: DivisorClass | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        prev = None
-        for t in self.torsion:
+        for prev, t in zip((1, *self.torsion), self.torsion):
             if t < 2:
                 raise ValueError("torsion factors must be at least 2")
-            if prev is not None and t % prev != 0:
+            if t % prev != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
-            prev = t
 
     def element(self, free=(), torsion=()) -> DivisorClass:
         # map() stops at the shorter tuple; extra coordinates stay for DivisorClass to refuse.
@@ -66,23 +67,12 @@ class PicardModel:
                             tuple(map(mod, torsion, self.torsion)) + torsion[len(self.torsion):])
 
     def zero(self) -> DivisorClass:
-        if self._zero is None:
-            object.__setattr__(self, "_zero", DivisorClass(
-                self, (0,) * self.free_rank, (0,) * len(self.torsion)))
-        return self._zero
+        return DivisorClass(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
     def __contains__(self, c: DivisorClass) -> bool:
         """c is a class of this group whose torsion coordinates are reduced."""
         return ((c.model is self or c.model == self)
                 and all(0 <= a < t for a, t in zip(c.torsion, self.torsion)))
-
-    def combination(self, terms) -> DivisorClass:
-        """sum n*c over a sequence of (n, c) pairs of classes of this group."""
-        if any(c.model is not self and c.model != self for _, c in terms):
-            raise ValueError("classes live in different groups")
-        return self.element(
-            [sum(n * c.free[k] for n, c in terms) for k in range(self.free_rank)],
-            [sum(n * c.torsion[k] for n, c in terms) for k in range(len(self.torsion))])
 
 
 @dataclass(frozen=True)
@@ -141,55 +131,70 @@ def multiplication_exponents(d: int, chi: int, xi: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BranchAssignment:
-    """Branch divisors grouped by monodromy residue, plus the root class L.
+    """Branch divisors as a table of symbol rows, plus the root class L.
 
-    divisors maps residue i to the (symbol, class) pairs of the reduced
-    divisor D_i; symbols are globally distinct since the D_i share no
-    components.  Validity requires d*L = sum_i i*[D_i] exactly.
+    divisors lists (i, rows) per residue i named; a row is the (symbol, free
+    coordinates, torsion coordinates, reduced or not) of one class of the
+    reduced divisor D_i.  It is kept sorted by residue, then by symbol, and
+    symbols are globally distinct since the D_i share no components.
+    Validity requires d*L = sum_i i*[D_i] exactly.
     """
 
     d: int
     model: PicardModel
     L: DivisorClass
-    divisors: tuple[tuple[int, tuple[tuple[str, DivisorClass], ...]], ...]
-    _classes: dict[int, DivisorClass] = field(init=False, repr=False, compare=False)
+    divisors: tuple[tuple[int, tuple[tuple[object, tuple[int, ...], tuple[int, ...]], ...]], ...]
+    # (populated residues, coordinate columns of L and of each [D_i], free first)
+    _columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        table = tuple((i, tuple(sorted(rows, key=itemgetter(0))))
+                      for i, rows in sorted(self.divisors, key=itemgetter(0)))
+        object.__setattr__(self, "divisors", table)
         if self.d < 2:
             raise ValueError("order must be at least 2")
         if self.L not in self.model:
             raise ValueError("L does not live in the given group")
-        seen: set[str] = set()
-        terms: dict[int, list] = {}
-        for i, items in self.divisors:
+        seen: set = set()
+        residues, sums = [], [self.L.free + self.L.torsion]
+        for i, rows in table:
             if not (1 <= i <= self.d - 1):
                 raise ValueError("divisor residue %d out of range" % i)
-            for sym, cls in items:
+            for sym, _, _ in rows:
                 if sym in seen:
                     raise ValueError("symbol %s appears in two divisors" % clipped(sym))
                 seen.add(sym)
-                if cls not in self.model:
-                    raise ValueError("class of %s lives in a different group" % clipped(sym))
-                terms.setdefault(i, []).append((1, cls))
-        classes = {i: self.model.combination(ts) for i, ts in terms.items()}
-        object.__setattr__(self, "_classes", classes)
-        if not self.model.combination(
-                [(self.d, self.L)] + [(-i, cls) for i, cls in classes.items()]).is_zero():
+            if rows:
+                residues.append(i)
+                sums.append(tuple(map(sum, zip(*(f + t for _, f, t in rows), strict=True))))
+        object.__setattr__(self, "_columns", (tuple(residues), tuple(zip(*sums, strict=True))))
+        if not _weighted_sum(self, self.d, neg).is_zero():
             raise ValueError("d*L differs from the weighted branch class sum")
 
     def branch_class(self, i: int) -> DivisorClass:
-        return self._classes[i] if i in self._classes else self.model.zero()
+        return _weighted_sum(self, 0, lambda j: j == i)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(i for i, items in self.divisors if items))
+        return self._columns[0]
+
+
+def _weighted_sum(ba: BranchAssignment, n: int, w) -> DivisorClass:
+    """n*L + sum_i w(i)*[D_i], summed down each column; element() reduces the torsion."""
+    residues, columns = ba._columns
+    ws = [n, *map(w, residues)]
+    sums = [sum(map(mul, ws, col)) for col in columns]
+    return ba.model.element(sums[:ba.model.free_rank], sums[ba.model.free_rank:])
 
 
 def branch_assignment(d, model, L, divisors: dict) -> BranchAssignment:
-    """Build a BranchAssignment from a residue -> [(symbol, class)] mapping."""
-    packed = tuple(
-        (i, tuple(sorted(divisors[i], key=lambda sc: sc[0]))) for i in sorted(divisors)
-    )
-    return BranchAssignment(d=d, model=model, L=L, divisors=packed)
+    """Build a BranchAssignment from a residue -> [(symbol, class)] mapping;
+    a class of another group, or with unreduced torsion, is refused."""
+    for items in divisors.values():
+        for sym, cls in items:
+            if cls not in model:
+                raise ValueError("class of %s lives in a different group" % clipped(sym))
+    return BranchAssignment(d, model, L, [(i, [(sym, cls.free, cls.torsion) for sym, cls in items])
+                                          for i, items in divisors.items()])
 
 
 def character_class(ba: BranchAssignment, chi: int) -> DivisorClass:
@@ -197,8 +202,7 @@ def character_class(ba: BranchAssignment, chi: int) -> DivisorClass:
     chi-eigensheaf."""
     if not (0 <= chi < ba.d):
         raise ValueError("character exponent out of range")
-    return ba.model.combination(
-        [(chi, ba.L)] + [(-(chi * i // ba.d), cls) for i, cls in ba._classes.items()])
+    return _weighted_sum(ba, chi, lambda i: -(chi * i // ba.d))
 
 
 @dataclass(frozen=True)
@@ -207,22 +211,17 @@ class IrreducibilityResult:
     inertia_gcd: int
     torsion_order: int
 
-    def __bool__(self) -> bool:
-        return self.irreducible
-
 
 def irreducibility(ba: BranchAssignment) -> IrreducibilityResult:
     """Connectivity test for the cover described by a BranchAssignment.
 
     Let m generate the subgroup of Z/d spanned by the populated residues
     (m = d when the cover is unramified).  The cover is irreducible iff
-    the class L' = (d/m)L - sum_i (i/m)[D_i] has order exactly m.  As m
-    divides every populated residue, L' is the character class L_{d/m}
-    when m > 1; at m = 1 it is d*L - sum_i i*[D_i], zero by validity.
+    the class L' = (d/m)L - sum_i (i/m)[D_i] has order exactly m; m*L' is
+    d*L - sum_i i*[D_i], zero by validity.
     """
-    m = gcd(ba.d, *ba._classes)
-    lp = character_class(ba, ba.d // m) if m > 1 else ba.model.zero()
-    order = lp.order()
+    m = gcd(ba.d, *ba.support())
+    order = _weighted_sum(ba, ba.d // m, lambda i: -(i // m)).order()
     if order is None:
         raise AssertionError("m*L' must vanish, so L' has finite order")
     return IrreducibilityResult(irreducible=(order == m), inertia_gcd=m, torsion_order=order)

@@ -24,7 +24,7 @@ from .branching import SPECIAL_SHAPES
 from .combinat import (min_marks, prime_shapes, primes_upto, residue_sum, unit_action,
                        units_mod, weak_compositions)
 from .sing_smooth import DecompositionReport, decompose_sing
-from .stable_graphs import encoding_dimension, encoding_factors
+from .stable_graphs import encoding_factors, factors_dimension
 
 __all__ = [
     "BoundaryComponent",
@@ -144,10 +144,11 @@ def _stars(g: int, p: int) -> list:
 
 def _verdict(enc) -> tuple[tuple[int, int], int, str | None, tuple[str, ...]]:
     """The centre's shape (h, k), its quotient factor in `encoding_factors`,
-    the dimension (`encoding_dimension`), the excluded exceptional shape
-    (None, "II-a" or "II-b") and the flags of a star, read off its `_stars`
-    encoding: tails (0, t, ()) first, the centre (1, gj, free) last, links
-    (0, i, c, 0, m) with m the label at the centre, loops (1, c, a, b, 0).
+    the dimension (`factors_dimension` of the same factors), the excluded
+    exceptional shape (None, "II-a" or "II-b") and the flags of a star, read
+    off its `_stars` encoding: tails (0, t, ()) first, the centre (1, gj,
+    free) last, links (0, i, c, 0, m) with m the label at the centre, loops
+    (1, c, a, b, 0).
 
     Both excluded shapes come from the order-2p curve w^p = x^2 - 1: a
     rational quotient with three branch points, all at nodes to tails of
@@ -159,7 +160,8 @@ def _verdict(enc) -> tuple[tuple[int, int], int, str | None, tuple[str, ...]]:
     """
     p, vparts, eparts = enc
     *tails, (_, _, free) = vparts
-    shape = encoding_factors(enc)[-1]
+    factors = encoding_factors(enc)
+    shape = factors[-1]
     flags = (RIGID_FLAG,) if shape == (0, 3) else (REVIEW_FLAG,) if shape in SPECIAL_SHAPES else ()
     excluded = None
     if shape == (0, 3) and not any(free) and min(t for _, t, _ in tails) >= 1:
@@ -168,7 +170,7 @@ def _verdict(enc) -> tuple[tuple[int, int], int, str | None, tuple[str, ...]]:
             excluded = "II-a" if a == b else None
         elif len(tails) == 3 and len({(vparts[i][1], m) for _, i, _, _, m in eparts}) < 3:
             excluded = "II-b"
-    return shape, encoding_dimension(enc), excluded, flags
+    return shape, factors_dimension(factors), excluded, flags
 
 
 def boundary_survey(g: int, d_max: int):

@@ -64,6 +64,7 @@ __all__ = [
     "enlarge",
     "stratum_dimension",
     "encoding_factors",
+    "factors_dimension",
     "encoding_dimension",
     "canonical_encoding",
     "canonical_form",
@@ -424,7 +425,7 @@ def stratum_dimension(G: AutoGraph) -> int:
 
 def _dimension(G: AutoGraph) -> int:
     # `stratum_dimension` of a graph that passed check_graph.
-    total = 0
+    factors = []
     for v in G.vertices:
         coloured = v.colour == I1
         marks = _branching(G, v)[0] if coloured else len(G.ends(v.vid))
@@ -432,8 +433,8 @@ def _dimension(G: AutoGraph) -> int:
         if n < min_marks(h):
             raise GraphError("unstable summand at vertex %d: genus %d with %d marks"
                              % (v.vid, h, n))
-        total += 3 * h - 3 + n
-    return total
+        factors.append((h, n))
+    return factors_dimension(factors)
 
 
 def encoding_factors(enc) -> list[tuple[int, int]]:
@@ -448,10 +449,17 @@ def encoding_factors(enc) -> list[tuple[int, int]]:
             for ix, ((coloured, genus, free), n) in enumerate(zip(vparts, ends))]
 
 
+def factors_dimension(factors) -> int:
+    """The dimension of a stratum whose quotient factors are these (h, n):
+    the sum of dim M_{h,n} = 3h - 3 + n.  An unstable factor counts like any
+    other."""
+    return sum(3 * h - 3 + n for h, n in factors)
+
+
 def encoding_dimension(enc) -> int:
     """`stratum_dimension` of the maximal graph an encoding describes, read
-    off its factors.  An unstable factor counts like any other."""
-    return sum(3 * h - 3 + n for h, n in encoding_factors(enc))
+    off its factors."""
+    return factors_dimension(encoding_factors(enc))
 
 
 def _arrangements(classes: list[list[int]]):

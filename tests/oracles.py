@@ -1151,12 +1151,12 @@ def graph_to_doc(G: AutoGraph) -> dict:
 
 
 def reference_branch_class(ba, i):
-    """[D_i], summed afresh from the divisor list."""
+    """[D_i], summed afresh from the rows of the divisor table."""
     acc = ba.model.zero()
-    for j, items in ba.divisors:
+    for j, rows in ba.divisors:
         if j == i:
-            for _, cls in items:
-                acc = acc + cls
+            for _, free, torsion in rows:
+                acc = acc + ba.model.element(free, torsion)
     return acc
 
 

@@ -478,6 +478,29 @@ class TestCoverCheck:
         assert "coordinate lengths do not match the group" in err
         assert peak < 10**6
 
+    def test_builds_no_class_per_symbol(self, capsys, tmp_path, monkeypatch):
+        # The divisors stay a table of coordinate rows: class objects are
+        # built for L and for each sum, however many symbols there are.
+        from cycliccovers import cover_algebra as ca
+
+        built = []
+        check = ca.DivisorClass.__post_init__
+
+        def counted(c):
+            built.append(c)
+            check(c)
+
+        monkeypatch.setattr(ca.DivisorClass, "__post_init__", counted)
+        counts = []
+        for nsym in (20, 200):
+            path = tmp_path / "cover.json"
+            path.write_text(json.dumps(cover_document(random.Random(nsym), 24, 4, nsym, 1)),
+                            encoding="utf-8")
+            built.clear()
+            assert run(capsys, "cover", "check", "--input", str(path))[0] == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 3
+
 
 # Valid documents of each kind, whose numbers the tests below spoil.
 TAIL_GRAPH_DOC = {
@@ -513,6 +536,121 @@ def spoiled(doc, path, value):
         node = node[key]
     node[path[-1]] = value
     return out
+
+
+def cover_item(symbol, free=(0,), torsion=(0,)):
+    return {"symbol": symbol, "class": {"free": list(free), "torsion": list(torsion)}}
+
+
+# Cover documents with two faults each, as changes to COVER_DOC, and the one
+# stderr line of `cover check`, recorded before the reader filled a symbol
+# table: the fault earlier in the refusal order wins.
+COVER_REFUSALS = {
+    "coordinate-before-duplicate": (
+        {"divisors": {"1": [cover_item("A", [1.5])], "2": [cover_item("A")]}},
+        "malformed cover document: a free coordinate must be an integer, not float"),
+    "length-before-residue-range": (
+        {"divisors": {"1": [cover_item("A", [1, 2])], "9": [cover_item("B")]}},
+        "coordinate lengths do not match the group"),
+    "mixed-symbols-before-validity": (
+        {"divisors": {"2": [cover_item("A", [5]), cover_item(3)]}},
+        "malformed cover document: '<' not supported between instances of 'int' and 'str'"),
+    "mixed-symbols-before-order": (
+        {"order": 1, "divisors": {"1": [cover_item("A"), cover_item(3)]}},
+        "malformed cover document: '<' not supported between instances of 'int' and 'str'"),
+    "coordinate-before-mixed-symbols": (
+        {"divisors": {"1": [cover_item("A"), cover_item(3)], "2": [cover_item("B", [0.5])]}},
+        "malformed cover document: a free coordinate must be an integer, not float"),
+    "L-length-before-mixed-symbols": (
+        {"L": {"free": [1], "torsion": [0, 0]},
+         "divisors": {"1": [cover_item("A"), cover_item(3)]}},
+        "coordinate lengths do not match the group"),
+    "coordinate-before-next-missing-symbol": (
+        {"divisors": {"2": [cover_item("A", [True]), {"class": {"free": [0]}}]}},
+        "malformed cover document: a free coordinate must be an integer, not bool"),
+    "torsion-before-next-free": (
+        {"divisors": {"2": [cover_item("A", torsion=["1"]), cover_item("B", [0.5])]}},
+        "malformed cover document: a torsion coordinate must be an integer, not str"),
+    "coordinates-before-lengths": (
+        {"divisors": {"2": [cover_item("A", [1, 2], [None])]}},
+        "malformed cover document: a torsion coordinate must be an integer, not NoneType"),
+    "coordinate-before-later-key": (
+        {"divisors": {"2": [cover_item("A", [0.0])], "03": [cover_item("B")]}},
+        "malformed cover document: a free coordinate must be an integer, not float"),
+    "key-before-later-coordinate": (
+        {"divisors": {"03": [cover_item("B")], "2": [cover_item("A", [0.0])]}},
+        "malformed cover document: divisor residue '03' is not a canonical decimal integer"),
+    "divisors-before-order": (
+        {"order": 4.0, "divisors": {"2": [cover_item("A", [1, 1])]}},
+        "coordinate lengths do not match the group"),
+    "order-before-L": (
+        {"order": "4", "L": {"free": [1, 1], "torsion": [0]}},
+        "malformed cover document: order must be an integer, not str"),
+    "L-length-before-duplicate": (
+        {"L": {"free": [1]}, "divisors": {"1": [cover_item("A")], "2": [cover_item("A")]}},
+        "coordinate lengths do not match the group"),
+    "order-below-2-before-residue-range": (
+        {"order": 1, "divisors": {"5": [cover_item("A")]}},
+        "order must be at least 2"),
+    "duplicate-before-higher-residue-range": (
+        {"divisors": {"1": [cover_item("A")], "3": [cover_item("A")], "7": [cover_item("B")]}},
+        "symbol 'A' appears in two divisors"),
+    "lower-residue-range-before-duplicate": (
+        {"divisors": {"1": [cover_item("A")], "3": [cover_item("A")], "0": [cover_item("B")]}},
+        "divisor residue 0 out of range"),
+    "empty-residue-range-before-validity": (
+        {"divisors": {"0": [], "2": [cover_item("A", [5])]}},
+        "divisor residue 0 out of range"),
+    "empty-residue-range-before-duplicate": (
+        {"divisors": {"0": [], "1": [cover_item("A")], "2": [cover_item("A")]}},
+        "divisor residue 0 out of range"),
+    "torsion-chain-before-coordinate": (
+        {"picard": {"free_rank": 1, "torsion": [4, 2]},
+         "divisors": {"2": [cover_item("A", [0.5])]}},
+        "torsion factors must form a divisibility chain"),
+    "free-rank-before-torsion-factor": (
+        {"picard": {"free_rank": -1, "torsion": [1]}},
+        "free rank must be non-negative"),
+    "free-rank-type-before-torsion-type": (
+        {"picard": {"free_rank": "1", "torsion": ["2"]}},
+        "malformed cover document: free_rank must be an integer, not str"),
+    "unhashable-symbol-before-validity": (
+        {"divisors": {"2": [cover_item(["A"], [5])]}},
+        "malformed cover document: unhashable type: 'list'"),
+    "duplicate-before-unhashable-symbol": (
+        {"divisors": {"1": [cover_item("A")], "2": [cover_item("A")], "3": [cover_item(["B"])]}},
+        "symbol 'A' appears in two divisors"),
+    "equal-number-symbols": (
+        {"divisors": {"1": [cover_item(1)], "3": [cover_item(True), cover_item(0)]}},
+        "symbol True appears in two divisors"),
+    "missing-class-before-duplicate": (
+        {"divisors": {"1": [{"symbol": "A"}], "2": [cover_item("A")]}},
+        "malformed cover document: 'class'"),
+    "class-not-object-before-next-item": (
+        {"divisors": {"2": [{"symbol": "A", "class": [0]}, {"class": {"free": [0]}}]}},
+        "malformed cover document: a divisor class must be an object"),
+    "items-not-a-list-before-later-residue": (
+        {"divisors": {"2": 5, "1": [cover_item("A", [0.5])]}},
+        "malformed cover document: 'int' object is not iterable"),
+    "free-not-a-list-before-torsion": (
+        {"divisors": {"2": [{"symbol": "A", "class": {"free": 3, "torsion": [0.5]}}]}},
+        "malformed cover document: 'int' object is not iterable"),
+    "divisors-not-object-before-order": (
+        {"order": None, "divisors": [cover_item("A")]},
+        "malformed cover document: divisors must be an object"),
+    "picard-not-object-before-divisors": (
+        {"picard": [1], "divisors": 5},
+        "malformed cover document: picard must be an object"),
+}
+
+
+class TestCoverRefusalOrder:
+    @pytest.mark.parametrize("case", sorted(COVER_REFUSALS))
+    def test_earlier_fault_wins(self, capsys, tmp_path, case):
+        changes, line = COVER_REFUSALS[case]
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps({**COVER_DOC, **changes}), encoding="utf-8")
+        assert run(capsys, "cover", "check", "--input", str(path)) == (2, "", "error: %s\n" % line)
 
 
 class TestDocumentNumbers:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cycliccovers import cover_algebra as ca
+from cycliccovers import cli, cover_algebra as ca
 
 
 def model_z():
@@ -232,7 +232,7 @@ class TestValidation:
         lambda M, bad: M.element((1,), ()) - bad,
         lambda M, bad: 2 * bad,
         lambda M, bad: -bad,
-        lambda M, bad: M.combination([(1, bad)]),
+        lambda M, bad: 3 * bad - bad,
     ], ids=["add", "radd", "sub", "rsub", "mul", "neg", "combination"])
     @pytest.mark.parametrize("free,torsion", [((1, 5), ()), ((), ()), ((1,), (0,))])
     def test_operators_refuse_wrong_lengths(self, op, free, torsion):
@@ -246,12 +246,12 @@ class TestValidation:
         (ca.PicardModel(1, ()), ca.PicardModel(2, (3,))),
         (ca.PicardModel(2, (3,)), ca.PicardModel(1, ())),
     ], ids=["more-coordinates", "fewer-coordinates"])
-    def test_combination_refuses_other_groups(self, mine, theirs):
-        # A class of another group would be cut to this group's
-        # coordinates, or index past its own.
+    def test_assignment_refuses_other_groups(self, mine, theirs):
+        # The table keeps a class's coordinates only: a class of another
+        # group would be cut to this group's columns, or pad them.
         other = theirs.element((1,) * theirs.free_rank, (1,) * len(theirs.torsion))
-        with pytest.raises(ValueError, match="classes live in different groups"):
-            mine.combination([(1, mine.zero()), (1, other)])
+        with pytest.raises(ValueError, match="class of 'D' lives in a different group"):
+            ca.branch_assignment(2, mine, mine.zero(), {1: [("D", other)]})
 
     @pytest.mark.parametrize("free,torsion", [((1, 5), (1,)), ((1,), ()), ((1,), (1, 1))])
     def test_element_refuses_wrong_lengths(self, free, torsion):
@@ -264,8 +264,8 @@ class TestValidation:
 # the last divisor leaves the witness L' equal to a drawn defect, so d*L =
 # sum_i i*[D_i] fails in the free part, fails only in torsion, or holds.
 @st.composite
-def plain_cover_data(draw):
-    d = draw(st.integers(min_value=2, max_value=24))
+def plain_cover_data(draw, max_order=24):
+    d = draw(st.integers(min_value=2, max_value=max_order))
     m = draw(st.sampled_from([x for x in range(1, d + 1) if d % x == 0]))
     rank = draw(st.integers(min_value=0, max_value=3))
     torsion = draw(st.sampled_from([(), (2,), (2, 4), (3, 6, 12)]))
@@ -302,6 +302,30 @@ class TestPlainListOracle:
                 ca.branch_assignment(d, M, cls(L), items)
             return
         res = ca.irreducibility(ca.branch_assignment(d, M, cls(L), items))
+        assert (res.irreducible, res.inertia_gcd, res.torsion_order) == \
+            oracles.reference_irreducibility(d, torsion, L, divisors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(plain_cover_data(max_order=12))
+    def test_document_matches_references(self, data):
+        # Read through `cover check`'s reader, whose table keeps a
+        # document's torsion coordinates unreduced.
+        d, rank, torsion, L, divisors = data
+        doc = {"order": d, "picard": {"free_rank": rank, "torsion": list(torsion)},
+               "L": {"free": L[:rank], "torsion": L[rank:]},
+               "divisors": {str(i): [{"symbol": "s%d_%d" % (i, j),
+                                      "class": {"free": x[:rank], "torsion": x[rank:]}}
+                                     for j, x in enumerate(xs)] for i, xs in divisors.items()}}
+        if not oracles.reference_cover_valid(d, torsion, L, divisors):
+            with pytest.raises(ValueError, match=r"d\*L differs"):
+                cli._assignment_from_doc(doc)
+            return
+        ba = cli._assignment_from_doc(doc)
+        for i in range(1, d):
+            assert ba.branch_class(i) == oracles.reference_branch_class(ba, i)
+        for chi in range(d):
+            assert ca.character_class(ba, chi) == oracles.reference_character_class(ba, chi)
+        res = ca.irreducibility(ba)
         assert (res.irreducible, res.inertia_gcd, res.torsion_order) == \
             oracles.reference_irreducibility(d, torsion, L, divisors)
 
