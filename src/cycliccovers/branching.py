@@ -50,7 +50,7 @@ __all__ = [
     "is_admissible",
     "smooth_locus",
     "enumerate_admissible",
-    "enumerate_loci",
+    "locus_rows",
     "iter_admissible_shapes",
 ]
 
@@ -72,17 +72,6 @@ class BranchingSequence:
             )
         if any(k < 0 for k in self.counts):
             raise ValueError("branch counts must be non-negative")
-
-    @property
-    def k(self) -> int:
-        return sum(self.counts)
-
-    def monodromies(self) -> tuple[int, ...]:
-        """The sorted multiset of local monodromy residues."""
-        out = []
-        for i, k in enumerate(self.counts, start=1):
-            out.extend([i] * k)
-        return tuple(out)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.counts, start=1) if k)
@@ -167,11 +156,7 @@ class SmoothLocus:
     codim: int
 
     def label(self) -> str:
-        body = ",".join(str(c) for c in self.counts)
-        return "M_{%d;%d,[(%s)]}" % (self.g, self.d, body)
-
-    def sequence(self) -> BranchingSequence:
-        return BranchingSequence(self.d, self.counts)
+        return _label(self.g, self.d, self.counts)
 
 
 def smooth_locus(g: int, seq: BranchingSequence) -> SmoothLocus:
@@ -184,25 +169,41 @@ def smooth_locus(g: int, seq: BranchingSequence) -> SmoothLocus:
         raise ValueError(
             "inadmissible branching for g=%d, d=%d: %r" % (g, seq.d, seq.counts)
         )
-    return _locus(g, canonical_datum(seq), h)
+    [(counts, h, k, dim, codim, _)] = locus_rows(g, seq.d, [(canonical_datum(seq).counts, h)])
+    return SmoothLocus(g=g, d=seq.d, counts=counts, h=h, k=k, dim=dim, codim=codim)
 
 
-def _locus(g: int, datum: BranchingSequence, h: int) -> SmoothLocus:
-    # The record of a canonical admissible datum with quotient genus h.  For
-    # prime order p the codimension is also recomputed through the closed
-    # form 3(p-1)(h-1) + k(3(p-1)/2 - 1), which must agree exactly.
-    d, k = datum.d, datum.k
-    dim = 3 * (h - 1) + k
-    codim = 3 * (g - 1) - dim
-    if is_prime(d) and 2 * codim != 6 * (d - 1) * (h - 1) + k * (3 * (d - 1) - 2):
-        raise AssertionError(
-            "codimension cross-check failed for g=%d, p=%d, %r" % (g, d, datum.counts)
-        )
-    return SmoothLocus(g=g, d=d, counts=datum.counts, h=h, k=k, dim=dim, codim=codim)
+def _label(g: int, d: int, counts: tuple[int, ...]) -> str:
+    return "M_{%d;%d,[(%s)]}" % (g, d, ",".join(map(str, counts)))
 
 
-def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingSequence, int], ...]:
-    """All admissible canonical data for (g, d) with their quotient genera.
+def locus_rows(g: int, d: int, rows) -> list[tuple[tuple[int, ...], int, int, int, int, str]]:
+    """(counts, h, k, dim, codim, label) of each canonical admissible row (counts, h).
+
+    A locus has dimension 3(h - 1) + k, so dim and codim are taken once per
+    shape (h, k).  For prime order p the codimension is then recomputed
+    through the closed form 3(p-1)(h-1) + k(3(p-1)/2 - 1), which must agree
+    exactly.
+    """
+    dims: dict[tuple[int, int], tuple[int, int]] = {}
+    out = []
+    for counts, h in rows:
+        k = sum(counts)
+        shape = dims.get((h, k))
+        if shape is None:
+            dim = 3 * (h - 1) + k
+            codim = 3 * (g - 1) - dim
+            if is_prime(d) and 2 * codim != 6 * (d - 1) * (h - 1) + k * (3 * (d - 1) - 2):
+                raise AssertionError(
+                    "codimension cross-check failed for g=%d, p=%d, %r" % (g, d, counts))
+            shape = dims[h, k] = dim, codim
+        out.append((counts, h, k, *shape, _label(g, d, counts)))
+    return out
+
+
+def enumerate_admissible(g: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The rows (counts, h) of all admissible canonical data for (g, d), h
+    being the quotient genus, in canonical-key order.
 
     Generates only candidates for unit-orbit representatives: count tuples,
     filled in increasing residue order, with a branching term B of
@@ -303,11 +304,7 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[BranchingSequence, int],
         for h, t in starts:
             place(0, 1, t, 0, h)
     out.sort(key=lambda item: _canonical_key(item[0]))
-    return tuple((BranchingSequence(d, c), h) for c, h in out)
-
-
-def enumerate_loci(g: int, d: int) -> tuple[SmoothLocus, ...]:
-    return tuple(_locus(g, datum, h) for datum, h in enumerate_admissible(g, d))
+    return tuple(out)
 
 
 def iter_admissible_shapes(g: int, p: int):

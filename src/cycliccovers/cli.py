@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import branching, cover_algebra, sing_smooth, sing_stable, stable_graphs
@@ -50,17 +51,23 @@ class _Parser(argparse.ArgumentParser):
 # Document conversion
 
 
-def locus_doc(l: branching.SmoothLocus) -> dict:
+def locus_doc(g: int, d: int, counts, h: int, k: int, dim: int, codim: int, label: str) -> dict:
+    """The document of a locus of genus g and order d, given by its row of
+    `branching.locus_rows`."""
     return {
-        "genus": l.g,
-        "order": l.d,
-        "counts": list(l.counts),
-        "quotient_genus": l.h,
-        "branch_count": l.k,
-        "dim": l.dim,
-        "codim": l.codim,
-        "label": l.label(),
+        "genus": g,
+        "order": d,
+        "counts": list(counts),
+        "quotient_genus": h,
+        "branch_count": k,
+        "dim": dim,
+        "codim": codim,
+        "label": label,
     }
+
+
+def _smooth_locus_doc(l: branching.SmoothLocus) -> dict:
+    return locus_doc(l.g, l.d, l.counts, l.h, l.k, l.dim, l.codim, l.label())
 
 
 def locus_from_doc(doc: dict) -> branching.SmoothLocus:
@@ -73,7 +80,7 @@ def container_doc(c: ContainerInfo) -> dict:
     if c.locus is None:
         out = {"genus": c.g, "order": c.q, "label": c.label()}
     else:
-        out = {k: v for k, v in locus_doc(c.locus).items() if k != "codim"}
+        out = {k: v for k, v in _smooth_locus_doc(c.locus).items() if k != "codim"}
     return {**out, "exact": c.exact, "dim_lower_bound": c.dim_lower_bound}
 
 
@@ -87,7 +94,7 @@ def container_from_doc(doc: dict) -> ContainerInfo:
 
 
 def record_doc(r: ClassificationRecord) -> dict:
-    out: dict = {"locus": locus_doc(r.locus), "verdict": r.verdict.value}
+    out: dict = {"locus": _smooth_locus_doc(r.locus), "verdict": r.verdict.value}
     if r.case_tag is not None:
         out["case"] = r.case_tag.value
     if r.normalizer is not None:
@@ -130,11 +137,16 @@ def boundary_from_doc(doc: dict) -> BoundaryComponent:
 
 
 def report_doc(rep: DecompositionReport) -> dict:
+    """The document of a streamed report, its records and warnings left to
+    be read as it is written: the key "warnings" sorts last."""
+    g = rep.g
     return {
-        "genus": rep.g,
-        "records": map(record_doc, rep.records),
+        "genus": g,
+        "records": (record_doc(rec) if rec else
+                    {"locus": locus_doc(g, p, *row), "verdict": Verdict.COMPONENT.value}
+                    for p, row, rec in rep.records),
         "boundary": map(boundary_doc, rep.boundary),
-        "warnings": list(rep.warnings),
+        "warnings": rep.warnings,
         "notes": list(rep.notes),
     }
 
@@ -245,29 +257,27 @@ def _boundary_line(c: BoundaryComponent) -> str:
 
 
 def _render_report(rep: DecompositionReport) -> None:
+    """Print a streamed report, each component as its row is read."""
     print("genus %d" % rep.g)
     print("components:")
-    for r in rep.components():
-        print("  %s dim=%d codim=%d" % (r.locus.label(), r.locus.dim, r.locus.codim))
+    held = []
+    for _, (_, _, _, dim, codim, label), rec in rep.records:
+        if rec is None:
+            print("  %s dim=%d codim=%d" % (label, dim, codim))
+        else:
+            held.append(rec)
+    rep = replace(rep, records=tuple(held))
     for c in rep.boundary:
         print("  boundary %s" % _boundary_line(c))
     print("redundant:")
-    for r in rep.redundant():
-        assert r.container is not None
-        print(
-            "  %s dim=%d case=%s container=%s (>=%d)"
-            % (
-                r.locus.label(),
-                r.locus.dim,
-                r.case_tag.value if r.case_tag else "?",
-                r.container.label(),
-                r.container.dim_lower_bound,
-            )
-        )
+    for r in rep.redundant():  # the stream has checked that each has a container
+        print("  %s dim=%d case=%s container=%s (>=%d)"
+              % (r.locus.label(), r.locus.dim, r.case_tag.value if r.case_tag else "?",
+                 r.container.label(), r.container.dim_lower_bound))
     print("excluded:")
     for r in rep.excluded():
         print("  %s dim=%d (pseudoreflection)" % (r.locus.label(), r.locus.dim))
-    for header, lines in (("warnings", rep.warnings), ("notes", rep.notes)):
+    for header, lines in (("warnings", list(rep.warnings)), ("notes", rep.notes)):
         if lines:
             print("%s:" % header)
             for line in lines:
@@ -287,16 +297,15 @@ def _parse_counts(text: str, d: int) -> branching.BranchingSequence:
 
 
 def cmd_admissible(args) -> int:
-    loci = branching.enumerate_loci(args.genus, args.order)
+    g, d = args.genus, args.order
+    rows = branching.locus_rows(g, d, branching.enumerate_admissible(g, d))
     if args.format == "doc":
-        _emit_doc({"genus": args.genus, "order": args.order, "loci": map(locus_doc, loci)})
+        _emit_doc({"genus": g, "order": d, "loci": (locus_doc(g, d, *row) for row in rows)})
     else:
-        for l in loci:
-            print(
-                "counts=(%s) h=%d dim=%d codim=%d %s"
-                % (",".join(str(c) for c in l.counts), l.h, l.dim, l.codim, l.label())
-            )
-        print("total: %d" % len(loci))
+        for counts, h, _, dim, codim, label in rows:
+            print("counts=(%s) h=%d dim=%d codim=%d %s"
+                  % (",".join(map(str, counts)), h, dim, codim, label))
+        print("total: %d" % len(rows))
     return EXIT_OK
 
 
@@ -304,7 +313,7 @@ def cmd_locus(args) -> int:
     seq = _parse_counts(args.counts, args.order)
     locus = branching.smooth_locus(args.genus, seq)
     if args.format == "doc":
-        _emit_doc(locus_doc(locus))
+        _emit_doc(_smooth_locus_doc(locus))
     else:
         print(
             "%s h=%d k=%d dim=%d codim=%d"
@@ -317,9 +326,9 @@ def cmd_report(args) -> int:
     """sing reports the interior locus; sing-bar adds the boundary up to --dmax."""
     try:
         if args.command == "sing":
-            rep = sing_smooth.decompose_sing(args.genus)
+            rep = sing_smooth.stream_sing(args.genus)
         else:
-            rep = sing_stable.decompose_sing_bar(args.genus, args.dmax)
+            rep = sing_stable.stream_sing_bar(args.genus, args.dmax)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "doc":

@@ -15,17 +15,11 @@ case analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .branching import (
-    SPECIAL_SHAPES,
-    BranchingSequence,
-    SmoothLocus,
-    enumerate_loci,
-    iter_admissible_shapes,
-    smooth_locus,
-)
+from .branching import (SPECIAL_SHAPES, BranchingSequence, SmoothLocus, enumerate_admissible,
+                         iter_admissible_shapes, locus_rows, smooth_locus)
 from .combinat import is_prime, primes_upto, unit_action
 
 __all__ = [
@@ -38,6 +32,8 @@ __all__ = [
     "case_pattern",
     "container_info",
     "classify",
+    "stream_sing",
+    "collect",
     "decompose_sing",
 ]
 
@@ -105,6 +101,11 @@ class DecompositionReport:
 
     records covers the interior classification; boundary holds boundary
     components when assembled for the compactified space.
+
+    A streamed report (`stream_sing`) holds in records an iterator of rows
+    (p, row of `branching.locus_rows`, record or None for a component),
+    and in warnings a list that fills as they are read; `collect` turns
+    it into a report.
     """
 
     g: int
@@ -138,20 +139,19 @@ def case_pattern(locus: SmoothLocus) -> tuple[CaseTag | None, NormalizerShape | 
     if locus.h:  # unramified over genus 2, or two points over genus 1
         tag = CaseTag.GENUS2_QUOTIENT if locus.h == 2 else CaseTag.ELLIPTIC_QUOTIENT
         return tag, NormalizerShape.KLEIN_FOUR if p == 2 else NormalizerShape.DIHEDRAL
+    support = [i for i, c in enumerate(locus.counts, start=1) if c]
     if locus.k == 4 and unit_action(p, p - 1)(locus.counts) == locus.counts:
         # Negation-symmetric quadruple: {a, a, -a, -a}, which is the unit
         # multiple a of {1, 1, -1, -1}, or {a, -a, b, -b} with b != +-a.
-        if len(locus.sequence().support()) <= 2:
-            return CaseTag.RATIONAL_FOUR_POINTS, NormalizerShape.DIHEDRAL_X2
-        return CaseTag.RATIONAL_FOUR_POINTS, NormalizerShape.DIHEDRAL
+        return CaseTag.RATIONAL_FOUR_POINTS, (
+            NormalizerShape.DIHEDRAL_X2 if len(support) <= 2 else NormalizerShape.DIHEDRAL)
     if locus.k == 3:
-        monod = locus.sequence().monodromies()
-        if len(set(monod)) < len(monod):
+        if len(support) < 3:  # a repeated residue
             return CaseTag.RATIONAL_INVOLUTION, NormalizerShape.CYCLIC_2P
-        if p % 3 == 1:  # distinct residues here: a coset of the three cube roots of 1?
-            roots = [r for r in range(1, p) if r * r * r % p == 1]
-            if sorted(monod) == sorted(monod[0] * r % p for r in roots):
-                return CaseTag.RATIONAL_ORDER_THREE, NormalizerShape.CYCLIC_3_EXTENSION
+        # Three distinct residues: a coset of the three cube roots of 1?
+        if p % 3 == 1 and set(support) == {support[0] * r % p for r in range(1, p)
+                                           if r * r * r % p == 1}:
+            return CaseTag.RATIONAL_ORDER_THREE, NormalizerShape.CYCLIC_3_EXTENSION
     return None, None
 
 
@@ -210,7 +210,7 @@ def classify(locus: SmoothLocus) -> ClassificationRecord:
       (0, 4), dim 1: the least order-2 shape dimension,
         2g - 1 - floor((g + 1)/2), which is at least 3.
       (0, 3) of order three, dim 0: every order-3 shape has dim g - 1.
-    decompose_sing checks the strict growth on every record.
+    stream_sing checks the strict growth on every redundant record.
     """
     if (locus.g, locus.d, locus.h, locus.k) == _EXCLUDED_HYPERELLIPTIC:
         return ClassificationRecord(
@@ -241,46 +241,59 @@ def classify(locus: SmoothLocus) -> ClassificationRecord:
                                 normalizer=shape, container=cont, notes=tuple(notes))
 
 
-def decompose_sing(g: int) -> DecompositionReport:
-    """Classify every admissible prime-order locus of genus g >= 3.
+def stream_sing(g: int) -> DecompositionReport:
+    """The report of decompose_sing, streamed prime by prime.
 
     Orders run over primes p <= 2g + 1; beyond that no order-p symmetry
-    fits the genus.  Genus 2 is rejected: every genus-2 curve is
+    fits the genus.  Genus 2 is rejected at once: every genus-2 curve is
     hyperelliptic and the pseudoreflection bookkeeping starts at 3.
+
+    Each prime's loci come sorted by counts.  A verdict depends on a locus
+    only through (g, p, h, k), except at the special shapes and at the
+    genus-3 hyperelliptic divisor, so `classify` runs on those loci alone
+    and every other locus is a component.  Strict growth is checked on
+    every redundant record before its prime's rows are yielded.
     """
     if g < 3:
         raise ValueError(
             "interior decomposition needs g >= 3; at genus 2 the whole moduli "
             "space is the order-2 locus with 6 branch points"
         )
-    records: list[ClassificationRecord] = []
-    for p in primes_upto(2 * g + 1):
-        for locus in enumerate_loci(g, p):
-            records.append(classify(locus))
-    records.sort(key=lambda r: (r.locus.d, r.locus.counts))
-    for rec in records:
-        if rec.verdict is Verdict.REDUNDANT and (
-                rec.container is None or rec.container.dim_lower_bound <= rec.locus.dim):
-            raise AssertionError(
-                "redundant locus %s has no container of larger dimension"
-                % rec.locus.label()
-            )
-    warnings = tuple(
-        "%s: %s" % (r.locus.label(), note)
-        for r in records
-        for note in r.notes
-        if r.verdict is Verdict.REDUNDANT
-    )
-    notes: list[str] = []
-    if g == 3:
-        notes.append(
-            "the genus-3 hyperelliptic divisor has 8 branch points by the genus "
-            "formula (an order-2 rational quotient forces k = 2g + 2)"
-        )
-    notes.append(
+    warnings: list[str] = []
+
+    def rows():
+        for p in primes_upto(2 * g + 1):
+            block = locus_rows(g, p, sorted(enumerate_admissible(g, p)))
+            held = {}  # counts -> record, for this prime's redundant and excluded loci
+            for counts, h, k, dim, codim, label in block:
+                if (h, k) in SPECIAL_SHAPES or (g, p, h, k) == _EXCLUDED_HYPERELLIPTIC:
+                    rec = classify(SmoothLocus(g, p, counts, h, k, dim, codim))
+                    if rec.verdict is Verdict.REDUNDANT:
+                        if rec.container is None or rec.container.dim_lower_bound <= dim:
+                            raise AssertionError(
+                                "redundant locus %s has no container of larger dimension"
+                                % label)
+                        warnings.extend("%s: %s" % (label, note) for note in rec.notes)
+                    if rec.verdict is not Verdict.COMPONENT:
+                        held[counts] = rec
+            for row in block:
+                yield p, row, held.get(row[0])
+
+    notes = ("the genus-3 hyperelliptic divisor has 8 branch points by the genus "
+             "formula (an order-2 rational quotient forces k = 2g + 2)",) if g == 3 else ()
+    return DecompositionReport(g=g, records=rows(), warnings=warnings, notes=notes + (
         "order-2 data with elliptic quotient and two branch points only exist "
-        "at genus 2 and are outside this classification"
-    )
-    return DecompositionReport(
-        g=g, records=tuple(records), warnings=warnings, notes=tuple(notes)
-    )
+        "at genus 2 and are outside this classification",))
+
+
+def collect(rep: DecompositionReport) -> DecompositionReport:
+    """The report a streamed report describes, with a record for every locus."""
+    g = rep.g
+    records = tuple(rec or ClassificationRecord(SmoothLocus(g, p, *row[:5]), Verdict.COMPONENT)
+                    for p, row, rec in rep.records)
+    return replace(rep, records=records, warnings=tuple(rep.warnings))
+
+
+def decompose_sing(g: int) -> DecompositionReport:
+    """Classify every admissible prime-order locus of genus g >= 3."""
+    return collect(stream_sing(g))

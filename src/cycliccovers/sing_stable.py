@@ -17,13 +17,13 @@ read off the star's data, and the star's encoding is what is printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations_with_replacement as multisets
+from dataclasses import dataclass, replace
+from itertools import chain, combinations_with_replacement as multisets
 
 from .branching import SPECIAL_SHAPES
 from .combinat import (min_marks, prime_shapes, primes_upto, residue_sum, unit_action,
                        units_mod, weak_compositions)
-from .sing_smooth import DecompositionReport, decompose_sing
+from .sing_smooth import DecompositionReport, collect, stream_sing
 from .stable_graphs import encoding_factors, factors_dimension
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "AutBoundReport",
     "boundary_components",
     "boundary_survey",
+    "stream_sing_bar",
     "decompose_sing_bar",
     "aut_bounds",
 ]
@@ -208,13 +209,14 @@ def boundary_components(g: int, d_max: int) -> tuple[BoundaryComponent, ...]:
     return tuple(boundary_survey(g, d_max)[0])
 
 
-def decompose_sing_bar(g: int, d_max: int) -> DecompositionReport:
-    """Interior component closures plus the boundary components.
+def stream_sing_bar(g: int, d_max: int) -> DecompositionReport:
+    """Interior component closures plus the boundary components, the
+    interior streamed as by `sing_smooth.stream_sing`.
 
     The interior part needs g >= 3; the boundary enumeration alone is
     available through boundary_components for genus 2.
     """
-    interior = decompose_sing(g)
+    interior = stream_sing(g)
     comps, warnings, notes = boundary_survey(g, d_max)
     flagged = tuple(
         "%s boundary component flagged %s: %s"
@@ -222,13 +224,14 @@ def decompose_sing_bar(g: int, d_max: int) -> DecompositionReport:
         for c in comps
         if c.flags
     )
-    return DecompositionReport(
-        g=g,
-        records=interior.records,
-        boundary=tuple(comps),
-        warnings=interior.warnings + tuple(warnings) + flagged,
-        notes=interior.notes + tuple(notes),
-    )
+    # chain reads the interior warnings only when it is read itself, after the rows.
+    return replace(interior, boundary=tuple(comps),
+                   warnings=chain(interior.warnings, warnings, flagged),
+                   notes=interior.notes + tuple(notes))
+
+
+def decompose_sing_bar(g: int, d_max: int) -> DecompositionReport:
+    return collect(stream_sing_bar(g, d_max))
 
 
 def aut_bounds(g: int) -> AutBoundReport:

@@ -131,7 +131,7 @@ def reference_admissible(g, d):
     """The slow path that `branching.enumerate_admissible` replaced: every
     solution of the defect equation per quotient genus goes through the
     public rational admissibility test and is canonicalised on its own.
-    Returns the same tuple of (datum, h) pairs, in the same order."""
+    Returns the same tuple of (counts, h) rows, in the same order."""
     weights = tuple(d - gcd(i, d) for i in range(1, d))
     out = {}
     h = 0
@@ -149,7 +149,7 @@ def reference_admissible(g, d):
         h += 1
     # canonical order: populated low residues first, then the counts
     ordered = sorted(out, key=lambda c: (tuple(0 if x else 1 for x in c), c))
-    return tuple((BranchingSequence(d, c), out[c]) for c in ordered)
+    return tuple((c, out[c]) for c in ordered)
 
 
 def weighted_compositions(total: int, weights):
@@ -236,7 +236,7 @@ def seen_set_admissible(g, d):
     replaced: every solution of the genus relation over divisor-class
     compositions, a residue-sum filter, and one canonicalisation per unit
     orbit, whose other members go into a seen-set.  Returns the same tuple
-    of (datum, h) pairs, in the same order."""
+    of (counts, h) rows, in the same order."""
     weights = branch_weights(d)
     terms = genus_relation(g, d)
     actions = [unit_action(d, r) for r in units_mod(d)]
@@ -254,7 +254,7 @@ def seen_set_admissible(g, d):
             images = {act(counts) for act in actions}
             seen |= images
             out[min(images, key=key)] = h
-    return tuple((BranchingSequence(d, c), out[c]) for c in sorted(out, key=key))
+    return tuple((c, out[c]) for c in sorted(out, key=key))
 
 
 def _phi(m):

@@ -29,6 +29,12 @@ def seq(d, *counts):
     return BranchingSequence(d, tuple(counts))
 
 
+def loci(g, d):
+    """The locus of each row that `locus_rows` gives for (g, d)."""
+    return [br.SmoothLocus(g, d, *row[:5])
+            for row in br.locus_rows(g, d, br.enumerate_admissible(g, d))]
+
+
 class TestMonodromySum:
     def test_divisible(self):
         assert br.monodromy_sum_vanishes(seq(2, 8))
@@ -132,14 +138,14 @@ class TestCanonicalDatum:
 class TestEnumeration:
     def test_frozen_values_genus2(self):
         # frozen from the brute-force oracle
-        assert [(x.counts, h) for x, h in br.enumerate_admissible(2, 2)] == [
+        assert list(br.enumerate_admissible(2, 2)) == [
             ((2,), 1),
             ((6,), 0),
         ]
-        assert [(x.counts, h) for x, h in br.enumerate_admissible(2, 3)] == [
+        assert list(br.enumerate_admissible(2, 3)) == [
             ((2, 2), 0)
         ]
-        assert [(x.counts, h) for x, h in br.enumerate_admissible(2, 5)] == [
+        assert list(br.enumerate_admissible(2, 5)) == [
             ((1, 2, 0, 0), 0)
         ]
         for p in (7, 11, 13, 17, 19, 23, 29, 31):
@@ -149,14 +155,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_prime_oracle(self, g, p):
         lib = {
-            oracles.orbit_of(x.counts, p): h for x, h in br.enumerate_admissible(g, p)
+            oracles.orbit_of(x, p): h for x, h in br.enumerate_admissible(g, p)
         }
         assert lib == oracles.brute_admissible_prime(g, p)
 
     @pytest.mark.parametrize("g,d", [(2, 4), (3, 4), (2, 6), (3, 6), (4, 4)])
     def test_matches_general_oracle(self, g, d):
         lib = {
-            oracles.orbit_of(x.counts, d): h for x, h in br.enumerate_admissible(g, d)
+            oracles.orbit_of(x, d): h for x, h in br.enumerate_admissible(g, d)
         }
         assert lib == oracles.brute_admissible_general(g, d)
 
@@ -189,15 +195,15 @@ class TestEnumeration:
     def test_hurwitz_roundtrip(self):
         for g in range(2, 7):
             for d in range(2, 8):
-                for datum, h in br.enumerate_admissible(g, d):
-                    assert genus_relation(g, d)[h] == branching_term(datum.counts)
+                for counts, h in br.enumerate_admissible(g, d):
+                    assert genus_relation(g, d)[h] == branching_term(counts)
 
     def test_shapes_match_enumeration(self):
         for g in range(2, 9):
             for p in (2, 3, 5, 7, 11, 13, 17):
                 shapes = sorted(br.iter_admissible_shapes(g, p))
                 full = sorted(
-                    {(h, datum.k) for datum, h in br.enumerate_admissible(g, p)}
+                    {(h, sum(counts)) for counts, h in br.enumerate_admissible(g, p)}
                 )
                 assert shapes == full, (g, p)
 
@@ -208,7 +214,7 @@ class TestPrimeOrbitCount:
         for p in primes_upto(2 * g + 1):
             loci = br.enumerate_admissible(g, p)
             assert len(loci) == oracles.prime_orbit_count(g, p), (g, p)
-            shapes = Counter((h, datum.k) for datum, h in loci)
+            shapes = Counter((h, sum(counts)) for counts, h in loci)
             counted = {shape: n for shape, n in oracles.prime_shape_counts(g, p).items() if n}
             assert shapes == counted, (g, p)
 
@@ -238,16 +244,35 @@ class TestLocus:
         with pytest.raises(ValueError):
             br.smooth_locus(3, seq(3, 1, 0))
 
+    def test_rows_match_smooth_locus(self):
+        for g in (2, 3, 4, 5):
+            for d in range(2, 13):
+                for counts, h, k, dim, codim, label in br.locus_rows(
+                        g, d, br.enumerate_admissible(g, d)):
+                    locus = br.smooth_locus(g, BranchingSequence(d, counts))
+                    assert (locus.counts, locus.h, locus.k, locus.dim, locus.codim,
+                            locus.label()) == (counts, h, k, dim, codim, label)
+
+    def test_codim_cross_check_once_per_shape(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(br, "is_prime", lambda n: calls.append(n) or True)
+        rows = br.enumerate_admissible(20, 5)
+        br.locus_rows(20, 5, rows)
+        assert len(calls) == len({(h, sum(c)) for c, h in rows}) < len(rows)
+        # A row off the genus relation fails the prime closed form.
+        with pytest.raises(AssertionError, match="codimension cross-check failed"):
+            br.locus_rows(3, 3, [((1, 1), 5)])
+
     def test_dim_plus_codim(self):
         for g in (2, 3, 4, 5):
             for d in (2, 3, 5, 7):
-                for locus in br.enumerate_loci(g, d):
+                for locus in loci(g, d):
                     assert locus.dim + locus.codim == 3 * g - 3
 
     def test_prime_codim_closed_form(self):
         for g in (2, 3, 4, 5, 6):
             for p in (2, 3, 5, 7, 11):
-                for locus in br.enumerate_loci(g, p):
+                for locus in loci(g, p):
                     c = 3 * (p - 1) * (locus.h - 1) + locus.k * (
                         Fraction(3 * (p - 1), 2) - 1
                     )
@@ -256,7 +281,7 @@ class TestLocus:
     def test_prime_hurwitz_specialisation(self):
         for g in (2, 3, 4, 5):
             for p in (2, 3, 5, 7):
-                for locus in br.enumerate_loci(g, p):
+                for locus in loci(g, p):
                     lhs = Fraction(2 * (g - 1))
                     rhs = p * (
                         2 * (locus.h - 1) + locus.k * (1 - Fraction(1, p))

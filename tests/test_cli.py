@@ -72,7 +72,8 @@ class TestAdmissible:
         from cycliccovers import branching as br
 
         loci = [cli.locus_from_doc(entry) for entry in doc["loci"]]
-        assert loci == list(br.enumerate_loci(3, 2))
+        assert loci == [br.smooth_locus(3, br.BranchingSequence(2, c))
+                        for c, _ in br.enumerate_admissible(3, 2)]
 
 
 class TestLocus:
@@ -122,6 +123,40 @@ class TestSing:
         code, _, err = run(capsys, "sing", "--genus", "2")
         assert code == 1
         assert "g >= 3" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "doc"])
+    def test_streams_prime_by_prime(self, capsys, monkeypatch, fmt):
+        # Each prime's rows are printed once that prime is done, so a failure
+        # at the largest prime leaves the earlier primes' output in place.
+        from cycliccovers import sing_smooth as ss
+
+        _, full, _ = run(capsys, "sing", "--genus", "12", "--format", fmt)
+        enumerate_admissible = ss.enumerate_admissible
+
+        def failing(g, p):
+            if p == 23:
+                raise RuntimeError("enumeration failed at p = 23")
+            return enumerate_admissible(g, p)
+
+        monkeypatch.setattr(ss, "enumerate_admissible", failing)
+        with pytest.raises(RuntimeError):
+            cli.main(["sing", "--genus", "12", "--format", fmt])
+        out = capsys.readouterr().out
+        assert full.startswith(out)
+        if fmt == "table":
+            lines = full.split("redundant:")[0].splitlines()
+            p2 = [l for l in lines if l.startswith("  M_{12;2,")]
+            assert out.startswith("genus 12\ncomponents:\n")
+            assert p2 and all(l + "\n" in out for l in p2)
+            assert "redundant:" not in out
+        else:
+            records = json.loads(full)["records"]
+            p2 = [r for r in records if r["locus"]["order"] == 2]
+            assert '\n  "records": [\n' in out and '"warnings"' not in out
+            assert p2 and all(cli._json(r, "    ") in out for r in p2)
+            assert not out.endswith("]")
+        # A usage error still leaves stdout empty.
+        assert run(capsys, "sing", "--genus", "2", "--format", fmt)[:2] == (1, "")
 
     def test_doc_roundtrip(self, capsys):
         from cycliccovers import sing_smooth as ss

@@ -146,6 +146,33 @@ class TestClassify:
         assert "AssertionError: redundant locus M_{3;2,[(0)]}" in proc.stderr
 
 
+class TestStream:
+    def test_shape_shortcut_matches_classify(self):
+        # The stream classifies only special-shape and excluded loci; every
+        # locus it streams must get the verdict, container and notes of the
+        # slow path, which builds and classifies a locus record for each.
+        for g in range(3, 31):
+            for p, (counts, h, k, dim, codim, label), rec in ss.stream_sing(g).records:
+                slow = ss.classify(br.smooth_locus(g, BranchingSequence(p, counts)))
+                assert (slow.locus.counts, slow.locus.h, slow.locus.k, slow.locus.dim,
+                        slow.locus.codim, slow.locus.label()) == (counts, h, k, dim, codim, label)
+                got = (rec.verdict, rec.container, rec.notes) if rec else (
+                    Verdict.COMPONENT, None, ())
+                assert got == (slow.verdict, slow.container, slow.notes)
+                assert rec is None or rec == slow
+                if (h, k) not in br.SPECIAL_SHAPES and (g, p, h, k) != (3, 2, 0, 8):
+                    assert rec is None and slow.verdict is Verdict.COMPONENT
+
+    def test_rows_sorted_per_prime(self):
+        rows = [(p, row[0]) for p, row, _ in ss.stream_sing(12).records]
+        assert rows == sorted(rows) and len(set(rows)) == len(rows)
+        assert [p for p, _ in rows] == sorted(p for p, _ in rows)
+
+    def test_collect_is_decompose_sing(self):
+        rep = ss.stream_sing(5)
+        assert ss.collect(rep) == ss.decompose_sing(5)
+
+
 class TestDecompose:
     def test_genus3(self):
         rep = ss.decompose_sing(3)

@@ -362,9 +362,9 @@ class TestStratumDimension:
         from cycliccovers import branching as br
 
         for g, d in ((2, 2), (3, 2), (4, 3)):
-            for datum, h in br.enumerate_admissible(g, d):
-                G = make_graph(d, [Vertex(0, I1, g, datum.counts)])
-                assert sg.stratum_dimension(G) == 3 * (h - 1) + datum.k
+            for counts, h in br.enumerate_admissible(g, d):
+                G = make_graph(d, [Vertex(0, I1, g, counts)])
+                assert sg.stratum_dimension(G) == 3 * (h - 1) + sum(counts)
 
 
 class TestCanonical:
