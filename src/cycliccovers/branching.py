@@ -29,10 +29,11 @@ at most 4g + 2, so above it `enumerate_admissible` returns () unsearched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from math import gcd
 from operator import mul, not_
+from typing import NamedTuple
 
 from .combinat import (branch_weights, branching_term, genus_relation, is_prime,
                        prime_shapes, quotient_genus_for, residue_sum, unit_action,
@@ -55,23 +56,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class BranchingSequence:
+class BranchingSequence(namedtuple("BranchingSequence", "d counts")):
     """Counts of branch points by local monodromy residue 1..d-1."""
 
-    d: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
+    def __new__(cls, d: int, counts: tuple[int, ...]):
+        if d < 2:
             raise ValueError("cover order must be at least 2")
-        if len(self.counts) != self.d - 1:
-            raise ValueError(
-                "expected %d counts for order %d, got %d"
-                % (self.d - 1, self.d, len(self.counts))
-            )
-        if any(k < 0 for k in self.counts):
+        if len(counts) != d - 1:
+            raise ValueError("expected %d counts for order %d, got %d" % (d - 1, d, len(counts)))
+        if any(k < 0 for k in counts):
             raise ValueError("branch counts must be non-negative")
+        return tuple.__new__(cls, (d, counts))
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.counts, start=1) if k)
@@ -143,8 +140,7 @@ def is_admissible(g: int, seq: BranchingSequence) -> bool:
     return admissible_quotient_genus(g, seq) is not None
 
 
-@dataclass(frozen=True, order=True)
-class SmoothLocus:
+class SmoothLocus(NamedTuple):
     """An admissible numerical type and its locus dimensions in moduli."""
 
     g: int

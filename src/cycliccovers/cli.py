@@ -11,13 +11,11 @@ results), 1 usage errors, 2 constraint violations in input data.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import json
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import branching, cover_algebra, sing_smooth, sing_stable, stable_graphs
@@ -266,7 +264,7 @@ def _render_report(rep: DecompositionReport) -> None:
             print("  %s dim=%d codim=%d" % (label, dim, codim))
         else:
             held.append(rec)
-    rep = replace(rep, records=tuple(held))
+    rep = rep._replace(records=tuple(held))
     for c in rep.boundary:
         print("  boundary %s" % _boundary_line(c))
     print("redundant:")
@@ -435,6 +433,7 @@ def _decimal(n: int) -> str:
     libmpdec multiplies long numbers fast; Decimal(int) reads the binary
     digits directly, without a string.
     """
+    import decimal  # not at start-up: only bounds and numbers past the digit limit come here
     powers = {}
 
     def join(n, bits):
@@ -478,7 +477,7 @@ def cmd_cover_check(args) -> int:
         raise GraphError("malformed cover document: %s" % exc) from exc
     res = cover_algebra.irreducibility(ba)
     if args.format == "doc":
-        _emit_doc(vars(res))
+        _emit_doc(res._asdict())
     else:
         print(
             "%s (inertia gcd %d, torsion class order %d)"

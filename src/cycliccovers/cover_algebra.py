@@ -24,9 +24,10 @@ eigensheaves in H^0 of L_x + L_y - L_{x+y}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd, lcm
 from operator import add, itemgetter, mod, mul, neg
+from typing import NamedTuple
 
 from .combinat import clipped
 
@@ -44,21 +45,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PicardModel:
+class PicardModel(namedtuple("PicardModel", "free_rank torsion")):
     """Finitely generated abelian group Z^free_rank + sum Z/t_j."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        for prev, t in zip((1, *self.torsion), self.torsion):
+        for prev, t in zip((1, *torsion), torsion):
             if t < 2:
                 raise ValueError("torsion factors must be at least 2")
             if t % prev != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
+        return tuple.__new__(cls, (free_rank, torsion))
 
     def element(self, free=(), torsion=()) -> DivisorClass:
         # map() stops at the shorter tuple; extra coordinates stay for DivisorClass to refuse.
@@ -75,17 +75,15 @@ class PicardModel:
                 and all(0 <= a < t for a, t in zip(c.torsion, self.torsion)))
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(namedtuple("DivisorClass", "model free torsion")):
     """Coordinates of the model's lengths, checked when built; element() reduces them."""
 
-    model: PicardModel
-    free: tuple[int, ...]
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.free) != self.model.free_rank or len(self.torsion) != len(self.model.torsion):
+    def __new__(cls, model: PicardModel, free: tuple[int, ...], torsion: tuple[int, ...]):
+        if len(free) != model.free_rank or len(torsion) != len(model.torsion):
             raise ValueError("coordinate lengths do not match the group")
+        return tuple.__new__(cls, (model, free, torsion))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if self.model is not other.model and self.model != other.model:
@@ -101,6 +99,9 @@ class DivisorClass:
 
     def __rmul__(self, n: int) -> "DivisorClass":
         return self.model.element([n * a for a in self.free], [n * a for a in self.torsion])
+
+    def __mul__(self, n):  # a class is scaled as n * c; c * n would repeat the tuple
+        return NotImplemented
 
     def is_zero(self) -> bool:
         return not any(self.free) and not any(self.torsion)
@@ -129,36 +130,32 @@ def multiplication_exponents(d: int, chi: int, xi: int) -> tuple[int, ...]:
     return tuple(carry(d, (chi * i) % d, (xi * i) % d) for i in range(1, d))
 
 
-@dataclass(frozen=True)
-class BranchAssignment:
+class BranchAssignment(namedtuple("BranchAssignment", "d model L divisors")):
     """Branch divisors as a table of symbol rows, plus the root class L.
 
     divisors lists (i, rows) per residue i named; a row is the (symbol, free
-    coordinates, torsion coordinates, reduced or not) of one class of the
-    reduced divisor D_i.  It is kept sorted by residue, then by symbol, and
-    symbols are globally distinct since the D_i share no components.
-    Validity requires d*L = sum_i i*[D_i] exactly.
+    coordinates, torsion coordinates) of one class of the reduced divisor
+    D_i.  It is kept sorted by residue, then by symbol, and symbols are
+    globally distinct since the D_i share no components.  Validity requires
+    d*L = sum_i i*[D_i] exactly.
     """
 
-    d: int
-    model: PicardModel
-    L: DivisorClass
-    divisors: tuple[tuple[int, tuple[tuple[object, tuple[int, ...], tuple[int, ...]], ...]], ...]
-    # (populated residues, coordinate columns of L and of each [D_i], free first)
-    _columns: tuple = field(init=False, repr=False, compare=False)
+    # No __slots__: _columns, (populated residues, coordinate columns of L
+    # and of each [D_i], free first), lives in the instance __dict__, as a
+    # field name may not start with "_".
 
-    def __post_init__(self):
+    def __new__(cls, d: int, model: PicardModel, L: DivisorClass, divisors):
         table = tuple((i, tuple(sorted(rows, key=itemgetter(0))))
-                      for i, rows in sorted(self.divisors, key=itemgetter(0)))
-        object.__setattr__(self, "divisors", table)
-        if self.d < 2:
+                      for i, rows in sorted(divisors, key=itemgetter(0)))
+        if d < 2:
             raise ValueError("order must be at least 2")
-        if self.L not in self.model:
+        if L not in model:
             raise ValueError("L does not live in the given group")
+        self = tuple.__new__(cls, (d, model, L, table))
         seen: set = set()
-        residues, sums = [], [self.L.free + self.L.torsion]
+        residues, sums = [], [L.free + L.torsion]
         for i, rows in table:
-            if not (1 <= i <= self.d - 1):
+            if not (1 <= i <= d - 1):
                 raise ValueError("divisor residue %d out of range" % i)
             for sym, _, _ in rows:
                 if sym in seen:
@@ -167,9 +164,10 @@ class BranchAssignment:
             if rows:
                 residues.append(i)
                 sums.append(tuple(map(sum, zip(*(f + t for _, f, t in rows), strict=True))))
-        object.__setattr__(self, "_columns", (tuple(residues), tuple(zip(*sums, strict=True))))
-        if not _weighted_sum(self, self.d, neg).is_zero():
+        self._columns = tuple(residues), tuple(zip(*sums, strict=True))
+        if not _weighted_sum(self, d, neg).is_zero():
             raise ValueError("d*L differs from the weighted branch class sum")
+        return self
 
     def branch_class(self, i: int) -> DivisorClass:
         return _weighted_sum(self, 0, lambda j: j == i)
@@ -205,8 +203,7 @@ def character_class(ba: BranchAssignment, chi: int) -> DivisorClass:
     return _weighted_sum(ba, chi, lambda i: -(chi * i // ba.d))
 
 
-@dataclass(frozen=True)
-class IrreducibilityResult:
+class IrreducibilityResult(NamedTuple):
     irreducible: bool
     inertia_gcd: int
     torsion_order: int

@@ -15,8 +15,8 @@ case analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .branching import (SPECIAL_SHAPES, BranchingSequence, SmoothLocus, enumerate_admissible,
                          iter_admissible_shapes, locus_rows, smooth_locus)
@@ -60,8 +60,7 @@ class NormalizerShape(Enum):
     CYCLIC_3_EXTENSION = "cyclic-3-extension"
 
 
-@dataclass(frozen=True)
-class ContainerInfo:
+class ContainerInfo(NamedTuple):
     """A locus certified to contain the classified one.
 
     When the full branching datum of the container is derivable the
@@ -85,8 +84,7 @@ class ContainerInfo:
         return "M_{%d;%d,[?]}" % (self.g, self.q)
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     locus: SmoothLocus
     verdict: Verdict
     case_tag: CaseTag | None = None
@@ -95,8 +93,7 @@ class ClassificationRecord:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Irredundant decomposition, with witnesses and review flags.
 
     records covers the interior classification; boundary holds boundary
@@ -291,7 +288,7 @@ def collect(rep: DecompositionReport) -> DecompositionReport:
     g = rep.g
     records = tuple(rec or ClassificationRecord(SmoothLocus(g, p, *row[:5]), Verdict.COMPONENT)
                     for p, row, rec in rep.records)
-    return replace(rep, records=records, warnings=tuple(rep.warnings))
+    return rep._replace(records=records, warnings=tuple(rep.warnings))
 
 
 def decompose_sing(g: int) -> DecompositionReport:

@@ -17,8 +17,8 @@ read off the star's data, and the star's encoding is what is printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import chain, combinations_with_replacement as multisets
+from typing import NamedTuple
 
 from .branching import SPECIAL_SHAPES
 from .combinat import (min_marks, prime_shapes, primes_upto, residue_sum, unit_action,
@@ -40,8 +40,7 @@ RIGID_FLAG = "rigid_I1_cover"
 REVIEW_FLAG = "manual_review"
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(NamedTuple):
     star: tuple
     dim: int
     codim: int
@@ -52,8 +51,7 @@ class BoundaryComponent:
         return self.star[0]
 
 
-@dataclass(frozen=True)
-class AutBoundReport:
+class AutBoundReport(NamedTuple):
     """Cardinality bounds for automorphism groups of stable curves."""
 
     g: int
@@ -225,9 +223,9 @@ def stream_sing_bar(g: int, d_max: int) -> DecompositionReport:
         if c.flags
     )
     # chain reads the interior warnings only when it is read itself, after the rows.
-    return replace(interior, boundary=tuple(comps),
-                   warnings=chain(interior.warnings, warnings, flagged),
-                   notes=interior.notes + tuple(notes))
+    return interior._replace(boundary=tuple(comps),
+                             warnings=chain(interior.warnings, warnings, flagged),
+                             notes=interior.notes + tuple(notes))
 
 
 def decompose_sing_bar(g: int, d_max: int) -> DecompositionReport:

@@ -36,10 +36,11 @@ an elliptic curve with two fixed points glued is the smallest witness).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .combinat import (clipped, connects, is_prime, min_marks, prime_shapes,
                        quotient_genus_for, residue_sum, unit_action, units_mod,
@@ -85,16 +86,14 @@ class GraphError(ValueError):
     """A graph violates a structural or admissibility constraint."""
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+class Vertex(NamedTuple):
     vid: int
     colour: str
     genus: int
     free: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     """A node: a link when u < v, a loop at u when u == v (then mu <= mv).
     Build edges with make_link and make_loop."""
 
@@ -105,11 +104,9 @@ class Edge:
     swapped: bool = False
 
 
-@dataclass(frozen=True)
-class AutoGraph:
-    d: int
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...] = ()
+class AutoGraph(namedtuple("AutoGraph", "d vertices edges", defaults=((),))):
+    """d, vertices and edges; no __slots__, so the cached _index lives in
+    the instance __dict__."""
 
     @cached_property
     def _index(self) -> dict[int, tuple[Vertex, list]]:
@@ -169,7 +166,7 @@ def make_graph(d: int, vertices, edges=()) -> AutoGraph:
     vs = []
     for v in vertices:
         if v.colour == I1 and v.free is None:
-            v = replace(v, free=(0,) * (d - 1))
+            v = v._replace(free=(0,) * (d - 1))
         vs.append(v)
     vs.sort(key=lambda v: v.vid)
     es = sorted(edges, key=_edge_key)

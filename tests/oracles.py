@@ -20,7 +20,6 @@ for the boundary enumeration.  What the oracles take from the package:
 
 import functools
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, gcd
@@ -800,7 +799,7 @@ def smooth_node(G: AutoGraph, e) -> AutoGraph:
             flist = list(free or (0,) * (G.d - 1))
             flist[0] += 2
             free = tuple(flist)
-        new_v = replace(v, genus=v.genus + 1, free=free)
+        new_v = v._replace(genus=v.genus + 1, free=free)
         vertices = [new_v if w.vid == v.vid else w for w in G.vertices]
         return make_graph(G.d, vertices, edges)
     u, v = G.vertex(e.u), G.vertex(e.v)
@@ -1103,7 +1102,7 @@ def unit_transform(G: AutoGraph, r: int) -> AutoGraph:
     if r not in units_mod(d):
         raise ValueError("%d is not a unit mod %d" % (r, d))
     act = unit_action(d, r)
-    vertices = [v if v.colour == I0 else replace(v, free=act(v.free)) for v in G.vertices]
+    vertices = [v if v.colour == I0 else v._replace(free=act(v.free)) for v in G.vertices]
     edges = [make_link(e.u, e.v, r * e.mu % d, r * e.mv % d) if e.u != e.v
              else make_loop(e.v, r * e.mu % d, r * e.mv % d, e.swapped) for e in G.edges]
     return make_graph(d, vertices, edges)
@@ -1131,7 +1130,7 @@ def reference_canonical_form(G: AutoGraph) -> AutoGraph:
     """The graph relabelled and unit-translated into its canonical presentation."""
     _, (H, order) = _best_presentation(G)
     pos = {vid: ix for ix, vid in enumerate(order)}
-    vertices = [replace(H.vertex(vid), vid=pos[vid]) for vid in order]
+    vertices = [H.vertex(vid)._replace(vid=pos[vid]) for vid in order]
     edges = []
     for e in H.edges:
         if e.u != e.v:

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -33,6 +34,30 @@ def loci(g, d):
     """The locus of each row that `locus_rows` gives for (g, d)."""
     return [br.SmoothLocus(g, d, *row[:5])
             for row in br.locus_rows(g, d, br.enumerate_admissible(g, d))]
+
+
+class TestBranchingSequence:
+    @pytest.mark.parametrize("d, counts, message", [
+        (1, (), "cover order must be at least 2"),
+        (-3, (), "cover order must be at least 2"),
+        (3, (1,), "expected 2 counts for order 3, got 1"),
+        (3, (1, 0, 2), "expected 2 counts for order 3, got 3"),
+        (4, (1, -1, 0), "branch counts must be non-negative"),
+    ])
+    def test_refusals(self, d, counts, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            BranchingSequence(d, counts)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            BranchingSequence(d=d, counts=counts)
+
+    def test_fields(self):
+        s = BranchingSequence(counts=(2, 0), d=3)
+        assert (s.d, s.counts) == (3, (2, 0))
+        assert s == seq(3, 2, 0) and hash(s) == hash(seq(3, 2, 0))
+        assert sorted([seq(3, 1, 1), seq(2, 4), seq(3, 0, 3)]) == [
+            seq(2, 4), seq(3, 0, 3), seq(3, 1, 1)]
+        with pytest.raises(AttributeError):
+            s.d = 2
 
 
 class TestMonodromySum:

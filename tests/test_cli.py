@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -14,7 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from cycliccovers import branching as br
 from cycliccovers import cli
+from cycliccovers import cover_algebra as ca
+from cycliccovers import sing_smooth as ss
+from cycliccovers import sing_stable as sst
 from cycliccovers import stable_graphs as sg
 from cycliccovers.stable_graphs import I0, I1, Vertex, make_graph, make_link, make_loop
 
@@ -519,13 +524,13 @@ class TestCoverCheck:
         from cycliccovers import cover_algebra as ca
 
         built = []
-        check = ca.DivisorClass.__post_init__
+        new = ca.DivisorClass.__new__
 
-        def counted(c):
-            built.append(c)
-            check(c)
+        def counted(cls, *args):
+            built.append(args)
+            return new(cls, *args)
 
-        monkeypatch.setattr(ca.DivisorClass, "__post_init__", counted)
+        monkeypatch.setattr(ca.DivisorClass, "__new__", counted)
         counts = []
         for nsym in (20, 200):
             path = tmp_path / "cover.json"
@@ -1516,3 +1521,101 @@ class TestDocWriter:
         # str(int) and json.dumps refuse it; the writer prints it in full.
         assert self.emitted({"n": [sign * 10 ** 5000]}) == \
             '{\n  "n": [\n    %s1%s\n  ]\n}\n' % ("-" * (sign < 0), "0" * 5000)
+
+
+# The package's records, and those of them that check their fields in __new__.
+RECORDS = (br.BranchingSequence, br.SmoothLocus, ca.PicardModel, ca.DivisorClass,
+           ca.BranchAssignment, ca.IrreducibilityResult, ss.ContainerInfo,
+           ss.ClassificationRecord, ss.DecompositionReport, sst.BoundaryComponent,
+           sst.AutBoundReport, sg.Vertex, sg.Edge, sg.AutoGraph)
+VALIDATED = (br.BranchingSequence, ca.PicardModel, ca.DivisorClass, ca.BranchAssignment)
+
+
+def every_command(tmp_path):
+    """An argv of every command in both formats, on small inputs."""
+    pair = make_graph(3, [Vertex(0, I1, 1, (2, 0)), Vertex(1, I1, 1, (2, 0))],
+                      [make_link(0, 1, 1, 1)])
+    paths = {}
+    for name, doc in (("tail", TAIL_GRAPH_DOC), ("pair", oracles.graph_to_doc(pair)),
+                      ("cover", COVER_DOC)):
+        paths[name] = str(tmp_path / ("%s.json" % name))
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    argvs = [
+        ("admissible", "--genus", "4", "--order", "6"),
+        ("locus", "--genus", "3", "--order", "2", "--counts", "8"),
+        ("sing", "--genus", "3"),
+        ("sing", "--genus", "12"),
+        ("graphs", "--genus", "3", "--order", "2"),
+        ("simplify", "--input", paths["tail"]),
+        ("enlarge", "--input", paths["pair"], "--vertex", "1", "--kind", "detached"),
+        ("boundary", "--genus", "4", "--dmax", "9"),
+        ("sing-bar", "--genus", "4", "--dmax", "9"),
+        ("bounds", "--genus", "3"),
+        ("cover", "check", "--input", paths["cover"]),
+    ]
+    assert {" ".join(argv[:2]) if argv[0] == "cover" else argv[0] for argv in argvs} \
+        == {name for name, _, func, _ in cli._COMMANDS if func}
+    return [argv + fmt for argv in argvs for fmt in ((), ("--format", "doc"))]
+
+
+class TestRecords:
+    def test_start_up_imports(self):
+        # A CLI call imports the whole package before its first op, so that
+        # no import is left for an op to pay, and neither dataclasses (with
+        # inspect, ast and dis) nor decimal, which only bounds and integers
+        # past the int-to-str digit limit need.  -S keeps site hooks from
+        # loading modules the package does not.
+        package = os.path.dirname(cli.__file__)
+        code = ("import sys; sys.path.insert(0, %r); import cycliccovers.cli as cli; "
+                "cli.build_parser(); print(sorted(sys.modules))" % os.path.dirname(package))
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(ast.literal_eval(proc.stdout))
+        assert not loaded & {"dataclasses", "inspect", "decimal"}
+        modules = {"cycliccovers." + name[:-3] for name in os.listdir(package)
+                   if name.endswith(".py") and not name.startswith("__")}
+        assert len(modules) == 7 and modules | {"cycliccovers"} <= loaded
+
+    def test_replace_meets_no_validated_record(self, capsys, tmp_path, monkeypatch):
+        # _replace builds through tuple.__new__, past the checks in __new__,
+        assert br.BranchingSequence(2, (2,))._replace(d=1).d == 1
+        # so it may only rebuild records that check nothing, as Vertex and
+        # DecompositionReport do.
+        assert sg.Vertex(0, "?", -1, "?") and ss.DecompositionReport(-1, None)
+
+        def refused(record, **changes):
+            raise AssertionError("_replace on a %s" % type(record).__name__)
+
+        for cls in VALIDATED:
+            monkeypatch.setattr(cls, "_replace", refused)
+        for argv in every_command(tmp_path):
+            assert run(capsys, *argv)[0] == 0, argv
+        G = make_graph(3, [Vertex(0, I1, 1, (2, 0)), Vertex(1, I1, 1, (2, 0))],
+                       [make_link(0, 1, 1, 1)])
+        assert oracles.unit_transform(G, 2) and oracles.reference_canonical_form(G)
+        assert oracles.all_normal_forms(sg.graph_from_doc(SWAPPED_LOOP_DOC))
+
+    def test_no_record_reaches_the_doc_writer(self, capsys, tmp_path, monkeypatch):
+        # The writer renders a tuple as a JSON list, where a dataclass was
+        # refused with TypeError: each record must become its document first.
+        write, emit, rendered = cli._json, cli._emit_doc, []
+
+        def checked_write(x, pad):
+            assert not isinstance(x, RECORDS), x
+            rendered.append(x)
+            return write(x, pad)
+
+        def checked_emit(doc):
+            assert type(doc) is dict
+            assert not any(isinstance(value, RECORDS) for value in doc.values()), doc
+            emit(doc)
+
+        monkeypatch.setattr(cli, "_json", checked_write)
+        monkeypatch.setattr(cli, "_emit_doc", checked_emit)
+        for argv in every_command(tmp_path):
+            if argv[-1] == "doc":
+                code, out, _ = run(capsys, *argv)
+                assert code == 0 and json.loads(out), argv
+        assert len(rendered) > 1000

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,76 @@ class TestPicardModel:
         assert a + b == M.element((5, 1), (1,))
         assert a - b == M.element((-3, 3), (0,))
         assert 3 * a == M.element((3, 6), (0,))
+
+
+def refused(message, build, *args, **kwargs):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        build(*args, **kwargs)
+
+
+class TestRecords:
+    """The records refuse what they refused as frozen dataclasses, with the
+    same messages, and their tuple base adds no tuple behaviour."""
+
+    @pytest.mark.parametrize("free_rank, torsion, message", [
+        (-1, (), "free rank must be non-negative"),
+        (0, (1,), "torsion factors must be at least 2"),
+        (1, (2, 0), "torsion factors must be at least 2"),
+        (1, (4, 2), "torsion factors must form a divisibility chain"),
+        (0, (2, 3), "torsion factors must form a divisibility chain"),
+    ])
+    def test_model_refusals(self, free_rank, torsion, message):
+        refused(message, ca.PicardModel, free_rank, torsion)
+        refused(message, ca.PicardModel, free_rank=free_rank, torsion=torsion)
+
+    @pytest.mark.parametrize("free, torsion", [((), (0,)), ((0,), ()), ((0, 0), (0,)),
+                                                ((0,), (0, 1))])
+    def test_class_refusals(self, free, torsion):
+        M = ca.PicardModel(1, (2,))
+        refused("coordinate lengths do not match the group", ca.DivisorClass, M, free, torsion)
+        refused("coordinate lengths do not match the group",
+                ca.DivisorClass, model=M, free=free, torsion=torsion)
+
+    def test_assignment_refusals(self):
+        M = ca.PicardModel(1, (2,))
+        z, D = M.zero(), ("D", (0,), (0,))
+        refused("order must be at least 2", ca.BranchAssignment, 1, M, z, [])
+        refused("L does not live in the given group",
+                ca.BranchAssignment, 2, M, ca.PicardModel(1).zero(), [])
+        refused("L does not live in the given group",
+                ca.BranchAssignment, 2, M, ca.DivisorClass(M, (0,), (3,)), [])
+        refused("divisor residue 2 out of range", ca.BranchAssignment, 2, M, z, [(2, [D])])
+        refused("divisor residue 0 out of range", ca.BranchAssignment, 2, M, z, [(0, [D])])
+        refused("symbol 'D' appears in two divisors",
+                ca.BranchAssignment, 3, M, z, [(2, [D]), (1, [D])])
+        refused("d*L differs from the weighted branch class sum",
+                ca.BranchAssignment, 2, M, z, [(1, [("D", (1,), (0,))])])
+
+    def test_class_arithmetic(self):
+        M = ca.PicardModel(1, (4,))
+        c = M.element((1,), (3,))
+        assert 2 * c == M.element((2,), (2,)) == c + c
+        assert -c == M.element((-1,), (1,)) == -1 * c
+        assert (c - c).is_zero() and c - c == M.zero()
+        assert type(2 * c) is type(c + c) is type(-c) is ca.DivisorClass
+        for other in (2, c):  # scaling is n * c: c * n does not repeat the tuple
+            with pytest.raises(TypeError):
+                c * other
+
+    def test_columns_are_no_field(self):
+        # _columns cannot be a field, as a field name may not start with "_":
+        # it is an attribute, outside equality, hashing and the repr.
+        M = model_z()
+        L = M.element((1,), ())
+        ba = ca.BranchAssignment(2, M, L, [(1, [("B", (1,), ()), ("A", (1,), ())])])
+        assert "_columns" not in ca.BranchAssignment._fields
+        assert ba._columns == ((1,), ((1, 2),))
+        assert ba.divisors == ((1, (("A", (1,), ()), ("B", (1,), ()))),)
+        again = ca.branch_assignment(2, M, L, {1: [("A", L), ("B", L)]})
+        assert again == ba and hash(again) == hash(ba)
+        assert "_columns" not in repr(ba)
+        with pytest.raises(AttributeError):
+            ba.d = 3
 
 
 class TestCarry:

@@ -44,6 +44,31 @@ def factor_counts(G, vid):
     return tuple(counts), k, quotient_genus_for(v.genus, G.d, k * (G.d - 1))
 
 
+class TestRecords:
+    def test_vertices_and_edges_order_by_their_fields(self):
+        vs = [Vertex(1, I0, 0), Vertex(0, I1, 2, (1,)), Vertex(0, I0, 3), Vertex(0, I1, 2, (0,))]
+        assert sorted(vs) == [Vertex(0, I0, 3), Vertex(0, I1, 2, (0,)), Vertex(0, I1, 2, (1,)),
+                              Vertex(1, I0, 0)]
+        es = [sg.Edge(0, 1, 2, 1), sg.Edge(0, 0, 1, 2, True), sg.Edge(0, 0, 1, 2),
+              sg.Edge(0, 1, 1, 2)]
+        assert sorted(es) == [sg.Edge(0, 0, 1, 2), sg.Edge(0, 0, 1, 2, True),
+                              sg.Edge(0, 1, 1, 2), sg.Edge(0, 1, 2, 1)]
+        assert Vertex(2, I0, 0) > Vertex(1, I1, 5, (9,)) >= Vertex(1, I1, 5, (9,))
+        assert sg.Edge(0, 1, 1, 1, False) < sg.Edge(0, 1, 1, 1, True)
+
+    def test_graph_index_is_no_field(self):
+        # The cached vertex index lives beside the fields, outside equality
+        # and hashing; the fields cannot be rebound.
+        G = elliptic_tail_graph(3)
+        H = elliptic_tail_graph(3)
+        assert G._index is G._index and "_index" not in sg.AutoGraph._fields
+        assert G == H and hash(G) == hash(H)
+        assert sg.AutoGraph(2, G.vertices) == sg.AutoGraph(2, G.vertices, ())
+        for field in sg.AutoGraph._fields:
+            with pytest.raises(AttributeError):
+                setattr(G, field, None)
+
+
 class TestVertexData:
     def test_tail_vertex(self):
         G = elliptic_tail_graph(4)
