@@ -152,7 +152,7 @@ class SmoothLocus(NamedTuple):
     codim: int
 
     def label(self) -> str:
-        return _label(self.g, self.d, self.counts)
+        return "M_{%d;%d,[(%s)]}" % (self.g, self.d, ",".join(map(str, self.counts)))
 
 
 def smooth_locus(g: int, seq: BranchingSequence) -> SmoothLocus:
@@ -165,16 +165,11 @@ def smooth_locus(g: int, seq: BranchingSequence) -> SmoothLocus:
         raise ValueError(
             "inadmissible branching for g=%d, d=%d: %r" % (g, seq.d, seq.counts)
         )
-    [(counts, h, k, dim, codim, _)] = locus_rows(g, seq.d, [(canonical_datum(seq).counts, h)])
-    return SmoothLocus(g=g, d=seq.d, counts=counts, h=h, k=k, dim=dim, codim=codim)
+    return locus_rows(g, seq.d, [(canonical_datum(seq).counts, h)])[0]
 
 
-def _label(g: int, d: int, counts: tuple[int, ...]) -> str:
-    return "M_{%d;%d,[(%s)]}" % (g, d, ",".join(map(str, counts)))
-
-
-def locus_rows(g: int, d: int, rows) -> list[tuple[tuple[int, ...], int, int, int, int, str]]:
-    """(counts, h, k, dim, codim, label) of each canonical admissible row (counts, h).
+def locus_rows(g: int, d: int, rows) -> list[SmoothLocus]:
+    """The locus of genus g and order d of each canonical admissible row (counts, h).
 
     A locus has dimension 3(h - 1) + k, so dim and codim are taken once per
     shape (h, k).  For prime order p the codimension is then recomputed
@@ -193,7 +188,7 @@ def locus_rows(g: int, d: int, rows) -> list[tuple[tuple[int, ...], int, int, in
                 raise AssertionError(
                     "codimension cross-check failed for g=%d, p=%d, %r" % (g, d, counts))
             shape = dims[h, k] = dim, codim
-        out.append((counts, h, k, *shape, _label(g, d, counts)))
+        out.append(SmoothLocus(g, d, counts, h, k, *shape))
     return out
 
 
@@ -274,11 +269,11 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[tuple[int, ...], int], .
         # sum s mod d.  An unbounded knapsack per residue, built from the end.
         reach = [[1] + [0] * starts[0][1]]
         for a in reversed(residues):
-            row, w = reach[0][:], step[a]
-            for t in range(w, len(row)):
-                if row[t - w]:
-                    row[t] |= (row[t - w] << a | row[t - w] >> (d - a)) & ((1 << d) - 1)
-            reach.insert(0, row)
+            sums, w = reach[0][:], step[a]
+            for t in range(w, len(sums)):
+                if sums[t - w]:
+                    sums[t] |= (sums[t - w] << a | sums[t - w] >> (d - a)) & ((1 << d) - 1)
+            reach.insert(0, sums)
 
         def place(j, end, t, s, h):
             # Residues before position j are placed; weight t and residue

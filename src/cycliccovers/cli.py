@@ -49,23 +49,17 @@ class _Parser(argparse.ArgumentParser):
 # Document conversion
 
 
-def locus_doc(g: int, d: int, counts, h: int, k: int, dim: int, codim: int, label: str) -> dict:
-    """The document of a locus of genus g and order d, given by its row of
-    `branching.locus_rows`."""
+def locus_doc(l: branching.SmoothLocus) -> dict:
     return {
-        "genus": g,
-        "order": d,
-        "counts": list(counts),
-        "quotient_genus": h,
-        "branch_count": k,
-        "dim": dim,
-        "codim": codim,
-        "label": label,
+        "genus": l.g,
+        "order": l.d,
+        "counts": list(l.counts),
+        "quotient_genus": l.h,
+        "branch_count": l.k,
+        "dim": l.dim,
+        "codim": l.codim,
+        "label": l.label(),
     }
-
-
-def _smooth_locus_doc(l: branching.SmoothLocus) -> dict:
-    return locus_doc(l.g, l.d, l.counts, l.h, l.k, l.dim, l.codim, l.label())
 
 
 def locus_from_doc(doc: dict) -> branching.SmoothLocus:
@@ -78,7 +72,7 @@ def container_doc(c: ContainerInfo) -> dict:
     if c.locus is None:
         out = {"genus": c.g, "order": c.q, "label": c.label()}
     else:
-        out = {k: v for k, v in _smooth_locus_doc(c.locus).items() if k != "codim"}
+        out = {k: v for k, v in locus_doc(c.locus).items() if k != "codim"}
     return {**out, "exact": c.exact, "dim_lower_bound": c.dim_lower_bound}
 
 
@@ -92,7 +86,7 @@ def container_from_doc(doc: dict) -> ContainerInfo:
 
 
 def record_doc(r: ClassificationRecord) -> dict:
-    out: dict = {"locus": _smooth_locus_doc(r.locus), "verdict": r.verdict.value}
+    out: dict = {"locus": locus_doc(r.locus), "verdict": r.verdict.value}
     if r.case_tag is not None:
         out["case"] = r.case_tag.value
     if r.normalizer is not None:
@@ -137,12 +131,9 @@ def boundary_from_doc(doc: dict) -> BoundaryComponent:
 def report_doc(rep: DecompositionReport) -> dict:
     """The document of a streamed report, its records and warnings left to
     be read as it is written: the key "warnings" sorts last."""
-    g = rep.g
     return {
-        "genus": g,
-        "records": (record_doc(rec) if rec else
-                    {"locus": locus_doc(g, p, *row), "verdict": Verdict.COMPONENT.value}
-                    for p, row, rec in rep.records),
+        "genus": rep.g,
+        "records": map(record_doc, rep.records),
         "boundary": map(boundary_doc, rep.boundary),
         "warnings": rep.warnings,
         "notes": list(rep.notes),
@@ -255,13 +246,13 @@ def _boundary_line(c: BoundaryComponent) -> str:
 
 
 def _render_report(rep: DecompositionReport) -> None:
-    """Print a streamed report, each component as its row is read."""
+    """Print a streamed report, each component as its record is read."""
     print("genus %d" % rep.g)
     print("components:")
     held = []
-    for _, (_, _, _, dim, codim, label), rec in rep.records:
-        if rec is None:
-            print("  %s dim=%d codim=%d" % (label, dim, codim))
+    for rec in rep.records:
+        if rec.verdict is Verdict.COMPONENT:
+            print("  %s dim=%d codim=%d" % (rec.locus.label(), rec.locus.dim, rec.locus.codim))
         else:
             held.append(rec)
     rep = rep._replace(records=tuple(held))
@@ -296,14 +287,14 @@ def _parse_counts(text: str, d: int) -> branching.BranchingSequence:
 
 def cmd_admissible(args) -> int:
     g, d = args.genus, args.order
-    rows = branching.locus_rows(g, d, branching.enumerate_admissible(g, d))
+    loci = branching.locus_rows(g, d, branching.enumerate_admissible(g, d))
     if args.format == "doc":
-        _emit_doc({"genus": g, "order": d, "loci": (locus_doc(g, d, *row) for row in rows)})
+        _emit_doc({"genus": g, "order": d, "loci": map(locus_doc, loci)})
     else:
-        for counts, h, _, dim, codim, label in rows:
+        for l in loci:
             print("counts=(%s) h=%d dim=%d codim=%d %s"
-                  % (",".join(map(str, counts)), h, dim, codim, label))
-        print("total: %d" % len(rows))
+                  % (",".join(map(str, l.counts)), l.h, l.dim, l.codim, l.label()))
+        print("total: %d" % len(loci))
     return EXIT_OK
 
 
@@ -311,7 +302,7 @@ def cmd_locus(args) -> int:
     seq = _parse_counts(args.counts, args.order)
     locus = branching.smooth_locus(args.genus, seq)
     if args.format == "doc":
-        _emit_doc(_smooth_locus_doc(locus))
+        _emit_doc(locus_doc(locus))
     else:
         print(
             "%s h=%d k=%d dim=%d codim=%d"

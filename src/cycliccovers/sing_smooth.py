@@ -19,7 +19,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .branching import (SPECIAL_SHAPES, BranchingSequence, SmoothLocus, enumerate_admissible,
-                         iter_admissible_shapes, locus_rows, smooth_locus)
+                         locus_rows, smooth_locus)
 from .combinat import is_prime, primes_upto, unit_action
 
 __all__ = [
@@ -99,10 +99,9 @@ class DecompositionReport(NamedTuple):
     records covers the interior classification; boundary holds boundary
     components when assembled for the compactified space.
 
-    A streamed report (`stream_sing`) holds in records an iterator of rows
-    (p, row of `branching.locus_rows`, record or None for a component),
-    and in warnings a list that fills as they are read; `collect` turns
-    it into a report.
+    A streamed report (`stream_sing`) holds in records an iterator of
+    records and in warnings a list that fills as they are read; `collect`
+    holds both in tuples.
     """
 
     g: int
@@ -162,7 +161,11 @@ def container_info(locus: SmoothLocus, tag: CaseTag) -> ContainerInfo:
     the rational three-point shape with a lifted involution comes from
     the plane model w^p = x^2 - 1, whose involution fixes p + 1 points
     over a rational quotient.  The remaining shapes only certify the
-    symmetry order, so the bound is the smallest admissible dimension.
+    symmetry order, so the bound is the smallest dimension 3(h - 1) + k of
+    an admissible shape of that order at genus g.  At order 2, k = 2g + 2 - 4h
+    is even and h runs up to floor((g + 1)/2), so the least is
+    2g - 1 - floor((g + 1)/2); at order 3 the genus formula reads
+    g - 1 = 3(h - 1) + k, so every shape has dimension g - 1.
     """
     p = locus.d
     g = locus.g
@@ -179,15 +182,10 @@ def container_info(locus: SmoothLocus, tag: CaseTag) -> ContainerInfo:
             raise AssertionError("container quotient genus mismatch")
         return ContainerInfo(q=2, g=cont.g, dim_lower_bound=cont.dim, locus=cont)
     if tag is CaseTag.RATIONAL_FOUR_POINTS:
-        q = 2
-    elif tag is CaseTag.RATIONAL_ORDER_THREE:
-        q = 3
-    else:
-        raise ValueError("unknown case tag")
-    # Never empty: h = 0 is a shape of either order, with k = 2g + 2 at
-    # q = 2 and k = g + 2 at q = 3.
-    bound = min(3 * (h - 1) + k for h, k in iter_admissible_shapes(g, q))
-    return ContainerInfo(q=q, g=g, dim_lower_bound=bound)
+        return ContainerInfo(q=2, g=g, dim_lower_bound=2 * g - 1 - (g + 1) // 2)
+    if tag is CaseTag.RATIONAL_ORDER_THREE:
+        return ContainerInfo(q=3, g=g, dim_lower_bound=g - 1)
+    raise ValueError("unknown case tag")
 
 
 _EXCLUDED_HYPERELLIPTIC = (3, 2, 0, 8)
@@ -248,8 +246,9 @@ def stream_sing(g: int) -> DecompositionReport:
     Each prime's loci come sorted by counts.  A verdict depends on a locus
     only through (g, p, h, k), except at the special shapes and at the
     genus-3 hyperelliptic divisor, so `classify` runs on those loci alone
-    and every other locus is a component.  Strict growth is checked on
-    every redundant record before its prime's rows are yielded.
+    and every other locus is a component, whose record is built as it is
+    yielded.  Strict growth is checked on every redundant record before
+    its prime's records are yielded.
     """
     if g < 3:
         raise ValueError(
@@ -258,37 +257,33 @@ def stream_sing(g: int) -> DecompositionReport:
         )
     warnings: list[str] = []
 
-    def rows():
+    def records():
         for p in primes_upto(2 * g + 1):
             block = locus_rows(g, p, sorted(enumerate_admissible(g, p)))
-            held = {}  # counts -> record, for this prime's redundant and excluded loci
-            for counts, h, k, dim, codim, label in block:
-                if (h, k) in SPECIAL_SHAPES or (g, p, h, k) == _EXCLUDED_HYPERELLIPTIC:
-                    rec = classify(SmoothLocus(g, p, counts, h, k, dim, codim))
+            held = {}  # counts -> record, for this prime's classified loci
+            for locus in block:
+                if ((locus.h, locus.k) in SPECIAL_SHAPES
+                        or (g, p, locus.h, locus.k) == _EXCLUDED_HYPERELLIPTIC):
+                    rec = held[locus.counts] = classify(locus)
                     if rec.verdict is Verdict.REDUNDANT:
-                        if rec.container is None or rec.container.dim_lower_bound <= dim:
+                        if rec.container is None or rec.container.dim_lower_bound <= locus.dim:
                             raise AssertionError(
                                 "redundant locus %s has no container of larger dimension"
-                                % label)
-                        warnings.extend("%s: %s" % (label, note) for note in rec.notes)
-                    if rec.verdict is not Verdict.COMPONENT:
-                        held[counts] = rec
-            for row in block:
-                yield p, row, held.get(row[0])
+                                % locus.label())
+                        warnings.extend("%s: %s" % (locus.label(), note) for note in rec.notes)
+            for locus in block:
+                yield held.get(locus.counts) or ClassificationRecord(locus, Verdict.COMPONENT)
 
     notes = ("the genus-3 hyperelliptic divisor has 8 branch points by the genus "
              "formula (an order-2 rational quotient forces k = 2g + 2)",) if g == 3 else ()
-    return DecompositionReport(g=g, records=rows(), warnings=warnings, notes=notes + (
+    return DecompositionReport(g=g, records=records(), warnings=warnings, notes=notes + (
         "order-2 data with elliptic quotient and two branch points only exist "
         "at genus 2 and are outside this classification",))
 
 
 def collect(rep: DecompositionReport) -> DecompositionReport:
-    """The report a streamed report describes, with a record for every locus."""
-    g = rep.g
-    records = tuple(rec or ClassificationRecord(SmoothLocus(g, p, *row[:5]), Verdict.COMPONENT)
-                    for p, row, rec in rep.records)
-    return rep._replace(records=records, warnings=tuple(rep.warnings))
+    """The report a streamed report describes, its records and warnings held."""
+    return rep._replace(records=tuple(rep.records), warnings=tuple(rep.warnings))
 
 
 def decompose_sing(g: int) -> DecompositionReport:

@@ -736,8 +736,8 @@ def enumerate_graphs(g: int, d: int) -> list:
     tables: dict[tuple, list] = {}
     for colours, genera, E, opts in _vertex_multisets(g, d):
         for structure, ends in _structures(d, colours, genera, E, opts):
-            for rows in _labelled_graphs(d, colours, genera, structure, opts, ends, tables):
-                found.add(_canonical(d, *rows))
+            for vs, es in _labelled_graphs(d, colours, genera, structure, opts, ends, tables):
+                found.add(_canonical(d, vs, es))
     return sorted(found)
 
 

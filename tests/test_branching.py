@@ -31,9 +31,8 @@ def seq(d, *counts):
 
 
 def loci(g, d):
-    """The locus of each row that `locus_rows` gives for (g, d)."""
-    return [br.SmoothLocus(g, d, *row[:5])
-            for row in br.locus_rows(g, d, br.enumerate_admissible(g, d))]
+    """The loci that `locus_rows` gives for the admissible rows of (g, d)."""
+    return br.locus_rows(g, d, br.enumerate_admissible(g, d))
 
 
 class TestBranchingSequence:
@@ -272,11 +271,12 @@ class TestLocus:
     def test_rows_match_smooth_locus(self):
         for g in (2, 3, 4, 5):
             for d in range(2, 13):
-                for counts, h, k, dim, codim, label in br.locus_rows(
-                        g, d, br.enumerate_admissible(g, d)):
-                    locus = br.smooth_locus(g, BranchingSequence(d, counts))
+                for row in loci(g, d):
+                    locus = br.smooth_locus(g, BranchingSequence(d, row.counts))
                     assert (locus.counts, locus.h, locus.k, locus.dim, locus.codim,
-                            locus.label()) == (counts, h, k, dim, codim, label)
+                            locus.label()) == (row.counts, row.h, row.k, row.dim, row.codim,
+                                               row.label())
+                    assert locus == row
 
     def test_codim_cross_check_once_per_shape(self, monkeypatch):
         calls = []

@@ -127,6 +127,21 @@ class TestClassify:
             assert min(3 * (h - 1) + k for h, k in br.iter_admissible_shapes(g, 2)) > 1
             assert {3 * (h - 1) + k for h, k in br.iter_admissible_shapes(g, 3)} == {g - 1}
 
+    def test_certified_bounds_closed_forms(self):
+        # The two inexact containers take the least shape dimension of their
+        # order in closed form; the scan over the shapes must agree.  Their
+        # bound reads only the genus of the classified locus.
+        for g in range(3, 501):
+            l = locus(g, 2, 2 * g + 2)
+            four = ss.container_info(l, CaseTag.RATIONAL_FOUR_POINTS)
+            three = ss.container_info(l, CaseTag.RATIONAL_ORDER_THREE)
+            assert (four.q, four.g, four.exact) == (2, g, False)
+            assert (three.q, three.g, three.exact) == (3, g, False)
+            assert four.dim_lower_bound == 2 * g - 1 - (g + 1) // 2 == min(
+                3 * (h - 1) + k for h, k in br.iter_admissible_shapes(g, 2))
+            assert three.dim_lower_bound == g - 1 == min(
+                3 * (h - 1) + k for h, k in br.iter_admissible_shapes(g, 3))
+
     def test_strictness_checked_under_optimisation(self):
         # python -O strips assert statements; the check of strict growth must
         # still refuse a redundant record whose container is no larger.
@@ -147,24 +162,43 @@ class TestClassify:
 
 
 class TestStream:
-    def test_shape_shortcut_matches_classify(self):
+    def test_shape_shortcut_matches_classify(self, monkeypatch):
         # The stream classifies only special-shape and excluded loci; every
         # locus it streams must get the verdict, container and notes of the
         # slow path, which builds and classifies a locus record for each.
+        classify, classified = ss.classify, set()
+        monkeypatch.setattr(ss, "classify", lambda l: classified.add(l) or classify(l))
         for g in range(3, 31):
-            for p, (counts, h, k, dim, codim, label), rec in ss.stream_sing(g).records:
-                slow = ss.classify(br.smooth_locus(g, BranchingSequence(p, counts)))
+            for rec in ss.stream_sing(g).records:
+                l = rec.locus
+                slow = classify(br.smooth_locus(g, BranchingSequence(l.d, l.counts)))
                 assert (slow.locus.counts, slow.locus.h, slow.locus.k, slow.locus.dim,
-                        slow.locus.codim, slow.locus.label()) == (counts, h, k, dim, codim, label)
-                got = (rec.verdict, rec.container, rec.notes) if rec else (
-                    Verdict.COMPONENT, None, ())
-                assert got == (slow.verdict, slow.container, slow.notes)
-                assert rec is None or rec == slow
-                if (h, k) not in br.SPECIAL_SHAPES and (g, p, h, k) != (3, 2, 0, 8):
-                    assert rec is None and slow.verdict is Verdict.COMPONENT
+                        slow.locus.codim, slow.locus.label()) == (
+                            l.counts, l.h, l.k, l.dim, l.codim, l.label())
+                assert (rec.verdict, rec.container, rec.notes) == (
+                    slow.verdict, slow.container, slow.notes)
+                assert rec == slow
+                if (l.h, l.k) not in br.SPECIAL_SHAPES and (g, l.d, l.h, l.k) != (3, 2, 0, 8):
+                    assert l not in classified and slow.verdict is Verdict.COMPONENT
+        assert len(classified) > 200
+        assert all((l.h, l.k) in br.SPECIAL_SHAPES or (l.g, l.d, l.h, l.k) == (3, 2, 0, 8)
+                   for l in classified)
+
+    def test_one_locus_record(self):
+        # A locus has one form after enumeration: `locus_rows` gives locus
+        # records, which hold no label text, and the stream gives one
+        # classification record per locus.
+        for g, d in ((3, 2), (12, 6), (20, 5), (30, 61)):
+            loci = br.locus_rows(g, d, br.enumerate_admissible(g, d))
+            assert loci and all(type(l) is br.SmoothLocus for l in loci)
+            assert not any(isinstance(field, str) for l in loci for field in l)
+        for g in range(3, 31):
+            records = list(ss.stream_sing(g).records)
+            assert records and all(type(r) is ss.ClassificationRecord for r in records)
+            assert all(type(r.locus) is br.SmoothLocus for r in records)
 
     def test_rows_sorted_per_prime(self):
-        rows = [(p, row[0]) for p, row, _ in ss.stream_sing(12).records]
+        rows = [(r.locus.d, r.locus.counts) for r in ss.stream_sing(12).records]
         assert rows == sorted(rows) and len(set(rows)) == len(rows)
         assert [p for p, _ in rows] == sorted(p for p, _ in rows)
 
