@@ -143,6 +143,7 @@ def is_admissible(g: int, seq: BranchingSequence) -> bool:
 class SmoothLocus(NamedTuple):
     """An admissible numerical type and its locus dimensions in moduli."""
 
+    LABEL = "M_{%d;%d,[(%s)]}"  # of the genus, the order and the counts joined by ","
     g: int
     d: int
     counts: tuple[int, ...]
@@ -152,7 +153,7 @@ class SmoothLocus(NamedTuple):
     codim: int
 
     def label(self) -> str:
-        return "M_{%d;%d,[(%s)]}" % (self.g, self.d, ",".join(map(str, self.counts)))
+        return self.LABEL % (self.g, self.d, ",".join(map(str, self.counts)))
 
 
 def smooth_locus(g: int, seq: BranchingSequence) -> SmoothLocus:

@@ -98,6 +98,29 @@ def record_doc(r: ClassificationRecord) -> dict:
     return out
 
 
+class _Rendered(str):
+    """A list item rendered at the doc writer's item indent, which _json keeps as it is."""
+
+
+# _json(record_doc(r), "    ") for a component record r that holds only its
+# locus, filled from the locus's fields; test_cli pins the two together.
+_COMPONENT = ('{\n      "locus": {\n        "branch_count": %d,\n        "codim": %d,\n'
+              '        "counts": [\n          %s\n        ],\n        "dim": %d,\n'
+              '        "genus": %d,\n        "label": "' + branching.SmoothLocus.LABEL + '",\n'
+              '        "order": %d,\n        "quotient_genus": %d\n      },\n'
+              '      "verdict": "component"\n    }')
+_LOCUS_ONLY = ClassificationRecord(None, Verdict.COMPONENT)[1:]
+
+
+def _record_item(r: ClassificationRecord):
+    """record_doc(r), or _COMPONENT filled if r is a component that holds only its locus."""
+    if r[1:] != _LOCUS_ONLY:
+        return record_doc(r)
+    l, counts = r.locus, list(map(str, r.locus.counts))
+    return _Rendered(_COMPONENT % (l.k, l.codim, ",\n          ".join(counts), l.dim, l.g,
+                                   l.g, l.d, ",".join(counts), l.d, l.h))
+
+
 def record_from_doc(doc: dict) -> ClassificationRecord:
     return ClassificationRecord(
         locus=locus_from_doc(doc["locus"]),
@@ -133,7 +156,7 @@ def report_doc(rep: DecompositionReport) -> dict:
     be read as it is written: the key "warnings" sorts last."""
     return {
         "genus": rep.g,
-        "records": map(record_doc, rep.records),
+        "records": map(_record_item, rep.records),
         "boundary": map(boundary_doc, rep.boundary),
         "warnings": rep.warnings,
         "notes": list(rep.notes),
@@ -202,7 +225,7 @@ def _json(x, pad: str) -> str:
         except ValueError:  # more digits than str(int) allows
             return "-" * (x < 0) + _decimal(abs(x))
     if not x or not isinstance(x, (dict, list, tuple)):
-        return json.dumps(x)
+        return x if type(x) is _Rendered else json.dumps(x)
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(x, dict):
@@ -291,9 +314,10 @@ def cmd_admissible(args) -> int:
     if args.format == "doc":
         _emit_doc({"genus": g, "order": d, "loci": map(locus_doc, loci)})
     else:
+        line = "counts=(%s) h=%d dim=%d codim=%d " + branching.SmoothLocus.LABEL + "\n"
         for l in loci:
-            print("counts=(%s) h=%d dim=%d codim=%d %s"
-                  % (",".join(map(str, l.counts)), l.h, l.dim, l.codim, l.label()))
+            counts = ",".join(map(str, l.counts))
+            sys.stdout.write(line % (counts, l.h, l.dim, l.codim, l.g, l.d, counts))
         print("total: %d" % len(loci))
     return EXIT_OK
 

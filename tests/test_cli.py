@@ -1048,12 +1048,19 @@ SURVEY_SHA1 = {
 # SHA-1 of the doc-format stdout of interior commands, the only output that
 # shows a redundant locus's container fields, taken before an exact
 # container held its locus.  Genera 3 and 4 hold every case tag and both
-# exact and inexact containers.
+# exact and inexact containers.  The digests at genera 17, 19, 21, 23 and
+# 27, the interior benchmark's doc-format `sing` requests, were taken before
+# a component record holding only its locus was rendered from its fields.
 DOC_SHA1 = {
     ("sing", "--genus", "3"): "b798a7024edca9d843fae3a4d25a6bbae099535b",
     ("sing", "--genus", "4"): "48e1e9de02f2bec718b5a2897c7da6edf2f20611",
     ("sing", "--genus", "6"): "591889439e1b49675697b7aa6be548787c1dc92c",
+    ("sing", "--genus", "17"): "5653b125cc7cc79e24784d6a5745962c5656fb89",
+    ("sing", "--genus", "19"): "ddb9555d1fd643eaa2d700026c98c4cee042e948",
+    ("sing", "--genus", "21"): "de0192d6794280a19f5c8314adbf148925aab2b4",
+    ("sing", "--genus", "23"): "8d1669a4146c52ba0617a36d9460a88a97307f94",
     ("sing", "--genus", "25"): "b8d8bd2ba5c678967b25f3f1053ed0c4d2b6993d",
+    ("sing", "--genus", "27"): "7e22465df32bb27fd0e02ae96b2f1d7e1fdc27b6",
     ("sing-bar", "--genus", "5", "--dmax", "11"): "b0b02c7ed01648848d2ffed3694cdc0eaf035bb8",
     ("admissible", "--genus", "24", "--order", "60"): "357db112f22f5916acd745e9f1b3edd842bae129",
 }
@@ -1521,6 +1528,28 @@ class TestDocWriter:
         # str(int) and json.dumps refuse it; the writer prints it in full.
         assert self.emitted({"n": [sign * 10 ** 5000]}) == \
             '{\n  "n": [\n    %s1%s\n  ]\n}\n' % ("-" * (sign < 0), "0" * 5000)
+
+    def test_component_rendered_from_its_fields(self):
+        # A component record that holds only its locus is rendered straight
+        # from the locus's fields; every record must print as its document
+        # does.  p = 2 gives one-entry counts, 2g + 1 the largest primes.
+        records = [r for g in range(3, 28) for r in ss.decompose_sing(g).records]
+        records += [r for g in range(3, 6)
+                    for r in sst.decompose_sing_bar(g, 2 * g + 1).records]
+        redundant = next(r for r in records if r.container is not None)
+        bare = [r for r in records if r[1:] == (ss.Verdict.COMPONENT, None, None, None, ())]
+        # A component with any other field set keeps its document.
+        records += [bare[0]._replace(**{field: value}) for field, value in (
+            ("case_tag", ss.CaseTag.ELLIPTIC_QUOTIENT), ("normalizer", ss.NormalizerShape.DIHEDRAL),
+            ("container", redundant.container), ("notes", ("a note",)))]
+        rendered = []
+        for r in records:
+            item = cli._record_item(r)
+            if type(item) is not dict:
+                rendered.append(r)
+            assert cli._json(item, "    ") == cli._json(cli.record_doc(r), "    "), r
+        assert rendered == bare and len(bare) > 1900
+        assert {len(r.locus.counts) for r in bare} >= {1, 52}
 
 
 # The package's records, and those of them that check their fields in __new__.
