@@ -25,6 +25,12 @@ populated residue of a representative is the least gcd(s, d) over its
 support (the first residue rule): every candidate starts at a divisor of d.
 By Wiman's bound a cyclic automorphism of a curve of genus g >= 2 has order
 at most 4g + 2, so above it `enumerate_admissible` returns () unsearched.
+
+At a prime order p the unit group is cyclic.  Indexing each residue
+by its discrete logarithm to a primitive root (its log position) turns a
+unit into a rotation, so a unit orbit of k points is a necklace of the k
+gaps between them, and `enumerate_admissible` generates one least rotation
+per orbit, with no leaf to reject, then maps it back to the representative.
 """
 
 from __future__ import annotations
@@ -32,12 +38,12 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import compress
 from math import gcd
-from operator import mul, not_
+from operator import itemgetter, mul, not_
 from typing import NamedTuple
 
 from .combinat import (branch_weights, branching_term, genus_relation, is_prime,
-                       prime_shapes, quotient_genus_for, residue_sum, unit_action,
-                       units_mod)
+                       prime_shapes, primitive_root, quotient_genus_for, residue_sum,
+                       unit_action, units_mod)
 
 __all__ = [
     "BranchingSequence",
@@ -197,6 +203,128 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[tuple[int, ...], int], .
     """The rows (counts, h) of all admissible canonical data for (g, d), h
     being the quotient genus, in canonical-key order.
 
+    At a prime order p the search runs over gap necklaces
+    (`_necklace_rows`): residue g0^j of a primitive root g0 sits at log
+    position j of Z/(p - 1), a unit rotates the positions, and the least
+    rotation of each orbit's gap sequence is generated by the
+    Fredricksen-Kessler-Maiorana rule from a first point at position 0.  A
+    reach table per (g, p) holds the residue sums that m points at
+    positions x and on can make, so every prefix searched completes, and
+    each necklace maps back to the representative through the at most k
+    units that send an occupied residue to 1.  At any other order the search
+    runs over residues and rejects the leaves some unit image undercuts
+    (`_residue_rows`).  Each row is then checked again: the branch-count
+    bound (each point adds at least d - d/2 >= 1 to the branching term B,
+    so k <= B at h = 0), the residue sum and the quotient genus.
+    """
+    if g < 2 or d < 2:
+        raise ValueError("need g >= 2 and d >= 2")
+    if d > 4 * g + 2:  # Wiman's bound (module docstring); the tables are O(d)
+        return ()
+    out = _necklace_rows(g, d) if is_prime(d) else _residue_rows(g, d)
+    weights, terms = branch_weights(d), genus_relation(g, d)
+    for counts, h in out:
+        if sum(counts) > terms[0]:
+            raise AssertionError("branch count bound violated")
+        if (residue_sum(counts) % d
+                or quotient_genus_for(g, d, sum(map(mul, weights, counts))) != h):
+            raise AssertionError("inconsistent quotient genus")
+    out.sort(key=lambda item: _canonical_key(item[0]))
+    return tuple(out)
+
+
+def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """The admissible canonical rows of a prime order p, unordered.
+
+    The unit group mod p is cyclic: with g0 a primitive root, residue g0^j
+    is position j of Z/n, n = p - 1, and the unit g0^b moves every point b
+    positions on.  A unit orbit of k points is thus a necklace, written as
+    the k gaps between successive points (zero between points that share a
+    position), which sum to n.  Every point weighs p - 1 in B, so a shape
+    (h, k) of `prime_shapes` fixes k; k = 1 has no datum, as one unit never
+    sums to 0 mod p.
+
+    The least rotation of each gap sequence is generated from a first point
+    at position 0 (residue 1), one occupied position at a time: a block is
+    the count c at that position and the gap to the next one, and gap
+    sequences compare as their block sequences do when blocks order by more
+    points first, then the shorter gap.  So the Fredricksen-Kessler-Maiorana
+    prenecklace rule applies to blocks: each is at least the block one
+    period back, and a full sequence is kept when its period divides its
+    length (Ruskey, Savage and Wang, J. Algorithms 13, 1992).  No two leaves
+    lie in one orbit.  A table built once per (g, p) holds, as a bitmask,
+    the residue sums that m points at positions x and on can make; the
+    search enters only prefixes it can complete, and a last lone point goes
+    straight to the residue that closes the sum.
+
+    A necklace maps back to the printed representative through the units
+    that send an occupied residue to 1, a rotation taking that position to
+    0: by the first residue rule the representative is the least of those
+    images under `_canonical_key`.
+    """
+    shapes = [(h, k) for h, k in prime_shapes(g, p) if k != 1]
+    if not shapes:
+        return []
+    n, root = p - 1, primitive_root(p)
+    power = [pow(root, j, p) for j in range(n)]  # the residue at each position
+    log = [-1] * p  # residue 0 has no position
+    for j, r in enumerate(power):
+        log[r] = j
+    # turn[z] reads the log-order zero pattern and counts, rotated so that
+    # position z goes to 0, in residue order: the canonical key of an image.
+    turn = [itemgetter(*[(j + z) % n for j in log[1:]], *[n + (j + z) % n for j in log[1:]])
+            for z in range(n)]
+    # reach[m][x], bit s: m points at positions x.. can have residue sum s mod p.
+    reach = [[1] * (n + 1)]
+    for _ in range(1, max(k for _, k in shapes)):
+        row, prev = [0] * (n + 1), reach[-1]
+        for x in range(n - 1, -1, -1):
+            a, b = power[x], prev[x]
+            row[x] = row[x + 1] | (b << a | b >> (p - a)) & ((1 << p) - 1)
+        reach.append(row)
+    out: list[tuple[tuple[int, ...], int]] = []
+    wide = n + 1
+    for h, k in shapes:
+        # Block i as one int in block order, (k - c) * wide + gap, at
+        # position where[i].  blocks[-1] stays 0, below every block.
+        blocks, where, counts = [0] * (min(k, n) + 1), [0] * n, [0] * n
+
+        def extend(i, x, m, s, period):
+            # Blocks before i are set, and block i starts at position x; the
+            # m points left have residue sum s.
+            ref = blocks[i - period]
+            most = k - ref // wide  # the count of the block one period back
+            where[i] = x
+            if m * power[x] % p == s:  # all m at x, and the gap closes to n
+                block = (k - m) * wide + n - x
+                if block > ref or block == ref and (i + 1) % period == 0:
+                    counts[x] = m
+                    key = list(map(not_, counts)) + counts
+                    out.append((min(turn[z](key) for z in where[:i + 1])[n:], h))
+            # Or c < m points at x and the next block at y: none past the last position.
+            for c in range(1, min(m - 1, most) + 1) if x + 1 < n else ():
+                rest = (s - c * power[x]) % p
+                counts[x] = c
+                low = x + 1 if c < most else x + max(1, ref % wide)
+                if m - c == 1:  # a lone last point sits at the residue rest
+                    ys = range(max(low, log[rest]), log[rest] + 1)
+                else:
+                    ys = range(low, n)
+                for y in ys:
+                    if not reach[m - c][y] >> rest & 1:
+                        break
+                    if reach[m - c - 1][y] >> (rest - power[y]) % p & 1:
+                        blocks[i] = (k - c) * wide + y - x
+                        extend(i + 1, y, m - c, rest, period if blocks[i] == ref else i + 1)
+            counts[x] = 0
+
+        extend(0, 0, k, 0, 1)
+    return out
+
+
+def _residue_rows(g: int, d: int) -> list[tuple[tuple[int, ...], int]]:
+    """The admissible canonical rows of any order d, unordered.
+
     Generates only candidates for unit-orbit representatives: count tuples,
     filled in increasing residue order, with a branching term B of
     genus_relation and residue sum 0 mod d.  By the first residue rule (see
@@ -206,9 +334,7 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[tuple[int, ...], int], .
     d, the residue sums the residues from there on can still make, so the
     search enters only nodes it can complete.  A leaf is kept when no unit
     image has a smaller canonical key and, at h = 0, its support generates
-    Z/d; then the branch-count bound (each point adds at least d - d/2 >= 1
-    to B, so k <= B at h = 0), the residue sum and the quotient genus are
-    checked again.
+    Z/d.
 
     The key compares zero patterns first and counts second.  A unit
     permutes the zero pattern as it permutes the counts, so the leaf's
@@ -217,10 +343,6 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[tuple[int, ...], int], .
     ties the leaf's.  The pair compared is the image's key, so the verdict
     is the key order's.
     """
-    if g < 2 or d < 2:
-        raise ValueError("need g >= 2 and d >= 2")
-    if d > 4 * g + 2:  # Wiman's bound (module docstring); the tables are O(d)
-        return ()
     weights = branch_weights(d)
     terms = genus_relation(g, d)
     actions = None
@@ -239,11 +361,6 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[tuple[int, ...], int], .
                 return
         if h == 0 and gcd(d, *compress(range(1, d), counts)) != 1:
             return
-        if sum(counts) > terms[0]:
-            raise AssertionError("branch count bound violated")
-        if (residue_sum(counts) % d
-                or quotient_genus_for(g, d, sum(map(mul, weights, counts))) != h):
-            raise AssertionError("inconsistent quotient genus")
         out.append((counts, h))
 
     if terms[-1] == 0:
@@ -295,8 +412,7 @@ def enumerate_admissible(g: int, d: int) -> tuple[tuple[tuple[int, ...], int], .
 
         for h, t in starts:
             place(0, 1, t, 0, h)
-    out.sort(key=lambda item: _canonical_key(item[0]))
-    return tuple(out)
+    return out
 
 
 def iter_admissible_shapes(g: int, p: int):

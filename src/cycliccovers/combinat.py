@@ -1,8 +1,8 @@
-"""Shared integer arithmetic: primality, unit groups, weak compositions,
-and the one definition each of the residue sum, the unit action on count
-tuples, the genus relation of a cyclic cover, the stability threshold of
-a marked curve and graph connectivity.  Also the one form in which an
-error line echoes a document value.
+"""Shared integer arithmetic: primality, unit groups, primitive roots, weak
+compositions, and the one definition each of the residue sum, the unit
+action on count tuples, the genus relation of a cyclic cover, the
+stability threshold of a marked curve and graph connectivity.  Also the
+one form in which an error line echoes a document value.
 
 A count tuple (k_1, ..., k_{d-1}) counts points by residue i mod d; its
 length fixes d.
@@ -35,6 +35,12 @@ def primes_upto(n: int) -> tuple[int, ...]:
 def units_mod(d: int) -> tuple[int, ...]:
     """Residues coprime to d, the multiplicative units mod d."""
     return tuple(r for r in range(1, d) if gcd(r, d) == 1)
+
+
+def primitive_root(p: int) -> int:
+    """The least residue of multiplicative order p - 1 mod the prime p."""
+    factors = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
+    return next(r for r in range(1, p) if all(pow(r, (p - 1) // q, p) != 1 for q in factors))
 
 
 def residue_sum(counts) -> int:

@@ -14,7 +14,7 @@ from cycliccovers import sing_stable as sst
 from cycliccovers import stable_graphs as sg
 from cycliccovers.branching import BranchingSequence
 from cycliccovers.combinat import (branching_term, genus_relation, primes_upto,
-                                   unit_action, units_mod)
+                                   primitive_root, unit_action, units_mod)
 from cycliccovers.sing_smooth import CaseTag
 
 
@@ -232,6 +232,21 @@ class TestEnumeration:
                 assert shapes == full, (g, p)
 
 
+class TestNecklacePath:
+    @pytest.mark.parametrize("g", range(2, 41))
+    def test_matches_residue_path(self, g):
+        # At a prime order enumerate_admissible takes the necklace path; the
+        # residue path is the search it takes at every other order.
+        for p in primes_upto(2 * g + 1):
+            assert br.enumerate_admissible(g, p) == tuple(
+                sorted(br._residue_rows(g, p), key=lambda row: br._canonical_key(row[0])))
+
+    def test_primitive_root(self):
+        for p in primes_upto(2000):
+            r = primitive_root(p)
+            assert len({pow(r, j, p) for j in range(p - 1)}) == p - 1, p
+
+
 class TestPrimeOrbitCount:
     @pytest.mark.parametrize("g", [*range(2, 31), 40])
     def test_count_matches_enumeration(self, g):
@@ -280,8 +295,8 @@ class TestLocus:
 
     def test_codim_cross_check_once_per_shape(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(br, "is_prime", lambda n: calls.append(n) or True)
         rows = br.enumerate_admissible(20, 5)
+        monkeypatch.setattr(br, "is_prime", lambda n: calls.append(n) or True)
         br.locus_rows(20, 5, rows)
         assert len(calls) == len({(h, sum(c)) for c, h in rows}) < len(rows)
         # A row off the genus relation fails the prime closed form.

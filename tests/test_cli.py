@@ -966,7 +966,9 @@ class TestDeterminism:
 
 # SHA-1 of the stdout of `sing --genus g` and of `admissible --genus g
 # --order d` at the interior benchmark's (g, d) pairs, taken before the
-# enumerator generated orbit representatives directly.
+# enumerator generated orbit representatives directly.  The prime orders
+# (27, 7), (27, 19) and (40, 11), outside the benchmark, were taken before
+# prime orders were searched as gap necklaces.
 SING_SHA1 = {
     3: "6097a6c71f9a51b33c334439d640074497f9e4c7",
     4: "9b005364fe2c804a01064283f8e31fb4991f979f",
@@ -1013,6 +1015,9 @@ ADMISSIBLE_SHA1 = {
     (27, 36): "7e01161ae4cb7cb16c568eab07edab2cce48318a",
     (30, 42): "ab49b0dbd4cf1f1d566c4d5ad224ccbaf5a71b5b",
     (24, 60): "067adee078b4b2b9ac0f6f12d598960516a4873f",
+    (27, 7): "ca013e63bbc32ca6ea12d1c67eeaddc1bca3ead8",
+    (27, 19): "323dd3e6167053ca03f349c3e905b18c3239471d",
+    (40, 11): "c2aab22f7d308e30d177e49dfeca0b6fb3a2236f",
 }
 # SHA-1 of the boundary commands' stdout, taken before the labelled-graph
 # search stopped re-validating its candidates: `graphs` at every prime
@@ -1051,6 +1056,8 @@ SURVEY_SHA1 = {
 # exact and inexact containers.  The digests at genera 17, 19, 21, 23 and
 # 27, the interior benchmark's doc-format `sing` requests, were taken before
 # a component record holding only its locus was rendered from its fields.
+# The digest of `admissible --genus 27 --order 19` was taken before prime
+# orders were searched as gap necklaces.
 DOC_SHA1 = {
     ("sing", "--genus", "3"): "b798a7024edca9d843fae3a4d25a6bbae099535b",
     ("sing", "--genus", "4"): "48e1e9de02f2bec718b5a2897c7da6edf2f20611",
@@ -1063,6 +1070,7 @@ DOC_SHA1 = {
     ("sing", "--genus", "27"): "7e22465df32bb27fd0e02ae96b2f1d7e1fdc27b6",
     ("sing-bar", "--genus", "5", "--dmax", "11"): "b0b02c7ed01648848d2ffed3694cdc0eaf035bb8",
     ("admissible", "--genus", "24", "--order", "60"): "357db112f22f5916acd745e9f1b3edd842bae129",
+    ("admissible", "--genus", "27", "--order", "19"): "6cca4bd026ff93aae56b306ded91edc326731776",
 }
 
 # (order d, inertia gcd m, symbols, k) of the frozen cover documents: the
