@@ -26,11 +26,10 @@ support (the first residue rule): every candidate starts at a divisor of d.
 By Wiman's bound a cyclic automorphism of a curve of genus g >= 2 has order
 at most 4g + 2, so above it `enumerate_admissible` returns () unsearched.
 
-At a prime order p the unit group is cyclic.  Indexing each residue
-by its discrete logarithm to a primitive root (its log position) turns a
-unit into a rotation, so a unit orbit of k points is a necklace of the k
-gaps between them, and `enumerate_admissible` generates one least rotation
-per orbit, with no leaf to reject, then maps it back to the representative.
+At a prime order p the unit group is cyclic.  Indexed by its discrete
+logarithm to a primitive root (its log position), a unit is a rotation and
+a unit orbit of k points a necklace of the k gaps between them: one least
+rotation per orbit is generated, with no leaf to reject, and mapped back.
 """
 
 from __future__ import annotations
@@ -110,10 +109,7 @@ def canonical_datum(seq: BranchingSequence) -> BranchingSequence:
 
 
 def quotient_genus(g: int, seq: BranchingSequence) -> int | None:
-    """Quotient genus h determined by the genus formula, or None.
-
-    Returns None when h is not a non-negative integer.
-    """
+    """Quotient genus h of the genus formula, or None when h is not a non-negative integer."""
     if g < 2:
         raise ValueError("covering genus must be at least 2")
     return quotient_genus_for(g, seq.d, branching_term(seq.counts))
@@ -163,20 +159,16 @@ class SmoothLocus(NamedTuple):
 
 
 def smooth_locus(g: int, seq: BranchingSequence) -> SmoothLocus:
-    """Build the locus record for an admissible sequence.
-
-    Rejects inadmissible input.
-    """
+    """Build the locus record for an admissible sequence; rejects inadmissible input."""
     h = admissible_quotient_genus(g, seq)
     if h is None:
-        raise ValueError(
-            "inadmissible branching for g=%d, d=%d: %r" % (g, seq.d, seq.counts)
-        )
-    return locus_rows(g, seq.d, [(canonical_datum(seq).counts, h)])[0]
+        raise ValueError("inadmissible branching for g=%d, d=%d: %r" % (g, seq.d, seq.counts))
+    return next(locus_rows(g, seq.d, [(canonical_datum(seq).counts, h)]))
 
 
-def locus_rows(g: int, d: int, rows) -> list[SmoothLocus]:
-    """The locus of genus g and order d of each canonical admissible row (counts, h).
+def locus_rows(g: int, d: int, rows):
+    """The locus of genus g and order d of each canonical admissible row
+    (counts, h), each built as it is read.
 
     A locus has dimension 3(h - 1) + k, so dim and codim are taken once per
     shape (h, k).  For prime order p the codimension is then recomputed
@@ -184,7 +176,6 @@ def locus_rows(g: int, d: int, rows) -> list[SmoothLocus]:
     exactly.
     """
     dims: dict[tuple[int, int], tuple[int, int]] = {}
-    out = []
     for counts, h in rows:
         k = sum(counts)
         shape = dims.get((h, k))
@@ -195,42 +186,41 @@ def locus_rows(g: int, d: int, rows) -> list[SmoothLocus]:
                 raise AssertionError(
                     "codimension cross-check failed for g=%d, p=%d, %r" % (g, d, counts))
             shape = dims[h, k] = dim, codim
-        out.append(SmoothLocus(g, d, counts, h, k, *shape))
-    return out
+        yield SmoothLocus(g, d, counts, h, k, *shape)
 
 
 def enumerate_admissible(g: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The rows (counts, h) of all admissible canonical data for (g, d), h
-    being the quotient genus, in canonical-key order.
+    being the quotient genus, in canonical-key order (the zero pattern as
+    bytes): `_admissible_rows`, sorted once.  The search runs over gap
+    necklaces in log positions at a prime order (`_necklace_rows`, see the
+    module docstring) and over residues at any other (`_residue_rows`).
+    """
+    rows = sorted(_admissible_rows(g, d), key=lambda row: (bytes(map(not_, row[0])), row[0]))
+    return tuple(rows)
 
-    At a prime order p the search runs over gap necklaces
-    (`_necklace_rows`): residue g0^j of a primitive root g0 sits at log
-    position j of Z/(p - 1), a unit rotates the positions, and the least
-    rotation of each orbit's gap sequence is generated by the
-    Fredricksen-Kessler-Maiorana rule from a first point at position 0.  A
-    reach table per (g, p) holds the residue sums that m points at
-    positions x and on can make, so every prefix searched completes, and
-    each necklace maps back to the representative through the at most k
-    units that send an occupied residue to 1.  At any other order the search
-    runs over residues and rejects the leaves some unit image undercuts
-    (`_residue_rows`).  Each row is then checked again: the branch-count
-    bound (each point adds at least d - d/2 >= 1 to the branching term B,
-    so k <= B at h = 0), the residue sum and the quotient genus.
+
+def _admissible_rows(g: int, d: int) -> list[tuple[tuple[int, ...], int]]:
+    """The rows of `enumerate_admissible` unordered, each checked against
+    tables built once per call: the branch-count bound (a point adds at
+    least d - d/2 >= 1 to the branching term B, so k <= B at h = 0), the
+    residue sum, and B, which entry h of `genus_relation` must equal.
     """
     if g < 2 or d < 2:
         raise ValueError("need g >= 2 and d >= 2")
     if d > 4 * g + 2:  # Wiman's bound (module docstring); the tables are O(d)
-        return ()
-    out = _necklace_rows(g, d) if is_prime(d) else _residue_rows(g, d)
-    weights, terms = branch_weights(d), genus_relation(g, d)
+        return []
+    prime = is_prime(d)
+    out = _necklace_rows(g, d) if prime else _residue_rows(g, d)
+    weights, terms, residues = branch_weights(d), genus_relation(g, d), range(1, d)
     for counts, h in out:
-        if sum(counts) > terms[0]:
+        k = sum(counts)
+        if k > terms[0]:
             raise AssertionError("branch count bound violated")
-        if (residue_sum(counts) % d
-                or quotient_genus_for(g, d, sum(map(mul, weights, counts))) != h):
+        if (sum(map(mul, residues, counts)) % d or not 0 <= h < len(terms)
+                or terms[h] != (k * (d - 1) if prime else sum(map(mul, weights, counts)))):
             raise AssertionError("inconsistent quotient genus")
-    out.sort(key=lambda item: _canonical_key(item[0]))
-    return tuple(out)
+    return out
 
 
 def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
@@ -257,10 +247,10 @@ def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     search enters only prefixes it can complete, and a last lone point goes
     straight to the residue that closes the sum.
 
-    A necklace maps back to the printed representative through the units
-    that send an occupied residue to 1, a rotation taking that position to
-    0: by the first residue rule the representative is the least of those
-    images under `_canonical_key`.
+    A necklace maps back through a rotation taking an occupied position to
+    0 (residue 1, by the first residue rule).  Residue by residue, rotations
+    whose image is empty where another's is occupied drop out; only the
+    image left, or the least of those tying on the whole pattern, is built.
     """
     shapes = [(h, k) for h, k in prime_shapes(g, p) if k != 1]
     if not shapes:
@@ -270,10 +260,10 @@ def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     log = [-1] * p  # residue 0 has no position
     for j, r in enumerate(power):
         log[r] = j
-    # turn[z] reads the log-order zero pattern and counts, rotated so that
-    # position z goes to 0, in residue order: the canonical key of an image.
-    turn = [itemgetter(*[(j + z) % n for j in log[1:]], *[n + (j + z) % n for j in log[1:]])
-            for z in range(n)]
+    # turn[z] reads the log-order counts, turned so that position z goes to
+    # 0, in residue order; later holds the positions of residues 2, 3, ...
+    turn = [itemgetter(*[(j + z) % n for j in log[1:]]) for z in range(n)] if n > 1 else [tuple]
+    later = log[2:]
     # reach[m][x], bit s: m points at positions x.. can have residue sum s mod p.
     reach = [[1] * (n + 1)]
     for _ in range(1, max(k for _, k in shapes)):
@@ -285,22 +275,28 @@ def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     out: list[tuple[tuple[int, ...], int]] = []
     wide = n + 1
     for h, k in shapes:
-        # Block i as one int in block order, (k - c) * wide + gap, at
-        # position where[i].  blocks[-1] stays 0, below every block.
-        blocks, where, counts = [0] * (min(k, n) + 1), [0] * n, [0] * n
+        # Block i as one int in block order, (k - c) * wide + gap.
+        # blocks[-1] stays 0, below every block.
+        blocks, counts = [0] * (min(k, n) + 1), [0] * n
 
-        def extend(i, x, m, s, period):
+        def extend(i, x, m, s, period, occupied):
             # Blocks before i are set, and block i starts at position x; the
-            # m points left have residue sum s.
+            # m points left have residue sum s; bit y of occupied: y holds some.
             ref = blocks[i - period]
             most = k - ref // wide  # the count of the block one period back
-            where[i] = x
             if m * power[x] % p == s:  # all m at x, and the gap closes to n
                 block = (k - m) * wide + n - x
                 if block > ref or block == ref and (i + 1) % period == 0:
                     counts[x] = m
-                    key = list(map(not_, counts)) + counts
-                    out.append((min(turn[z](key) for z in where[:i + 1])[n:], h))
+                    zs, twice = occupied, occupied | occupied << n  # zs: the rotations left
+                    for j in later:
+                        if not zs & zs - 1:
+                            image = turn[zs.bit_length() - 1](counts)
+                            break
+                        zs = zs & twice >> j or zs
+                    else:
+                        image = min(turn[z](counts) for z in range(n) if zs >> z & 1)
+                    out.append((image, h))
             # Or c < m points at x and the next block at y: none past the last position.
             for c in range(1, min(m - 1, most) + 1) if x + 1 < n else ():
                 rest = (s - c * power[x]) % p
@@ -315,10 +311,11 @@ def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
                         break
                     if reach[m - c - 1][y] >> (rest - power[y]) % p & 1:
                         blocks[i] = (k - c) * wide + y - x
-                        extend(i + 1, y, m - c, rest, period if blocks[i] == ref else i + 1)
+                        extend(i + 1, y, m - c, rest, period if blocks[i] == ref else i + 1,
+                               occupied | 1 << y)
             counts[x] = 0
 
-        extend(0, 0, k, 0, 1)
+        extend(0, 0, k, 0, 1, 1)
     return out
 
 

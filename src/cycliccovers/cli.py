@@ -310,7 +310,8 @@ def _parse_counts(text: str, d: int) -> branching.BranchingSequence:
 
 def cmd_admissible(args) -> int:
     g, d = args.genus, args.order
-    loci = branching.locus_rows(g, d, branching.enumerate_admissible(g, d))
+    rows = branching.enumerate_admissible(g, d)
+    loci = branching.locus_rows(g, d, rows)
     if args.format == "doc":
         _emit_doc({"genus": g, "order": d, "loci": map(locus_doc, loci)})
     else:
@@ -318,7 +319,7 @@ def cmd_admissible(args) -> int:
         for l in loci:
             counts = ",".join(map(str, l.counts))
             sys.stdout.write(line % (counts, l.h, l.dim, l.codim, l.g, l.d, counts))
-        print("total: %d" % len(loci))
+        print("total: %d" % len(rows))
     return EXIT_OK
 
 

@@ -16,11 +16,12 @@ case analysis.
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
-from .branching import (SPECIAL_SHAPES, BranchingSequence, SmoothLocus, enumerate_admissible,
+from .branching import (SPECIAL_SHAPES, BranchingSequence, SmoothLocus, _admissible_rows,
                          locus_rows, smooth_locus)
-from .combinat import is_prime, primes_upto, unit_action
+from .combinat import is_prime, prime_shapes, primes_upto, unit_action
 
 __all__ = [
     "Verdict",
@@ -243,12 +244,12 @@ def stream_sing(g: int) -> DecompositionReport:
     fits the genus.  Genus 2 is rejected at once: every genus-2 curve is
     hyperelliptic and the pseudoreflection bookkeeping starts at 3.
 
-    Each prime's loci come sorted by counts.  A verdict depends on a locus
-    only through (g, p, h, k), except at the special shapes and at the
-    genus-3 hyperelliptic divisor, so `classify` runs on those loci alone
-    and every other locus is a component, whose record is built as it is
-    yielded.  Strict growth is checked on every redundant record before
-    its prime's records are yielded.
+    Each prime's rows (counts, h) are held, sorted by counts.  A verdict
+    depends on a locus only through (g, p, h, k), except at the special
+    shapes and at the genus-3 hyperelliptic divisor; at a prime order h
+    fixes k, so h alone picks the rows that `classify` runs on, first, and
+    checks for strict growth.  Every other row is a component, whose
+    record is built as it is yielded.
     """
     if g < 3:
         raise ValueError(
@@ -259,20 +260,21 @@ def stream_sing(g: int) -> DecompositionReport:
 
     def records():
         for p in primes_upto(2 * g + 1):
-            block = locus_rows(g, p, sorted(enumerate_admissible(g, p)))
+            rows = sorted(_admissible_rows(g, p), key=itemgetter(0))  # int keys: the fast path
+            special = {h for h, k in prime_shapes(g, p)
+                       if (h, k) in SPECIAL_SHAPES or (g, p, h, k) == _EXCLUDED_HYPERELLIPTIC}
             held = {}  # counts -> record, for this prime's classified loci
-            for locus in block:
-                if ((locus.h, locus.k) in SPECIAL_SHAPES
-                        or (g, p, locus.h, locus.k) == _EXCLUDED_HYPERELLIPTIC):
-                    rec = held[locus.counts] = classify(locus)
-                    if rec.verdict is Verdict.REDUNDANT:
-                        if rec.container is None or rec.container.dim_lower_bound <= locus.dim:
-                            raise AssertionError(
-                                "redundant locus %s has no container of larger dimension"
-                                % locus.label())
-                        warnings.extend("%s: %s" % (locus.label(), note) for note in rec.notes)
-            for locus in block:
-                yield held.get(locus.counts) or ClassificationRecord(locus, Verdict.COMPONENT)
+            for locus in locus_rows(g, p, [row for row in rows if row[1] in special]):
+                rec = held[locus.counts] = classify(locus)
+                if rec.verdict is Verdict.REDUNDANT:
+                    if rec.container is None or rec.container.dim_lower_bound <= locus.dim:
+                        raise AssertionError("redundant locus %s has no container of larger "
+                                             "dimension" % locus.label())
+                    warnings.extend("%s: %s" % (locus.label(), note) for note in rec.notes)
+            for locus in locus_rows(g, p, rows):
+                yield (held[locus.counts] if locus.h in special
+                       else ClassificationRecord(locus, Verdict.COMPONENT))
+            del rows  # before the next prime's search, which would hold both
 
     notes = ("the genus-3 hyperelliptic divisor has 8 branch points by the genus "
              "formula (an order-2 rational quotient forces k = 2g + 2)",) if g == 3 else ()

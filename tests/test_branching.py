@@ -241,10 +241,48 @@ class TestNecklacePath:
             assert br.enumerate_admissible(g, p) == tuple(
                 sorted(br._residue_rows(g, p), key=lambda row: br._canonical_key(row[0])))
 
+    @pytest.mark.parametrize("g", range(2, 41))
+    def test_unsorted_rows_match_residue_path(self, g):
+        # The callers sort the unsorted rows each in its own order, so the two
+        # searches must give the same rows before any sort.
+        for p in primes_upto(2 * g + 1):
+            rows = br._necklace_rows(g, p)
+            assert Counter(rows) == Counter(br._residue_rows(g, p)), (g, p)
+            assert Counter(br._admissible_rows(g, p)) == Counter(rows), (g, p)
+
     def test_primitive_root(self):
         for p in primes_upto(2000):
             r = primitive_root(p)
             assert len({pow(r, j, p) for j in range(p - 1)}) == p - 1, p
+
+
+class TestRowChecks:
+    # Each search's rows are checked again after it, so one bad row from
+    # either search must trip its check.  genus_relation(4, 3) is (12, 6, 0)
+    # and genus_relation(5, 4) is (16, 8, 0): three entries, the last 0, so
+    # h = -1 on an unramified row would pass a lookup that wraps around, and
+    # h = 3 is past the end.
+    @pytest.mark.parametrize("search, g, d, row, message", [
+        ("_necklace_rows", 4, 3, ((13, 1), 0), "branch count bound violated"),
+        ("_necklace_rows", 4, 3, ((2, 1), 1), "inconsistent quotient genus"),  # residue sum 4
+        ("_necklace_rows", 4, 3, ((3, 0), 0), "inconsistent quotient genus"),  # B = 6 at h = 1
+        ("_necklace_rows", 4, 3, ((3, 0), 3), "inconsistent quotient genus"),
+        ("_necklace_rows", 4, 3, ((0, 0), -1), "inconsistent quotient genus"),
+        ("_residue_rows", 5, 4, ((20, 0, 0), 0), "branch count bound violated"),
+        ("_residue_rows", 5, 4, ((1, 1, 1), 1), "inconsistent quotient genus"),  # residue sum 6
+        ("_residue_rows", 5, 4, ((0, 4, 0), 0), "inconsistent quotient genus"),  # B = 8 at h = 1
+        ("_residue_rows", 5, 4, ((0, 0, 0), 3), "inconsistent quotient genus"),
+        ("_residue_rows", 5, 4, ((0, 0, 0), -1), "inconsistent quotient genus"),
+    ])
+    def test_bad_row_raises(self, monkeypatch, search, g, d, row, message):
+        assert list(genus_relation(g, d)) == ([12, 6, 0] if d == 3 else [16, 8, 0])
+        monkeypatch.setattr(br, search, lambda g, d: [row])
+        for enumerate_rows in (br._admissible_rows, br.enumerate_admissible):
+            with pytest.raises(AssertionError, match="^%s$" % message):
+                enumerate_rows(g, d)
+        # The same search with its own rows passes every check.
+        monkeypatch.undo()
+        assert br._admissible_rows(g, d)
 
 
 class TestPrimeOrbitCount:
@@ -297,11 +335,11 @@ class TestLocus:
         calls = []
         rows = br.enumerate_admissible(20, 5)
         monkeypatch.setattr(br, "is_prime", lambda n: calls.append(n) or True)
-        br.locus_rows(20, 5, rows)
+        list(br.locus_rows(20, 5, rows))
         assert len(calls) == len({(h, sum(c)) for c, h in rows}) < len(rows)
         # A row off the genus relation fails the prime closed form.
         with pytest.raises(AssertionError, match="codimension cross-check failed"):
-            br.locus_rows(3, 3, [((1, 1), 5)])
+            list(br.locus_rows(3, 3, [((1, 1), 5)]))
 
     def test_dim_plus_codim(self):
         for g in (2, 3, 4, 5):

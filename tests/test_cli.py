@@ -136,14 +136,14 @@ class TestSing:
         from cycliccovers import sing_smooth as ss
 
         _, full, _ = run(capsys, "sing", "--genus", "12", "--format", fmt)
-        enumerate_admissible = ss.enumerate_admissible
+        admissible_rows = ss._admissible_rows
 
         def failing(g, p):
             if p == 23:
                 raise RuntimeError("enumeration failed at p = 23")
-            return enumerate_admissible(g, p)
+            return admissible_rows(g, p)
 
-        monkeypatch.setattr(ss, "enumerate_admissible", failing)
+        monkeypatch.setattr(ss, "_admissible_rows", failing)
         with pytest.raises(RuntimeError):
             cli.main(["sing", "--genus", "12", "--format", fmt])
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
@@ -8,6 +9,7 @@ import oracles
 from cycliccovers import branching as br
 from cycliccovers import sing_smooth as ss
 from cycliccovers.branching import BranchingSequence
+from cycliccovers.combinat import primes_upto
 from cycliccovers.sing_smooth import CaseTag, NormalizerShape, Verdict
 
 
@@ -189,7 +191,7 @@ class TestStream:
         # records, which hold no label text, and the stream gives one
         # classification record per locus.
         for g, d in ((3, 2), (12, 6), (20, 5), (30, 61)):
-            loci = br.locus_rows(g, d, br.enumerate_admissible(g, d))
+            loci = list(br.locus_rows(g, d, br.enumerate_admissible(g, d)))
             assert loci and all(type(l) is br.SmoothLocus for l in loci)
             assert not any(isinstance(field, str) for l in loci for field in l)
         for g in range(3, 31):
@@ -201,6 +203,22 @@ class TestStream:
         rows = [(r.locus.d, r.locus.counts) for r in ss.stream_sing(12).records]
         assert rows == sorted(rows) and len(set(rows)) == len(rows)
         assert [p for p, _ in rows] == sorted(p for p, _ in rows)
+
+    def test_prime_blocks_in_counts_order(self):
+        # The stream sorts each prime's unsorted rows by counts itself.  Each
+        # prime's block must be the classified loci of enumerate_admissible's
+        # rows in counts order, and the blocks decompose_sing's records.
+        for g in range(3, 41):
+            streamed, blocks = iter(ss.stream_sing(g).records), []
+            for p in primes_upto(2 * g + 1):
+                rows = sorted(br.enumerate_admissible(g, p))
+                block = list(islice(streamed, len(rows)))
+                assert [(r.locus.d, r.locus.counts, r.locus.h) for r in block] == [
+                    (p, *row) for row in rows], (g, p)
+                assert block == [ss.classify(l) for l in br.locus_rows(g, p, rows)], (g, p)
+                blocks += block
+            assert next(streamed, None) is None
+            assert tuple(blocks) == ss.decompose_sing(g).records
 
     def test_collect_is_decompose_sing(self):
         rep = ss.stream_sing(5)
