@@ -57,7 +57,6 @@ __all__ = [
     "smooth_locus",
     "enumerate_admissible",
     "locus_rows",
-    "iter_admissible_shapes",
 ]
 
 
@@ -231,8 +230,7 @@ def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     positions on.  A unit orbit of k points is thus a necklace, written as
     the k gaps between successive points (zero between points that share a
     position), which sum to n.  Every point weighs p - 1 in B, so a shape
-    (h, k) of `prime_shapes` fixes k; k = 1 has no datum, as one unit never
-    sums to 0 mod p.
+    (h, k) of `prime_shapes` fixes k.
 
     The least rotation of each gap sequence is generated from a first point
     at position 0 (residue 1), one occupied position at a time: a block is
@@ -242,17 +240,17 @@ def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     prenecklace rule applies to blocks: each is at least the block one
     period back, and a full sequence is kept when its period divides its
     length (Ruskey, Savage and Wang, J. Algorithms 13, 1992).  No two leaves
-    lie in one orbit.  A table built once per (g, p) holds, as a bitmask,
-    the residue sums that m points at positions x and on can make; the
-    search enters only prefixes it can complete, and a last lone point goes
-    straight to the residue that closes the sum.
+    lie in one orbit.  The `_reach` table of the positions' residues, each
+    point weighing 1, says which residue sums m points at positions x and on
+    can make; the search enters only prefixes it can complete, and a last
+    lone point goes straight to the residue that closes the sum.
 
     A necklace maps back through a rotation taking an occupied position to
     0 (residue 1, by the first residue rule).  Residue by residue, rotations
     whose image is empty where another's is occupied drop out; only the
     image left, or the least of those tying on the whole pattern, is built.
     """
-    shapes = [(h, k) for h, k in prime_shapes(g, p) if k != 1]
+    shapes = prime_shapes(g, p)
     if not shapes:
         return []
     n, root = p - 1, primitive_root(p)
@@ -264,14 +262,7 @@ def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     # 0, in residue order; later holds the positions of residues 2, 3, ...
     turn = [itemgetter(*[(j + z) % n for j in log[1:]]) for z in range(n)] if n > 1 else [tuple]
     later = log[2:]
-    # reach[m][x], bit s: m points at positions x.. can have residue sum s mod p.
-    reach = [[1] * (n + 1)]
-    for _ in range(1, max(k for _, k in shapes)):
-        row, prev = [0] * (n + 1), reach[-1]
-        for x in range(n - 1, -1, -1):
-            a, b = power[x], prev[x]
-            row[x] = row[x + 1] | (b << a | b >> (p - a)) & ((1 << p) - 1)
-        reach.append(row)
+    reach = _reach(p, power, [1] * n, max(k for _, k in shapes) - 1)
     out: list[tuple[tuple[int, ...], int]] = []
     wide = n + 1
     for h, k in shapes:
@@ -307,9 +298,9 @@ def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
                 else:
                     ys = range(low, n)
                 for y in ys:
-                    if not reach[m - c][y] >> rest & 1:
+                    if not reach[y][m - c] >> rest & 1:
                         break
-                    if reach[m - c - 1][y] >> (rest - power[y]) % p & 1:
+                    if reach[y][m - c - 1] >> (rest - power[y]) % p & 1:
                         blocks[i] = (k - c) * wide + y - x
                         extend(i + 1, y, m - c, rest, period if blocks[i] == ref else i + 1,
                                occupied | 1 << y)
@@ -317,6 +308,21 @@ def _necklace_rows(g: int, p: int) -> list[tuple[tuple[int, ...], int]]:
 
         extend(0, 0, k, 0, 1, 1)
     return out
+
+
+def _reach(d: int, residues, weights, top: int) -> list[list[int]]:
+    """reach[j][t], bit s: points at residues[j:], one at residues[i]
+    weighing weights[i], can weigh t in all (t <= top) with residue sum s
+    mod d.  An unbounded knapsack per residue, built from the end."""
+    mask = (1 << d) - 1
+    reach = [[1] + [0] * top]
+    for a, w in zip(reversed(residues), reversed(weights)):
+        sums = reach[-1][:]
+        for t in range(w, top + 1):
+            if sums[t - w]:
+                sums[t] |= (sums[t - w] << a | sums[t - w] >> (d - a)) & mask
+        reach.append(sums)
+    return reach[::-1]
 
 
 def _residue_rows(g: int, d: int) -> list[tuple[tuple[int, ...], int]]:
@@ -327,8 +333,8 @@ def _residue_rows(g: int, d: int) -> list[tuple[tuple[int, ...], int]]:
     genus_relation and residue sum 0 mod d.  By the first residue rule (see
     the module docstring) a point goes at a divisor e of d first, and after
     it only residues r with gcd(r, d) >= e whose weight fits some solution.
-    A table over (residue position, remaining term) holds, as a bitmask mod
-    d, the residue sums the residues from there on can still make, so the
+    The `_reach` table over (residue position, remaining term) says which
+    residue sums mod d the residues from there on can still make, so the
     search enters only nodes it can complete.  A leaf is kept when no unit
     image has a smaller canonical key and, at h = 0, its support generates
     Z/d.
@@ -380,15 +386,7 @@ def _residue_rows(g: int, d: int) -> list[tuple[tuple[int, ...], int]]:
         fits = {w for w in step.values() for _, t in starts
                 if t >= first + w and totals >> (t - first - w) & 1}
         residues = [r for r in residues if r == e or step[r] in fits]
-        # reach[j][t], bit s: points at residues[j:] can weigh t with residue
-        # sum s mod d.  An unbounded knapsack per residue, built from the end.
-        reach = [[1] + [0] * starts[0][1]]
-        for a in reversed(residues):
-            sums, w = reach[0][:], step[a]
-            for t in range(w, len(sums)):
-                if sums[t - w]:
-                    sums[t] |= (sums[t - w] << a | sums[t - w] >> (d - a)) & ((1 << d) - 1)
-            reach.insert(0, sums)
+        reach = _reach(d, residues, [step[a] for a in residues], starts[0][1])
 
         def place(j, end, t, s, h):
             # Residues before position j are placed; weight t and residue
@@ -410,21 +408,6 @@ def _residue_rows(g: int, d: int) -> list[tuple[tuple[int, ...], int]]:
         for h, t in starts:
             place(0, 1, t, 0, h)
     return out
-
-
-def iter_admissible_shapes(g: int, p: int):
-    """Yield the (h, k) pairs of admissible loci for prime p.
-
-    Dimension and codimension depend on the datum only through (h, k),
-    so exception scans over large genus ranges use this instead of full
-    sequence enumeration.  A shape is realizable exactly when k != 1: at
-    h = 0 the branching term 2(g - 1) + 2p > 0, so k = 0 needs h >= 1; at
-    p = 2, k = 2g + 2 - 4h is even; at odd p any k >= 2 units can sum to
-    0 mod p, and a single unit cannot.
-    """
-    if not is_prime(p):
-        raise ValueError("prime order required")
-    yield from (shape for shape in prime_shapes(g, p) if shape[1] != 1)
 
 
 # The quotient shapes (h, k) where a general member may admit symmetry

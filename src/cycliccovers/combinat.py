@@ -1,6 +1,7 @@
 """Shared integer arithmetic: primality, unit groups, primitive roots, weak
 compositions, and the one definition each of the residue sum, the unit
 action on count tuples, the genus relation of a cyclic cover, the
+realizable prime-order shapes, the free tuples by residue sum, the
 stability threshold of a marked curve and graph connectivity.  Also the
 one form in which an error line echoes a document value.
 
@@ -91,10 +92,14 @@ def quotient_genus_for(g: int, d: int, term: int) -> int | None:
 
 
 def prime_shapes(g: int, p: int) -> tuple[tuple[int, int], ...]:
-    """(h, k) for each quotient genus h at which genus_relation(g, p)
-    leaves room for exactly k points of prime order p, each of weight p - 1."""
+    """The realizable shapes (h, k) of prime order p: each quotient genus h
+    at which genus_relation(g, p) leaves room for exactly k points, each of
+    weight p - 1, with k != 1.  For at h = 0 the branching term 2(g - 1) +
+    2p > 0, so k = 0 needs h >= 1; at p = 2, k = 2g + 2 - 4h is even; at odd
+    p any k >= 2 units can sum to 0 mod p, and a single unit cannot.  A
+    locus's dimensions depend on it only through its shape."""
     return tuple((h, term // (p - 1)) for h, term in enumerate(genus_relation(g, p))
-                 if term % (p - 1) == 0)
+                 if term % (p - 1) == 0 and term != p - 1)
 
 
 def min_marks(genus: int) -> int:
@@ -126,6 +131,16 @@ def weak_compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in weak_compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def free_menu(f: int, d: int) -> list[list[tuple[int, ...]]]:
+    """The free tuples of f points mod d, the count tuples of length d - 1
+    summing to f, by residue sum: entry s lists those whose residue sum is
+    s mod d, in `weak_compositions` order."""
+    menu: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
+    for free in weak_compositions(f, d - 1):
+        menu[residue_sum(free) % d].append(free)
+    return menu
 
 
 def clipped(value) -> str:

@@ -21,10 +21,9 @@ from itertools import chain, combinations_with_replacement as multisets
 from typing import NamedTuple
 
 from .branching import SPECIAL_SHAPES
-from .combinat import (min_marks, prime_shapes, primes_upto, residue_sum, unit_action,
-                       units_mod, weak_compositions)
+from .combinat import free_menu, min_marks, prime_shapes, primes_upto, unit_action, units_mod
 from .sing_smooth import DecompositionReport, collect, stream_sing
-from .stable_graphs import encoding_factors, factors_dimension
+from .stable_graphs import encoding_factors, factors_dimension, scaled_pairs
 
 __all__ = [
     "BoundaryComponent",
@@ -106,16 +105,13 @@ def _stars(g: int, p: int) -> list:
     acts = [unit_action(p, r) for r in units]
     pairs = [(a, b) for a in range(1, p) for b in range(a, p) if (a + b) % p]
     shapes = [(gj, k) for gj in range(g) for _, k in prime_shapes(gj, p)]
-    menus = [[[] for _ in range(p)] for _ in range(max(k for _, k in shapes) + 1)]
-    for f, menu in enumerate(menus):  # free tuples' unit images, by size and residue sum
-        for free in weak_compositions(f, p - 1):
-            menu[residue_sum(free) % p].append([act(free) for act in acts])
+    menus = [[[[act(free) for act in acts] for free in bucket] for bucket in free_menu(f, p)]
+             for f in range(max(k for _, k in shapes) + 1)]  # free tuples' unit images
     scale: dict[tuple, list] = {}  # labels -> per unit: scaled, sorted, with p appended
     found = set()
     for gj, k in shapes:
         for n_loops in range(min(k // 2, g - gj - 1) + 1):
-            loop_sets = [(sum(map(sum, loops)), [sorted(tuple(sorted((r * a % p, r * b % p)))
-                                                        for a, b in loops) for r in units])
+            loop_sets = [(sum(map(sum, loops)), [scaled_pairs(loops, r, p, True) for r in units])
                          for loops in multisets(pairs, n_loops)]
             for tails, count, owed in _tails(g - gj - n_loops, k - 2 * n_loops, p):
                 ends = 2 * n_loops + count

@@ -42,9 +42,8 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .combinat import (clipped, connects, is_prime, min_marks, prime_shapes,
-                       quotient_genus_for, residue_sum, unit_action, units_mod,
-                       weak_compositions)
+from .combinat import (clipped, connects, free_menu, is_prime, min_marks, prime_shapes,
+                       quotient_genus_for, residue_sum, unit_action, units_mod)
 
 __all__ = [
     "I0",
@@ -70,6 +69,7 @@ __all__ = [
     "canonical_encoding",
     "canonical_form",
     "enumerate_graphs",
+    "scaled_pairs",
     "divisor_exception",
     "is_elliptic_tail_vertex",
     "graph_doc",
@@ -566,7 +566,7 @@ def _vertex_multisets(g: int, d: int):
     components, their genera sum to at most g, and the total genus fixes
     the edge count E = g - sum + V - 1, which is then at most 3g - 3.
     Every multiset holds an I1 vertex, and opts maps each I1 vertex to
-    its (quotient genus, k) pairs, of which there is at least one.
+    its realizable shapes (h, k) of `prime_shapes`, at least one.
 
     Only multisets with an edge structure are yielded.  Among two or more
     vertices each owes max(min_marks, 1) ends, and growth stops once they
@@ -741,6 +741,13 @@ def enumerate_graphs(g: int, d: int) -> list:
     return sorted(found)
 
 
+def scaled_pairs(pairs, r: int, d: int, loop: bool) -> tuple:
+    """A multiset of label pairs times the unit r mod d, sorted, with each
+    pair sorted too when the pairs are a vertex's loops."""
+    images = (((r * a) % d, (r * b) % d) for a, b in pairs)
+    return tuple(sorted(tuple(sorted(pair)) if loop else pair for pair in images))
+
+
 def _labelled_graphs(d, colours, genera, structure, opts, ends, tables):
     """Every labelled graph on one edge structure, as rows: (vid, colour,
     genus, free) per vertex and (u, v, mu, mv, swapped) per edge in
@@ -773,13 +780,9 @@ def _labelled_graphs(d, colours, genera, structure, opts, ends, tables):
             menu = tables[genera[i], ends[i]] = [[] for _ in range(d)]
             for _, k in opts[i]:
                 if k >= ends[i]:
-                    for free in weak_compositions(k - ends[i], d - 1):
-                        menu[residue_sum(free) % d].append(free)
+                    for bucket, frees in zip(menu, free_menu(k - ends[i], d)):
+                        bucket += frees
         menus[i] = tables[genera[i], ends[i]]
-
-    def scaled(chosen, r, loop):
-        pairs = (((r * a) % d, (r * b) % d) for a, b in chosen)
-        return tuple(sorted(tuple(sorted(pair)) if loop else pair for pair in pairs))
 
     last = {v: ix for ix, slot in enumerate(structure) for v in slot}
     plan = []  # per slot: its ends, its choice table, the I1 vertices it closes
@@ -793,7 +796,7 @@ def _labelled_graphs(d, colours, genera, structure, opts, ends, tables):
             choices = list(itertools.combinations_with_replacement(pool, count))
             where = {chosen: p for p, chosen in enumerate(choices)}
             tables[key] = [(chosen, sum(a for a, _ in chosen), sum(b for _, b in chosen),
-                            [where[scaled(chosen, r, i == j)] for r in units])
+                            [where[scaled_pairs(chosen, r, d, i == j)] for r in units])
                            for chosen in choices]
         plan.append((i, j, tables[key],
                      [v for v in {i, j} if last[v] == ix and colours[v] == I1]))

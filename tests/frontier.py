@@ -6,7 +6,9 @@ Run from any directory:
 
 Each check prints one line: its verdict, what it compared and its time.
 The script exits 1 if any check fails, and 0 otherwise.  Its name does not
-match pytest's test-file patterns, so the suite does not collect it.
+match pytest's test-file patterns, so the suite does not collect it.  The
+star check reads the suite's per-graph boundary definition, so it needs
+pytest installed.
 """
 
 import os
@@ -18,32 +20,53 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 import oracles  # noqa: E402  (tests/ is on the path as the script's directory)
 from cycliccovers import branching as br  # noqa: E402
+from cycliccovers import sing_stable as ss  # noqa: E402
+from cycliccovers import stable_graphs as sg  # noqa: E402
 from cycliccovers.combinat import primes_upto  # noqa: E402
 
 
-def necklace_rows(g):
-    """`_necklace_rows` equals `_residue_rows` as a multiset at every prime p <= 2g + 1."""
-    primes = primes_upto(2 * g + 1)
+def necklace_rows(g, primes):
+    """`_necklace_rows` equals `_residue_rows` as a multiset at each prime."""
     bad = [p for p in primes
            if Counter(br._necklace_rows(g, p)) != Counter(br._residue_rows(g, p))]
     return bad, "%d primes" % len(primes)
 
 
-def prime_orbit_count(g):
-    """`oracles.prime_orbit_count` equals len(enumerate_admissible) at every prime p <= 2g + 1."""
-    counted = {p: oracles.prime_orbit_count(g, p) for p in primes_upto(2 * g + 1)}
+def prime_orbit_count(g, primes):
+    """`oracles.prime_orbit_count` equals len(enumerate_admissible) at each prime."""
+    counted = {p: oracles.prime_orbit_count(g, p) for p in primes}
     bad = [p for p, n in counted.items() if n != len(br.enumerate_admissible(g, p))]
     return bad, "%d primes, %d loci" % (len(counted), sum(counted.values()))
 
 
-CHECKS = [(check, g) for check in (necklace_rows, prime_orbit_count) for g in (60, 80)]
+def stars(g, primes):
+    """`sing_stable._stars` equals the canonical encodings of the
+    `enumerate_graphs` classes that pass `test_filter_applied`'s per-graph
+    boundary definition, in order, at each prime."""
+    from test_stable_graphs import is_boundary_graph
+
+    bad, n = [], 0
+    for p in primes:
+        want = [sg.canonical_encoding(G) for G in map(sg._decode, sg.enumerate_graphs(g, p))
+                if is_boundary_graph(G)]
+        bad += [p] if ss._stars(g, p) != want else []
+        n += len(want)
+    return bad, "p = %s, %d stars" % (", ".join(map(str, primes)), n)
+
+
+# The suite runs the star check at genus 2-5 and at genus 6 except p = 3.
+# Genus 8 leaves out p = 3, by far its slowest search.
+CHECKS = [(check, g, primes_upto(2 * g + 1))
+          for check in (necklace_rows, prime_orbit_count) for g in (60, 80)]
+CHECKS += [(stars, 6, (3,)), (stars, 7, primes_upto(15)),
+           (stars, 8, [p for p in primes_upto(17) if p != 3])]
 
 
 def main() -> int:
     failed = 0
-    for check, g in CHECKS:
+    for check, g, primes in CHECKS:
         start = time.perf_counter()
-        bad, what = check(g)
+        bad, what = check(g, primes)
         print("%s %s genus %d: %s%s, %.2f s" % (
             "FAIL" if bad else "ok", check.__name__, g, what,
             ", mismatch at p = %s" % ", ".join(map(str, bad)) if bad else "",

@@ -17,7 +17,7 @@ from cycliccovers import cover_algebra as ca
 from cycliccovers import sing_smooth as ss
 from cycliccovers import sing_stable as st
 from cycliccovers import stable_graphs as sg
-from cycliccovers.combinat import primes_upto
+from cycliccovers.combinat import prime_shapes, primes_upto
 from cycliccovers.sing_smooth import CaseTag, Verdict
 from cycliccovers.stable_graphs import I0, I1, Vertex, make_graph, make_link
 
@@ -32,7 +32,7 @@ def test_criterion_1_codimension_exception_scan():
     checked = 0
     for g in range(2, 31):
         for p in primes_upto(2 * g + 1):
-            for h, k in br.iter_admissible_shapes(g, p):
+            for h, k in prime_shapes(g, p):
                 checked += 1
                 codim = 3 * (g - 1) - (3 * (h - 1) + k)
                 if codim < 2:
@@ -41,7 +41,7 @@ def test_criterion_1_codimension_exception_scan():
     # the shape scan agrees with full enumeration on a sampled range
     for g in (2, 3, 5, 8, 12):
         for p in (2, 3, 5, 7, 11):
-            shapes = sorted(br.iter_admissible_shapes(g, p))
+            shapes = sorted(prime_shapes(g, p))
             full = sorted({(h, sum(c)) for c, h in br.enumerate_admissible(g, p)})
             assert shapes == full
     elapsed = time.time() - t0

@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +14,7 @@ from cycliccovers import sing_smooth as ss
 from cycliccovers import sing_stable as sst
 from cycliccovers import stable_graphs as sg
 from cycliccovers.branching import BranchingSequence
-from cycliccovers.combinat import (branching_term, genus_relation, primes_upto,
+from cycliccovers.combinat import (branching_term, genus_relation, prime_shapes, primes_upto,
                                    primitive_root, unit_action, units_mod)
 from cycliccovers.sing_smooth import CaseTag
 
@@ -225,11 +226,37 @@ class TestEnumeration:
     def test_shapes_match_enumeration(self):
         for g in range(2, 9):
             for p in (2, 3, 5, 7, 11, 13, 17):
-                shapes = sorted(br.iter_admissible_shapes(g, p))
+                shapes = sorted(prime_shapes(g, p))
                 full = sorted(
                     {(h, sum(counts)) for counts, h in br.enumerate_admissible(g, p)}
                 )
                 assert shapes == full, (g, p)
+
+
+class TestReachTable:
+    @staticmethod
+    def sums(d, residues, weights, t):
+        # Every residue sum mod d of a count vector on the residues that
+        # weighs t, by brute force over the counts.
+        if not residues:
+            return {0} if t == 0 else set()
+        a, w = residues[0], weights[0]
+        return {(c * a + s) % d for c in range(t // w + 1)
+                for s in TestReachTable.sums(d, residues[1:], weights[1:], t - c * w)}
+
+    @pytest.mark.parametrize("d", range(2, 14))
+    def test_matches_brute_force(self, d):
+        rng = random.Random(d)
+        for _ in range(6):
+            residues = [rng.randrange(1, d) for _ in range(rng.randrange(5))]
+            weights = [rng.randrange(1, 4) for _ in residues]
+            reach = br._reach(d, residues, weights, 8)
+            assert len(reach) == len(residues) + 1
+            for j, row in enumerate(reach):
+                assert len(row) == 9
+                for t, bits in enumerate(row):
+                    assert {s for s in range(d) if bits >> s & 1} == \
+                        self.sums(d, residues[j:], weights[j:], t), (residues, weights, j, t)
 
 
 class TestNecklacePath:
@@ -285,6 +312,20 @@ class TestRowChecks:
         assert br._admissible_rows(g, d)
 
 
+class TestBranchCountBound:
+    # TestRowChecks' bound rows lie well past the bound.  Here k points at
+    # residue 1 are one past it and then at it, where the bound passes and
+    # the branching term B = k(d - 1) does not.
+    @pytest.mark.parametrize("search, g, d", [("_necklace_rows", 4, 3), ("_residue_rows", 5, 4)])
+    def test_bound_is_tight(self, monkeypatch, search, g, d):
+        top = genus_relation(g, d)[0]
+        for k, message in ((top + 1, "branch count bound violated"),
+                           (top, "inconsistent quotient genus")):
+            monkeypatch.setattr(br, search, lambda g, d: [((k,) + (0,) * (d - 2), 0)])
+            with pytest.raises(AssertionError, match="^%s$" % message):
+                br._admissible_rows(g, d)
+
+
 class TestPrimeOrbitCount:
     @pytest.mark.parametrize("g", [*range(2, 31), 40])
     def test_count_matches_enumeration(self, g):
@@ -299,7 +340,7 @@ class TestPrimeOrbitCount:
         for g in range(2, 201):
             for p in primes_upto(2 * g + 1):
                 counted = {shape for shape, n in oracles.prime_shape_counts(g, p).items() if n}
-                assert counted == set(br.iter_admissible_shapes(g, p)), (g, p)
+                assert counted == set(prime_shapes(g, p)), (g, p)
 
     def test_known_values(self):
         # genus 2: the orders 2, 3 and 5 of test_frozen_values_genus2
@@ -372,7 +413,7 @@ class TestCodimExceptions:
         exceptions = []
         for g in range(2, 31):
             for p in oracles.primes_upto(2 * g + 1):
-                for h, k in br.iter_admissible_shapes(g, p):
+                for h, k in prime_shapes(g, p):
                     codim = 3 * (g - 1) - (3 * (h - 1) + k)
                     if codim < 2:
                         exceptions.append((g, p, k))

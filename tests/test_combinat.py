@@ -1,11 +1,11 @@
 import itertools
-from math import gcd
+from math import comb, gcd
 
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import weighted_compositions
-from cycliccovers.combinat import connects, min_marks
+from cycliccovers.combinat import connects, free_menu, min_marks
 
 
 def check_against_reference(total, weights):
@@ -60,3 +60,18 @@ def test_connects_matches_reachability():
                         break
                     reached = grown
                 assert connects(n, pairs) == (n > 0 and len(reached) == n)
+
+
+def test_free_menu_files_each_tuple_under_its_residue_sum():
+    # Brute force over every tuple of d - 1 counts up to f, independent of
+    # weak_compositions.
+    for d in range(2, 8):
+        for f in range(6 if d < 6 else 4):
+            menu = free_menu(f, d)
+            assert len(menu) == d
+            assert sum(map(len, menu)) == comb(f + d - 2, d - 2)
+            for s, bucket in enumerate(menu):
+                assert len(set(bucket)) == len(bucket)
+                assert set(bucket) == {
+                    free for free in itertools.product(range(f + 1), repeat=d - 1)
+                    if sum(free) == f and sum(i * c for i, c in enumerate(free, 1)) % d == s}

@@ -9,7 +9,7 @@ import oracles
 from cycliccovers import branching as br
 from cycliccovers import sing_smooth as ss
 from cycliccovers.branching import BranchingSequence
-from cycliccovers.combinat import primes_upto
+from cycliccovers.combinat import prime_shapes, primes_upto
 from cycliccovers.sing_smooth import CaseTag, NormalizerShape, Verdict
 
 
@@ -126,8 +126,8 @@ class TestClassify:
                     assert rec.container.dim_lower_bound > rec.locus.dim
         # The two certified-bound containers, beyond the genera run above.
         for g in range(3, 501):
-            assert min(3 * (h - 1) + k for h, k in br.iter_admissible_shapes(g, 2)) > 1
-            assert {3 * (h - 1) + k for h, k in br.iter_admissible_shapes(g, 3)} == {g - 1}
+            assert min(3 * (h - 1) + k for h, k in prime_shapes(g, 2)) > 1
+            assert {3 * (h - 1) + k for h, k in prime_shapes(g, 3)} == {g - 1}
 
     def test_certified_bounds_closed_forms(self):
         # The two inexact containers take the least shape dimension of their
@@ -140,9 +140,9 @@ class TestClassify:
             assert (four.q, four.g, four.exact) == (2, g, False)
             assert (three.q, three.g, three.exact) == (3, g, False)
             assert four.dim_lower_bound == 2 * g - 1 - (g + 1) // 2 == min(
-                3 * (h - 1) + k for h, k in br.iter_admissible_shapes(g, 2))
+                3 * (h - 1) + k for h, k in prime_shapes(g, 2))
             assert three.dim_lower_bound == g - 1 == min(
-                3 * (h - 1) + k for h, k in br.iter_admissible_shapes(g, 3))
+                3 * (h - 1) + k for h, k in prime_shapes(g, 3))
 
     def test_strictness_checked_under_optimisation(self):
         # python -O strips assert statements; the check of strict growth must
