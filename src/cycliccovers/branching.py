@@ -55,6 +55,7 @@ __all__ = [
     "admissible_quotient_genus",
     "is_admissible",
     "smooth_locus",
+    "shape_dims",
     "enumerate_admissible",
     "locus_rows",
 ]
@@ -144,7 +145,7 @@ def is_admissible(g: int, seq: BranchingSequence) -> bool:
 class SmoothLocus(NamedTuple):
     """An admissible numerical type and its locus dimensions in moduli."""
 
-    LABEL = "M_{%d;%d,[(%s)]}"  # of the genus, the order and the counts joined by ","
+    LABEL = "M_{%s;%s,[(%s)]}"  # of the genus, the order and the counts joined by ","
     g: int
     d: int
     counts: tuple[int, ...]
@@ -165,26 +166,28 @@ def smooth_locus(g: int, seq: BranchingSequence) -> SmoothLocus:
     return next(locus_rows(g, seq.d, [(canonical_datum(seq).counts, h)]))
 
 
+def shape_dims(g: int, d: int, h: int, k: int) -> tuple[int, int]:
+    """(dim, codim) of the loci of genus g, order d and shape (h, k).
+
+    A locus has dimension 3(h - 1) + k.  For prime order p the codimension
+    is then recomputed through the closed form 3(p-1)(h-1) + k(3(p-1)/2 - 1),
+    which must agree exactly.
+    """
+    dim = 3 * (h - 1) + k
+    codim = 3 * (g - 1) - dim
+    if is_prime(d) and 2 * codim != 6 * (d - 1) * (h - 1) + k * (3 * (d - 1) - 2):
+        raise AssertionError(
+            "codimension cross-check failed for g=%d, p=%d, h=%d, k=%d" % (g, d, h, k))
+    return dim, codim
+
+
 def locus_rows(g: int, d: int, rows):
     """The locus of genus g and order d of each canonical admissible row
-    (counts, h), each built as it is read.
-
-    A locus has dimension 3(h - 1) + k, so dim and codim are taken once per
-    shape (h, k).  For prime order p the codimension is then recomputed
-    through the closed form 3(p-1)(h-1) + k(3(p-1)/2 - 1), which must agree
-    exactly.
-    """
+    (counts, h), each built as it is read, its dimensions by `shape_dims`."""
     dims: dict[tuple[int, int], tuple[int, int]] = {}
     for counts, h in rows:
         k = sum(counts)
-        shape = dims.get((h, k))
-        if shape is None:
-            dim = 3 * (h - 1) + k
-            codim = 3 * (g - 1) - dim
-            if is_prime(d) and 2 * codim != 6 * (d - 1) * (h - 1) + k * (3 * (d - 1) - 2):
-                raise AssertionError(
-                    "codimension cross-check failed for g=%d, p=%d, %r" % (g, d, counts))
-            shape = dims[h, k] = dim, codim
+        shape = dims.get((h, k)) or dims.setdefault((h, k), shape_dims(g, d, h, k))
         yield SmoothLocus(g, d, counts, h, k, *shape)
 
 

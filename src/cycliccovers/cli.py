@@ -20,14 +20,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import branching, cover_algebra, sing_smooth, sing_stable, stable_graphs
 from .combinat import clipped
-from .sing_smooth import (
-    CaseTag,
-    ClassificationRecord,
-    ContainerInfo,
-    DecompositionReport,
-    NormalizerShape,
-    Verdict,
-)
+from .sing_smooth import (CaseTag, ClassificationRecord, ContainerInfo, DecompositionReport,
+                          NormalizerShape, Verdict)
 from .sing_stable import BoundaryComponent
 from .stable_graphs import GraphError, doc_int
 
@@ -99,26 +93,8 @@ def record_doc(r: ClassificationRecord) -> dict:
 
 
 class _Rendered(str):
-    """A list item rendered at the doc writer's item indent, which _json keeps as it is."""
-
-
-# _json(record_doc(r), "    ") for a component record r that holds only its
-# locus, filled from the locus's fields; test_cli pins the two together.
-_COMPONENT = ('{\n      "locus": {\n        "branch_count": %d,\n        "codim": %d,\n'
-              '        "counts": [\n          %s\n        ],\n        "dim": %d,\n'
-              '        "genus": %d,\n        "label": "' + branching.SmoothLocus.LABEL + '",\n'
-              '        "order": %d,\n        "quotient_genus": %d\n      },\n'
-              '      "verdict": "component"\n    }')
-_LOCUS_ONLY = ClassificationRecord(None, Verdict.COMPONENT)[1:]
-
-
-def _record_item(r: ClassificationRecord):
-    """record_doc(r), or _COMPONENT filled if r is a component that holds only its locus."""
-    if r[1:] != _LOCUS_ONLY:
-        return record_doc(r)
-    l, counts = r.locus, list(map(str, r.locus.counts))
-    return _Rendered(_COMPONENT % (l.k, l.codim, ",\n          ".join(counts), l.dim, l.g,
-                                   l.g, l.d, ",".join(counts), l.d, l.h))
+    """A list item rendered at the doc writer's item indent, which _json keeps
+    as it is; it may hold several items joined by the list separator."""
 
 
 def record_from_doc(doc: dict) -> ClassificationRecord:
@@ -149,18 +125,6 @@ def boundary_from_doc(doc: dict) -> BoundaryComponent:
         codim=doc["codim"],
         flags=tuple(doc["flags"]),
     )
-
-
-def report_doc(rep: DecompositionReport) -> dict:
-    """The document of a streamed report, its records and warnings left to
-    be read as it is written: the key "warnings" sorts last."""
-    return {
-        "genus": rep.g,
-        "records": map(_record_item, rep.records),
-        "boundary": map(boundary_doc, rep.boundary),
-        "warnings": rep.warnings,
-        "notes": list(rep.notes),
-    }
 
 
 def report_from_doc(doc: dict) -> DecompositionReport:
@@ -253,6 +217,55 @@ def _emit_doc(doc: dict) -> None:
     write("{}\n" if sep == "{" else "\n}\n")
 
 
+# How a row (counts, h) of genus g and order d prints: (the text between two
+# rows, the text between two counts of a list or None, the row's format, which
+# takes the shape's fields by name and then the counts joined so and by ",").
+# _json renders the doc formats from documents of slots: _LOCUS is its text of
+# locus_doc(l), _COMPONENT of record_doc(r) for a record that holds only l.
+_LABEL = branching.SmoothLocus.LABEL % ("%(g)d", "%(d)d", "%%s")
+_SLOTS = {key: _Rendered(slot) for key, slot in (
+    ("branch_count", "%(k)d"), ("codim", "%(codim)d"), ("dim", "%(dim)d"), ("genus", "%(g)d"),
+    ("order", "%(d)d"), ("quotient_genus", "%(h)d"))}
+_SLOTS.update(label=_LABEL, counts=[_Rendered("%%s")])
+_LOCUS = _json(_SLOTS, "    ")
+_COMPONENT = _json({"locus": _SLOTS, "verdict": "component"}, "    ")
+_TABLE_COMPONENT = ("", None, "  " + _LABEL + " dim=%(dim)d codim=%(codim)d\n")
+_DOC_COMPONENT = (",\n    ", ",\n          ", _COMPONENT)
+_TABLE_LOCUS = ("", ",", "counts=(%%s) h=%(h)d dim=%(dim)d codim=%(codim)d " + _LABEL + "\n")
+_DOC_LOCUS = (",\n    ", ",\n        ", _LOCUS)
+_CHUNK = 1024  # rows per chunk: the text of a prime's block is never held whole
+
+
+def _row_chunks(g: int, blocks, style, hold=None):
+    """The text of each block (d, rows, special) in a style above, _CHUNK
+    rows per chunk, yielded before the next block is drawn.  special[h][counts]
+    is the record of a row whose h is special (`sing_smooth._prime_blocks`);
+    one that is no component goes to hold, whose text, if any, takes its place.
+    Any other row fills the format of its shape (h, k), filled in once from
+    `shape_dims`.  A count is at most k <= 2g + 2: a point adds at least d/2
+    to B <= 2(g - 1) + 2d, as `_admissible_rows` checks.
+    """
+    between, listed, form = style
+    numerals = list(map(str, range(2 * g + 3)))
+    for d, rows, special in blocks:
+        forms = {}
+        for start in range(0, len(rows), _CHUNK):
+            text = []
+            for counts, h in rows[start:start + _CHUNK]:
+                if h in special and special[h][counts].verdict is not Verdict.COMPONENT:
+                    text.append(hold(special[h][counts]) or "")  # redundant or excluded
+                    continue
+                k = sum(counts)
+                line = forms.get((h, k))
+                if line is None:
+                    dim, codim = branching.shape_dims(g, d, h, k)
+                    line = forms[h, k] = form % {"g": g, "d": d, "h": h, "k": k, "dim": dim,
+                                                 "codim": codim}
+                joined = ",".join(map(numerals.__getitem__, counts))
+                text.append(line % ((joined.replace(",", listed), joined) if listed else joined))
+            yield between.join(text)
+
+
 def _graph_line(enc) -> str:
     """The table line of the graph a canonical encoding describes."""
     _, vparts, eparts = enc
@@ -269,15 +282,12 @@ def _boundary_line(c: BoundaryComponent) -> str:
 
 
 def _render_report(rep: DecompositionReport) -> None:
-    """Print a streamed report, each component as its record is read."""
+    """Print a streamed report, each prime's components as its block is read."""
     print("genus %d" % rep.g)
     print("components:")
-    held = []
-    for rec in rep.records:
-        if rec.verdict is Verdict.COMPONENT:
-            print("  %s dim=%d codim=%d" % (rec.locus.label(), rec.locus.dim, rec.locus.codim))
-        else:
-            held.append(rec)
+    held: list[ClassificationRecord] = []
+    for chunk in _row_chunks(rep.g, rep.records.blocks, _TABLE_COMPONENT, held.append):
+        sys.stdout.write(chunk)
     rep = rep._replace(records=tuple(held))
     for c in rep.boundary:
         print("  boundary %s" % _boundary_line(c))
@@ -311,14 +321,12 @@ def _parse_counts(text: str, d: int) -> branching.BranchingSequence:
 def cmd_admissible(args) -> int:
     g, d = args.genus, args.order
     rows = branching.enumerate_admissible(g, d)
-    loci = branching.locus_rows(g, d, rows)
+    chunks = _row_chunks(g, [(d, rows, ())], _DOC_LOCUS if args.format == "doc" else _TABLE_LOCUS)
     if args.format == "doc":
-        _emit_doc({"genus": g, "order": d, "loci": map(locus_doc, loci)})
+        _emit_doc({"genus": g, "order": d, "loci": map(_Rendered, chunks)})
     else:
-        line = "counts=(%s) h=%d dim=%d codim=%d " + branching.SmoothLocus.LABEL + "\n"
-        for l in loci:
-            counts = ",".join(map(str, l.counts))
-            sys.stdout.write(line % (counts, l.h, l.dim, l.codim, l.g, l.d, counts))
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         print("total: %d" % len(rows))
     return EXIT_OK
 
@@ -345,8 +353,11 @@ def cmd_report(args) -> int:
             rep = sing_stable.stream_sing_bar(args.genus, args.dmax)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.format == "doc":
-        _emit_doc(report_doc(rep))
+    if args.format == "doc":  # the warnings, read last, fill as the records are read
+        _emit_doc({"genus": rep.g, "boundary": map(boundary_doc, rep.boundary),
+                   "records": map(_Rendered, _row_chunks(rep.g, rep.records.blocks, _DOC_COMPONENT,
+                                                         lambda r: _json(record_doc(r), "    "))),
+                   "warnings": rep.warnings, "notes": list(rep.notes)})
     else:
         _render_report(rep)
     return EXIT_OK

@@ -100,9 +100,9 @@ class DecompositionReport(NamedTuple):
     records covers the interior classification; boundary holds boundary
     components when assembled for the compactified space.
 
-    A streamed report (`stream_sing`) holds in records an iterator of
-    records and in warnings a list that fills as they are read; `collect`
-    holds both in tuples.
+    A streamed report (`stream_sing`) holds in records an iterable of
+    records, read once, and in warnings a list that fills as they are read;
+    `collect` holds both in tuples.
     """
 
     g: int
@@ -237,19 +237,49 @@ def classify(locus: SmoothLocus) -> ClassificationRecord:
                                 normalizer=shape, container=cont, notes=tuple(notes))
 
 
+def _prime_blocks(g: int, warnings: list[str]):
+    """(p, rows, special) for each prime p <= 2g + 1: p's rows (counts, h),
+    sorted by counts, and special[h][counts], the record of each row whose h
+    is special.  A verdict depends on a locus only through (g, p, h, k),
+    except at the special shapes and the genus-3 hyperelliptic divisor, and
+    at a prime order h fixes k: `classify` runs on the special rows alone,
+    each checked for strict growth, its notes added to warnings.  A block's
+    rows are emptied when the next block is drawn, before that prime's search."""
+    for p in primes_upto(2 * g + 1):
+        rows = sorted(_admissible_rows(g, p), key=itemgetter(0))  # int keys: the fast path
+        special = {h: {} for h, k in prime_shapes(g, p)
+                   if (h, k) in SPECIAL_SHAPES or (g, p, h, k) == _EXCLUDED_HYPERELLIPTIC}
+        for locus in locus_rows(g, p, [row for row in rows if row[1] in special]):
+            rec = special[locus.h][locus.counts] = classify(locus)
+            if rec.verdict is Verdict.REDUNDANT:
+                if rec.container is None or rec.container.dim_lower_bound <= locus.dim:
+                    raise AssertionError("redundant locus %s has no container of larger "
+                                         "dimension" % locus.label())
+                warnings.extend("%s: %s" % (locus.label(), note) for note in rec.notes)
+        yield p, rows, special
+        rows.clear()
+
+
+class _Records:
+    """A streamed report's records, each built as it is read; `blocks` reads
+    the same producer, `_prime_blocks`, a prime block at a time."""
+
+    def __init__(self, g: int, blocks):
+        self.blocks = blocks
+        self._records = (special[locus.h][locus.counts] if locus.h in special
+                         else ClassificationRecord(locus, Verdict.COMPONENT)
+                         for p, rows, special in blocks for locus in locus_rows(g, p, rows))
+
+    def __iter__(self):
+        return self._records
+
+
 def stream_sing(g: int) -> DecompositionReport:
     """The report of decompose_sing, streamed prime by prime.
 
     Orders run over primes p <= 2g + 1; beyond that no order-p symmetry
     fits the genus.  Genus 2 is rejected at once: every genus-2 curve is
     hyperelliptic and the pseudoreflection bookkeeping starts at 3.
-
-    Each prime's rows (counts, h) are held, sorted by counts.  A verdict
-    depends on a locus only through (g, p, h, k), except at the special
-    shapes and at the genus-3 hyperelliptic divisor; at a prime order h
-    fixes k, so h alone picks the rows that `classify` runs on, first, and
-    checks for strict growth.  Every other row is a component, whose
-    record is built as it is yielded.
     """
     if g < 3:
         raise ValueError(
@@ -257,28 +287,10 @@ def stream_sing(g: int) -> DecompositionReport:
             "space is the order-2 locus with 6 branch points"
         )
     warnings: list[str] = []
-
-    def records():
-        for p in primes_upto(2 * g + 1):
-            rows = sorted(_admissible_rows(g, p), key=itemgetter(0))  # int keys: the fast path
-            special = {h for h, k in prime_shapes(g, p)
-                       if (h, k) in SPECIAL_SHAPES or (g, p, h, k) == _EXCLUDED_HYPERELLIPTIC}
-            held = {}  # counts -> record, for this prime's classified loci
-            for locus in locus_rows(g, p, [row for row in rows if row[1] in special]):
-                rec = held[locus.counts] = classify(locus)
-                if rec.verdict is Verdict.REDUNDANT:
-                    if rec.container is None or rec.container.dim_lower_bound <= locus.dim:
-                        raise AssertionError("redundant locus %s has no container of larger "
-                                             "dimension" % locus.label())
-                    warnings.extend("%s: %s" % (locus.label(), note) for note in rec.notes)
-            for locus in locus_rows(g, p, rows):
-                yield (held[locus.counts] if locus.h in special
-                       else ClassificationRecord(locus, Verdict.COMPONENT))
-            del rows  # before the next prime's search, which would hold both
-
     notes = ("the genus-3 hyperelliptic divisor has 8 branch points by the genus "
              "formula (an order-2 rational quotient forces k = 2g + 2)",) if g == 3 else ()
-    return DecompositionReport(g=g, records=records(), warnings=warnings, notes=notes + (
+    return DecompositionReport(g=g, records=_Records(g, _prime_blocks(g, warnings)),
+                               warnings=warnings, notes=notes + (
         "order-2 data with elliptic quotient and two branch points only exist "
         "at genus 2 and are outside this classification",))
 

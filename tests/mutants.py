@@ -26,6 +26,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BRANCHING = "tests/test_branching.py::"
 ROW_CHECK = BRANCHING + "TestRowChecks::test_bad_row_raises[%s]"
+CLI = "tests/test_cli.py::"
+PRINTED = CLI + "TestPrintedFromRows::"
+STREAM = "tests/test_sing_smooth.py::TestStream::"
 
 # (name, file, old text, new text, node ids that must fail)
 MUTANTS = [
@@ -77,6 +80,37 @@ MUTANTS = [
      "or not 0 <= h < len(terms)", "or not h < len(terms)",
      [ROW_CHECK % "_necklace_rows-4-3-row4-inconsistent quotient genus",
       ROW_CHECK % "_residue_rows-5-4-row9-inconsistent quotient genus"]),
+    ("the shared helper drops the codimension cross-check", "src/cycliccovers/branching.py",
+     "2 * codim != 6 * (d - 1) * (h - 1) + k * (3 * (d - 1) - 2):", "False:",
+     [BRANCHING + "TestLocus::test_codim_cross_check_once_per_shape"]),
+    ("the table line swaps dim and codim", "src/cycliccovers/cli.py",
+     '" dim=%(dim)d codim=%(codim)d\\n")', '" dim=%(codim)d codim=%(dim)d\\n")',
+     [PRINTED + "test_report[sing-genera0-table]", PRINTED + "test_report[sing-bar-genera1-table]",
+      CLI + "TestFrozenStdout::test_sing[5]"]),
+    ("a special row prints as a plain component", "src/cycliccovers/cli.py",
+     "if h in special and special[h][counts].verdict is not Verdict.COMPONENT:", "if False:",
+     [PRINTED + "test_report[sing-genera0-table]", PRINTED + "test_report[sing-genera0-doc]",
+      CLI + "TestSing::test_genus3_counts", CLI + "TestSing::test_doc_roundtrip"]),
+    ("a chunk drops its last row", "src/cycliccovers/cli.py",
+     "rows[start:start + _CHUNK]", "rows[start:start + _CHUNK - 1]",
+     [PRINTED + "test_block_longer_than_a_chunk[table]",
+      PRINTED + "test_block_longer_than_a_chunk[doc]",
+      CLI + "TestDocWriter::test_component_rendered_from_its_fields"]),
+    ("the separator between two chunks of a doc list is dropped", "src/cycliccovers/cli.py",
+     'write(opener + "\\n    " + _json(item, "    "))', 'write("\\n    " + _json(item, "    "))',
+     [PRINTED + "test_block_longer_than_a_chunk[doc]", PRINTED + "test_admissible[doc]",
+      CLI + "TestDocWriter::test_list_value_may_be_an_iterator"]),
+    ("the stream leaves the hyperelliptic divisor unclassified",
+     "src/cycliccovers/sing_smooth.py",
+     " or (g, p, h, k) == _EXCLUDED_HYPERELLIPTIC}", "}",
+     [STREAM + "test_shape_shortcut_matches_classify", CLI + "TestSing::test_genus3_counts",
+      CLI + "TestFrozenStdout::test_sing[3]"]),
+    ("the records iterator makes every special row a component",
+     "src/cycliccovers/sing_smooth.py",
+     "special[locus.h][locus.counts] if locus.h in special", "None if False",
+     [STREAM + "test_shape_shortcut_matches_classify",
+      STREAM + "test_prime_blocks_in_counts_order",
+      "tests/test_sing_stable.py::TestDecomposeSingBar::test_genus3"]),
     ("the Burnside oracle counts each unit order once", "tests/oracles.py",
      "total += _phi(m) * comb(", "total += comb(",
      [BRANCHING + "TestPrimeOrbitCount::test_count_matches_enumeration[10]"]),

@@ -11,6 +11,9 @@ for the boundary enumeration.  What the oracles take from the package:
 - `combinat`: `branch_weights`, `branching_term`, `genus_relation`,
   `is_prime`, `primes_upto`, `quotient_genus_for`, `residue_sum`,
   `unit_action`, `units_mod` and `weak_compositions`;
+- `cli`: `locus_doc`, `record_doc`, `boundary_doc` and `_boundary_line`,
+  the documents and table lines of single items, for the printed output of
+  `sing`, `sing-bar` and `admissible`;
 - `stable_graphs`: the graph containers and constructors (`I0`, `I1`,
   `AutoGraph`, `Vertex`, `make_graph`, `make_link`, `make_loop`),
   `canonical_encoding` and `graph_doc`, for set comparisons and documents, and
@@ -20,14 +23,18 @@ for the boundary enumeration.  What the oracles take from the package:
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, gcd
 
+from cycliccovers import cli
 from cycliccovers.branching import (
     BranchingSequence,
     admissible_quotient_genus,
     canonical_datum,
+    enumerate_admissible,
+    locus_rows,
 )
 from cycliccovers.cover_algebra import carry
 from cycliccovers.combinat import (branch_weights, branching_term, genus_relation, is_prime,
@@ -1200,3 +1207,50 @@ def reference_irreducibility(d, torsion, L, divisors):
     order = next(k for k in itertools.count(1)
                  if all(k * a % t == 0 for a, t in zip(witness, torsion)))
     return order == m, m, order
+
+
+# ---------------------------------------------------------------------------
+# Printed output
+
+
+def _document(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def reference_report_output(rep, doc: bool) -> str:
+    """The stdout of `sing` or `sing-bar` for a held report (`decompose_sing`,
+    `decompose_sing_bar`), rendered record by record as the CLI once did:
+    each component's line from its locus, or in doc format the documents of
+    `cli.record_doc` and `cli.boundary_doc` through json.dumps."""
+    if doc:
+        return _document({"genus": rep.g, "records": [cli.record_doc(r) for r in rep.records],
+                          "boundary": [cli.boundary_doc(c) for c in rep.boundary],
+                          "warnings": list(rep.warnings), "notes": list(rep.notes)})
+    out = ["genus %d" % rep.g, "components:"]
+    out += ["  %s dim=%d codim=%d" % (r.locus.label(), r.locus.dim, r.locus.codim)
+            for r in rep.components()]
+    out += ["  boundary %s" % cli._boundary_line(c) for c in rep.boundary]
+    out.append("redundant:")
+    out += ["  %s dim=%d case=%s container=%s (>=%d)"
+            % (r.locus.label(), r.locus.dim, r.case_tag.value if r.case_tag else "?",
+               r.container.label(), r.container.dim_lower_bound) for r in rep.redundant()]
+    out.append("excluded:")
+    out += ["  %s dim=%d (pseudoreflection)" % (r.locus.label(), r.locus.dim)
+            for r in rep.excluded()]
+    for header, lines in (("warnings", rep.warnings), ("notes", rep.notes)):
+        if lines:
+            out += ["%s:" % header] + ["  %s" % line for line in lines]
+    return "\n".join(out) + "\n"
+
+
+def reference_admissible_output(g: int, d: int, doc: bool) -> str:
+    """The stdout of `admissible`, rendered locus by locus from `locus_rows`
+    as the CLI once did, or in doc format through `cli.locus_doc` and
+    json.dumps."""
+    rows = enumerate_admissible(g, d)
+    loci = list(locus_rows(g, d, rows))
+    if doc:
+        return _document({"genus": g, "order": d, "loci": [cli.locus_doc(l) for l in loci]})
+    return "".join("counts=(%s) h=%d dim=%d codim=%d %s\n"
+                   % (",".join(map(str, l.counts)), l.h, l.dim, l.codim, l.label())
+                   for l in loci) + "total: %d\n" % len(rows)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -21,6 +22,7 @@ from cycliccovers import cover_algebra as ca
 from cycliccovers import sing_smooth as ss
 from cycliccovers import sing_stable as sst
 from cycliccovers import stable_graphs as sg
+from cycliccovers.combinat import is_prime
 from cycliccovers.stable_graphs import I0, I1, Vertex, make_graph, make_link, make_loop
 
 
@@ -170,6 +172,53 @@ class TestSing:
             code, out, _ = run(capsys, "sing", "--genus", str(g), "--format", "doc")
             assert code == 0
             assert cli.report_from_doc(json.loads(out)) == ss.decompose_sing(g)
+
+
+@functools.cache
+def held_report(command, g):
+    return ss.decompose_sing(g) if command == "sing" else sst.decompose_sing_bar(g, 2 * g + 1)
+
+
+class TestPrintedFromRows:
+    """`sing`, `sing-bar` and `admissible` print each plain component from its
+    (counts, h) row; their stdout must be what `oracles` renders record by
+    record from `decompose_sing`, `decompose_sing_bar` and `locus_rows`."""
+
+    @staticmethod
+    def printed(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        return out
+
+    @pytest.mark.parametrize("fmt", ["table", "doc"])
+    @pytest.mark.parametrize("command,genera", [("sing", range(3, 41)), ("sing-bar", range(3, 8))])
+    def test_report(self, capsys, command, genera, fmt):
+        for g in genera:
+            argv = [command, "--genus", str(g), "--format", fmt]
+            argv += ["--dmax", str(2 * g + 1)] if command == "sing-bar" else []
+            assert self.printed(capsys, *argv) == oracles.reference_report_output(
+                held_report(command, g), fmt == "doc"), (command, g)
+
+    @pytest.mark.parametrize("fmt", ["table", "doc"])
+    def test_admissible(self, capsys, fmt):
+        for g in range(2, 16):
+            for d in range(2, 4 * g + 3):
+                assert self.printed(capsys, "admissible", "--genus", str(g), "--order", str(d),
+                                    "--format", fmt) == \
+                    oracles.reference_admissible_output(g, d, fmt == "doc"), (g, d)
+
+    @pytest.mark.parametrize("fmt", ["table", "doc"])
+    def test_block_longer_than_a_chunk(self, capsys, monkeypatch, fmt):
+        # A prime's block is written in chunks of _CHUNK rows: with chunks of
+        # 4 rows, genus 12's block at p = 7 takes four chunks.
+        monkeypatch.setattr(cli, "_CHUNK", 4)
+        assert len(br.enumerate_admissible(12, 7)) == 14
+        assert self.printed(capsys, "sing", "--genus", "12", "--format", fmt) == \
+            oracles.reference_report_output(held_report("sing", 12), fmt == "doc")
+        assert len(br.enumerate_admissible(12, 12)) == 16
+        assert self.printed(capsys, "admissible", "--genus", "12", "--order", "12",
+                            "--format", fmt) == oracles.reference_admissible_output(
+                                12, 12, fmt == "doc")
 
 
 class TestGraphDocuments:
@@ -1537,27 +1586,46 @@ class TestDocWriter:
         assert self.emitted({"n": [sign * 10 ** 5000]}) == \
             '{\n  "n": [\n    %s1%s\n  ]\n}\n' % ("-" * (sign < 0), "0" * 5000)
 
-    def test_component_rendered_from_its_fields(self):
-        # A component record that holds only its locus is rendered straight
-        # from the locus's fields; every record must print as its document
-        # does.  p = 2 gives one-entry counts, 2g + 1 the largest primes.
-        records = [r for g in range(3, 28) for r in ss.decompose_sing(g).records]
-        records += [r for g in range(3, 6)
-                    for r in sst.decompose_sing_bar(g, 2 * g + 1).records]
-        redundant = next(r for r in records if r.container is not None)
-        bare = [r for r in records if r[1:] == (ss.Verdict.COMPONENT, None, None, None, ())]
-        # A component with any other field set keeps its document.
-        records += [bare[0]._replace(**{field: value}) for field, value in (
-            ("case_tag", ss.CaseTag.ELLIPTIC_QUOTIENT), ("normalizer", ss.NormalizerShape.DIHEDRAL),
-            ("container", redundant.container), ("notes", ("a note",)))]
-        rendered = []
-        for r in records:
-            item = cli._record_item(r)
-            if type(item) is not dict:
-                rendered.append(r)
-            assert cli._json(item, "    ") == cli._json(cli.record_doc(r), "    "), r
-        assert rendered == bare and len(bare) > 1900
+    def test_component_rendered_from_its_fields(self, monkeypatch):
+        # Every component, a record that holds only its locus, is rendered
+        # straight from its (counts, h) row and must print as its document
+        # does; the writer hands the other records to hold.  With one row to a
+        # chunk each chunk is one record.  p = 2 gives one-entry counts,
+        # 2g + 1 the largest primes.
+        monkeypatch.setattr(cli, "_CHUNK", 1)
+        reports = [ss.stream_sing(g) for g in range(3, 28)]
+        reports += [sst.stream_sing_bar(g, 2 * g + 1) for g in range(3, 6)]
+        bare, held = [], []
+        for rep in reports:
+            records = ss.decompose_sing(rep.g).records
+            items = list(cli._row_chunks(rep.g, rep.records.blocks, cli._DOC_COMPONENT,
+                                         held.append))
+            assert len(items) == len(records)
+            for item, r in zip(items, records):
+                if r.verdict is not ss.Verdict.COMPONENT:
+                    assert item == "" and held.pop(0) == r
+                    continue
+                assert r[1:] == (ss.Verdict.COMPONENT, None, None, None, ())
+                assert cli._json(cli._Rendered(item), "    ") == \
+                    cli._json(cli.record_doc(r), "    "), r
+                bare.append(r)
+        assert not held and len(bare) > 1900
         assert {len(r.locus.counts) for r in bare} >= {1, 52}
+
+    def test_locus_rendered_from_its_fields(self, monkeypatch):
+        # `admissible --format doc` fills _LOCUS from each (counts, h) row:
+        # every locus must print as its document does, at every prime order
+        # (one-entry counts at p = 2) and at composite orders up to 60.
+        monkeypatch.setattr(cli, "_CHUNK", 1)
+        n = 0
+        for g in range(3, 28):
+            for d in (d for d in range(2, 4 * g + 3) if d <= 60 or is_prime(d)):
+                rows = br.enumerate_admissible(g, d)
+                items = list(cli._row_chunks(g, [(d, rows, ())], cli._DOC_LOCUS))
+                assert items == [cli._json(cli.locus_doc(l), "    ")
+                                 for l in br.locus_rows(g, d, rows)], (g, d)
+                n += len(items)
+        assert n > 10000
 
 
 # The package's records, and those of them that check their fields in __new__.
