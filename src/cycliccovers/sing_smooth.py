@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .branching import (SPECIAL_SHAPES, BranchingSequence, SmoothLocus, _admissible_rows,
                          locus_rows, smooth_locus)
-from .combinat import is_prime, prime_shapes, primes_upto, unit_action
+from .combinat import genus_relation, is_prime, primes_upto, unit_action
 
 __all__ = [
     "Verdict",
@@ -247,8 +247,9 @@ def _prime_blocks(g: int, warnings: list[str]):
     rows are emptied when the next block is drawn, before that prime's search."""
     for p in primes_upto(2 * g + 1):
         rows = sorted(_admissible_rows(g, p), key=itemgetter(0))  # int keys: the fast path
-        special = {h: {} for h, k in prime_shapes(g, p)
-                   if (h, k) in SPECIAL_SHAPES or (g, p, h, k) == _EXCLUDED_HYPERELLIPTIC}
+        terms = genus_relation(g, p)  # (h, k) is a shape of p when B = k(p - 1) at h
+        extra = {_EXCLUDED_HYPERELLIPTIC[2:]} if (g, p) == _EXCLUDED_HYPERELLIPTIC[:2] else set()
+        special = {h: {} for h, k in SPECIAL_SHAPES | extra if k * (p - 1) in terms[h:h + 1]}
         for locus in locus_rows(g, p, [row for row in rows if row[1] in special]):
             rec = special[locus.h][locus.counts] = classify(locus)
             if rec.verdict is Verdict.REDUNDANT:

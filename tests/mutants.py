@@ -28,7 +28,11 @@ BRANCHING = "tests/test_branching.py::"
 ROW_CHECK = BRANCHING + "TestRowChecks::test_bad_row_raises[%s]"
 CLI = "tests/test_cli.py::"
 PRINTED = CLI + "TestPrintedFromRows::"
+FROZEN = CLI + "TestFrozenStdout::test_command[%s]"
 STREAM = "tests/test_sing_smooth.py::TestStream::"
+ALGEBRA = "tests/test_cover_algebra.py::"
+STABLE = "tests/test_sing_stable.py::TestBoundaryComponents::"
+GRAPHS = "tests/test_stable_graphs.py::"
 
 # (name, file, old text, new text, node ids that must fail)
 MUTANTS = [
@@ -86,7 +90,7 @@ MUTANTS = [
     ("the table line swaps dim and codim", "src/cycliccovers/cli.py",
      '" dim=%(dim)d codim=%(codim)d\\n")', '" dim=%(codim)d codim=%(dim)d\\n")',
      [PRINTED + "test_report[sing-genera0-table]", PRINTED + "test_report[sing-bar-genera1-table]",
-      CLI + "TestFrozenStdout::test_sing[5]"]),
+      FROZEN % "sing --genus 5"]),
     ("a special row prints as a plain component", "src/cycliccovers/cli.py",
      "if h in special and special[h][counts].verdict is not Verdict.COMPONENT:", "if False:",
      [PRINTED + "test_report[sing-genera0-table]", PRINTED + "test_report[sing-genera0-doc]",
@@ -102,15 +106,55 @@ MUTANTS = [
       CLI + "TestDocWriter::test_list_value_may_be_an_iterator"]),
     ("the stream leaves the hyperelliptic divisor unclassified",
      "src/cycliccovers/sing_smooth.py",
-     " or (g, p, h, k) == _EXCLUDED_HYPERELLIPTIC}", "}",
+     "SPECIAL_SHAPES | extra if", "SPECIAL_SHAPES if",
      [STREAM + "test_shape_shortcut_matches_classify", CLI + "TestSing::test_genus3_counts",
-      CLI + "TestFrozenStdout::test_sing[3]"]),
+      FROZEN % "sing --genus 3"]),
     ("the records iterator makes every special row a component",
      "src/cycliccovers/sing_smooth.py",
      "special[locus.h][locus.counts] if locus.h in special", "None if False",
      [STREAM + "test_shape_shortcut_matches_classify",
       STREAM + "test_prime_blocks_in_counts_order",
       "tests/test_sing_stable.py::TestDecomposeSingBar::test_genus3"]),
+    ("a character class adds its carries", "src/cycliccovers/cover_algebra.py",
+     "lambda i: -(chi * i // ba.d))", "lambda i: chi * i // ba.d)",
+     [ALGEBRA + "TestCharacterClasses::test_worked_example_order3",
+      ALGEBRA + "TestCharacterClasses::test_matches_carry_recursion"]),
+    ("irreducibility takes any order dividing m", "src/cycliccovers/cover_algebra.py",
+     "irreducible=(order == m)", "irreducible=(m % order == 0)",
+     [ALGEBRA + "TestIrreducibility::test_free_group_reducible",
+      ALGEBRA + "TestOracleAgreement::test_exhaustive_small",
+      CLI + "TestFrozenStdout::test_cover_check[table]"]),
+    ("a carry at a + b = d is dropped", "src/cycliccovers/cover_algebra.py",
+     "return 1 if a + b >= d else 0", "return 1 if a + b > d else 0",
+     [ALGEBRA + "TestCarry", ALGEBRA + "TestMultiplicationExponents::test_examples"]),
+    ("a branch assignment skips its validity check", "src/cycliccovers/cover_algebra.py",
+     "if not _weighted_sum(self, d, neg).is_zero():", "if False:",
+     [ALGEBRA + "TestValidation::test_rejects_broken_equivalence"]),
+    ("every star with a loop is II-a", "src/cycliccovers/sing_stable.py",
+     'excluded = "II-a" if a == b else None', 'excluded = "II-a"',
+     [STABLE + "test_verdict_matches_oracle", STABLE + "test_matches_oracle"]),
+    ("an elliptic tail is kept at p = 2", "src/cycliccovers/sing_stable.py",
+     " or (p, gj, ends) == (2, 1, 1):", ":",
+     [STABLE + "test_matches_oracle", FROZEN % "boundary --genus 4 --dmax 9"]),
+    ("the special configuration counts 6^(g - 1)", "src/cycliccovers/sing_stable.py",
+     "special = 2 * g * 6 ** g", "special = 2 * g * 6 ** (g - 1)",
+     ["tests/test_sing_stable.py::TestAutBounds::test_genus3"]),
+    ("a rigid star is flagged for review", "src/cycliccovers/sing_stable.py",
+     "flags = (RIGID_FLAG,) if shape == (0, 3)", "flags = (REVIEW_FLAG,) if shape == (0, 3)",
+     [STABLE + "test_genus2_order3_rigid_flag"]),
+    ("a swapped loop smooths to one fixed point", "src/cycliccovers/stable_graphs.py",
+     "free[e.u][0] += 2", "free[e.u][0] += 1",
+     [GRAPHS + "TestSimplify::test_matches_stepwise_reference[2]",
+      CLI + "TestFrozenStdout::test_graph_documents[simplify-table]"]),
+    ("the total genus leaves out the cycles", "src/cycliccovers/stable_graphs.py",
+     "b1 = len(G.edges) - len(G.vertices) + 1", "b1 = 0",
+     [GRAPHS + "TestGenusAndStability::test_graph_genus"]),
+    ("a detached enlargement may meet an identity component",
+     "src/cycliccovers/stable_graphs.py", 'if kind == "detached" and meets:', "if False:",
+     [CLI + "TestFrozenStdout::test_graph_documents[enlarge-table]"]),
+    ("a quotient factor counts 3h - 2 + n", "src/cycliccovers/stable_graphs.py",
+     "sum(3 * h - 3 + n for h, n in factors)", "sum(3 * h - 2 + n for h, n in factors)",
+     [GRAPHS + "TestStratumDimension", FROZEN % "boundary --genus 4 --dmax 9"]),
     ("the Burnside oracle counts each unit order once", "tests/oracles.py",
      "total += _phi(m) * comb(", "total += comb(",
      [BRANCHING + "TestPrimeOrbitCount::test_count_matches_enumeration[10]"]),
@@ -125,15 +169,17 @@ def copy_tree(dest):
 
 def failed_tests(dest, node_ids):
     """The return code of pytest on the node ids in the copy at dest, and
-    the node ids that failed there."""
+    the listed node ids that failed there."""
     env = dict(os.environ, PYTHONPATH=os.path.join(dest, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider",
          *node_ids], cwd=dest, env=env, capture_output=True, text=True, timeout=600)
-    lines = proc.stdout.splitlines()
-    return proc.returncode, {nid for nid in node_ids
-                             for line in lines
-                             if line == "FAILED " + nid or line.startswith("FAILED %s - " % nid)}
+    # A listed id fails when a failing node id is it or lies under it: one
+    # of a class's tests, or one of a function's parameter sets.
+    failing = [line[len("FAILED "):] for line in proc.stdout.splitlines()
+               if line.startswith("FAILED ")]
+    return proc.returncode, {nid for nid in node_ids for f in failing
+                             if f == nid or f.startswith((nid + " - ", nid + "::", nid + "["))}
 
 
 def main() -> int:

@@ -15,6 +15,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import digests
 import oracles
 from cycliccovers import branching as br
 from cycliccovers import cli
@@ -583,8 +584,8 @@ class TestCoverCheck:
         counts = []
         for nsym in (20, 200):
             path = tmp_path / "cover.json"
-            path.write_text(json.dumps(cover_document(random.Random(nsym), 24, 4, nsym, 1)),
-                            encoding="utf-8")
+            doc = digests.cover_document(random.Random(nsym), 24, 4, nsym, 1)
+            path.write_text(json.dumps(doc), encoding="utf-8")
             built.clear()
             assert run(capsys, "cover", "check", "--input", str(path))[0] == 0
             counts.append(len(built))
@@ -1013,115 +1014,6 @@ class TestDeterminism:
         run_twice_identical(capsys, *argv)
 
 
-# SHA-1 of the stdout of `sing --genus g` and of `admissible --genus g
-# --order d` at the interior benchmark's (g, d) pairs, taken before the
-# enumerator generated orbit representatives directly.  The prime orders
-# (27, 7), (27, 19) and (40, 11), outside the benchmark, were taken before
-# prime orders were searched as gap necklaces.
-SING_SHA1 = {
-    3: "6097a6c71f9a51b33c334439d640074497f9e4c7",
-    4: "9b005364fe2c804a01064283f8e31fb4991f979f",
-    5: "2672184ac18a960390fce4ad1d7dfd36b60dd813",
-    6: "dbded88fdc81befaf827044245446e0a480e6c3c",
-    7: "766d0ef91e7d1ed888f90bc4b35d7efe00065066",
-    8: "519af6afc4e4f79b039542aa1cc384d502dc9f4d",
-    9: "02106258aa5b4ad6cad2661d525b3f7bb7db65c1",
-    10: "11fd769ffd5906c15e822657565e0843d76eeae9",
-    11: "77226e5f8559a7a4d107359522f8f6d33c3596df",
-    12: "d8bd08d3c454c83133934968e1d55a473fd049cf",
-    13: "1657a97dca280059b72160fb97cb0ccef6a2bffe",
-    14: "46c68b9988b7a3673f06420c0e1eefe032c02ce5",
-    15: "2b030b7c6b6604573ce41e783a5964bfc0b88270",
-    16: "ad7bcfe14dead030343fe3c9a76f734b5f9a7adf",
-    17: "be0c1af0aa4b5e91368486ec72ed9591a71eccdf",
-    18: "e8e4c9dd3e4a16f4fa389d8e43a4fdca5f031329",
-    19: "b0936b87e77d86d635088561f67ce62764825fef",
-    20: "2dfa5e97a58757dcbdf289914f85e9b4ccf594ab",
-    21: "de24fccec0f5b3fa10dd6cccf04bfc84d8193681",
-    22: "96ee3b8dd4626ed49af8adcf0c4b2619817a1ef6",
-    23: "7488e6fe5e304868a896ae7f50c91f66db3c010e",
-    24: "c2a88e039e2889d3bd9f5b55c69906f84e3f2419",
-    25: "326ce310f7c9d563e4ae6dc53c004b8211d3c91e",
-    26: "26bc0a3cc5b0543fbfd9d8c0b912ae2bf8d8a6d1",
-    27: "aef3d9825d3e5f6984b0671258d4628fdf76ac2f",
-}
-ADMISSIBLE_SHA1 = {
-    (4, 4): "b830a7c025e22f7068070cc4d505649bf6f736ec",
-    (8, 4): "e59718e4daeb575b29a0f6bdd0513681b21944b0",
-    (4, 6): "bc99cddcdee1466789688094a6a7cdd194da24a1",
-    (5, 6): "91d3e2042ff45b6fa02fcd37787a586c18a87596",
-    (20, 6): "269c01896e50791e2e7ab98f5b4a81e9f9166794",
-    (20, 10): "823e3a012cd397d52489d0dc25cef2ec8325d63b",
-    (36, 6): "f05651564b4627ed6f22b298a736b1f5e3fda866",
-    (32, 9): "087fc05aef5612e58d0deb1a040bd3ce481afcbf",
-    (29, 10): "7551a01c0d518f81a5637b13bb9ffab0260bca6b",
-    (28, 16): "fabf80a46215ce8edc7ed461cafcf67846acf87d",
-    (29, 20): "3ea46265486a29b5ed8dbd9a37349d97dbedbcbf",
-    (27, 21): "4738345d8d46c7da06b90e972c866442af7c8947",
-    (27, 24): "d624b09f86ee319dacd03f3495e62d957e52d908",
-    (30, 26): "723082e2447abf307a696c23efbb836e713aaef5",
-    (27, 30): "e7fac6223632e5cf5f9833113b7b41ee02b0c299",
-    (27, 36): "7e01161ae4cb7cb16c568eab07edab2cce48318a",
-    (30, 42): "ab49b0dbd4cf1f1d566c4d5ad224ccbaf5a71b5b",
-    (24, 60): "067adee078b4b2b9ac0f6f12d598960516a4873f",
-    (27, 7): "ca013e63bbc32ca6ea12d1c67eeaddc1bca3ead8",
-    (27, 19): "323dd3e6167053ca03f349c3e905b18c3239471d",
-    (40, 11): "c2aab22f7d308e30d177e49dfeca0b6fb3a2236f",
-}
-# SHA-1 of the boundary commands' stdout, taken before the labelled-graph
-# search stopped re-validating its candidates: `graphs` at every prime
-# order for g <= 4, keyed by (g, d, format), and the two surveys at genus 4,
-# keyed by (command, g, dmax).  The survey digests at genus 5 and 6 were taken
-# before the boundary survey selected vertex multisets instead of graphs, and
-# the (5, 3) digest before the search kept one candidate per symmetry orbit.
-GRAPHS_SHA1 = {
-    (2, 2, "table"): "09f3173e11672863d45c00427dc1872b2ac1f383",
-    (2, 3, "table"): "edc8b37d7b29167f6908b47965c0a734b472e5fb",
-    (2, 5, "table"): "ed9058ea49bdf169ebb3c5bed335730998a74192",
-    (3, 2, "table"): "9512a55f15633b965d40d389de114e803c3cc690",
-    (3, 3, "table"): "c51bdbfbb9d4999bdbb54a767f855166a9a4fb87",
-    (3, 5, "table"): "e9f06f1bcb85a41a3fc38571f4187918b1487204",
-    (3, 7, "table"): "5b3afd190f0d2a541729b77046a1ce5ed6596d1c",
-    (4, 2, "table"): "b5035219c527f3ccd45fe740d698cedb6be2c28c",
-    (4, 3, "table"): "71b2c4b50e5f31ebbac3236a30acd9784d0944b5",
-    (4, 5, "table"): "6ee472e4beb8ade898167cf7af0d408fc47f8406",
-    (4, 7, "table"): "9ec822d4f3ebc2db6938048cb7adc292b0ff2671",
-    (5, 3, "table"): "5b7e15a6620b0b594c93ee234d2d4d16a82b1752",
-    (3, 3, "doc"): "b37785ffce7f7ecf571bd2b143e5293d8f0bcc9d",
-    (4, 5, "doc"): "9333db8332cf1fa6590739495e100b0281246f74",
-}
-SURVEY_SHA1 = {
-    ("boundary", 4, 9): "bf9849dbaece279d03dea700e1b16ee047145223",
-    ("sing-bar", 4, 9): "e821d3a933ecbe3de7e18804ecdd34dc72ae5e92",
-    ("boundary", 5, 11): "9fc2f144f73df036cd6822be134769fa1450ce1a",
-    ("sing-bar", 5, 11): "411ae2727f16acd847ec5428767449693a7ee4ba",
-    ("boundary", 6, 13): "8f96a140c90ab7ee0e4892b18cc53c25962953c6",
-    ("sing-bar", 6, 13): "3be256c2a6fd59d120e2747d0834914238388ea3",
-    ("boundary", 7, 15): "264dfcffe4dab5896f42712388a3e62efe554fd6",
-}
-# SHA-1 of the doc-format stdout of interior commands, the only output that
-# shows a redundant locus's container fields, taken before an exact
-# container held its locus.  Genera 3 and 4 hold every case tag and both
-# exact and inexact containers.  The digests at genera 17, 19, 21, 23 and
-# 27, the interior benchmark's doc-format `sing` requests, were taken before
-# a component record holding only its locus was rendered from its fields.
-# The digest of `admissible --genus 27 --order 19` was taken before prime
-# orders were searched as gap necklaces.
-DOC_SHA1 = {
-    ("sing", "--genus", "3"): "b798a7024edca9d843fae3a4d25a6bbae099535b",
-    ("sing", "--genus", "4"): "48e1e9de02f2bec718b5a2897c7da6edf2f20611",
-    ("sing", "--genus", "6"): "591889439e1b49675697b7aa6be548787c1dc92c",
-    ("sing", "--genus", "17"): "5653b125cc7cc79e24784d6a5745962c5656fb89",
-    ("sing", "--genus", "19"): "ddb9555d1fd643eaa2d700026c98c4cee042e948",
-    ("sing", "--genus", "21"): "de0192d6794280a19f5c8314adbf148925aab2b4",
-    ("sing", "--genus", "23"): "8d1669a4146c52ba0617a36d9460a88a97307f94",
-    ("sing", "--genus", "25"): "b8d8bd2ba5c678967b25f3f1053ed0c4d2b6993d",
-    ("sing", "--genus", "27"): "7e22465df32bb27fd0e02ae96b2f1d7e1fdc27b6",
-    ("sing-bar", "--genus", "5", "--dmax", "11"): "b0b02c7ed01648848d2ffed3694cdc0eaf035bb8",
-    ("admissible", "--genus", "24", "--order", "60"): "357db112f22f5916acd745e9f1b3edd842bae129",
-    ("admissible", "--genus", "27", "--order", "19"): "6cca4bd026ff93aae56b306ded91edc326731776",
-}
-
 # (order d, inertia gcd m, symbols, k) of the frozen cover documents: the
 # witness class L' is 2k in the torsion factor Z/2m, so a cover is reducible
 # unless gcd(k, m) = 1.
@@ -1134,31 +1026,6 @@ COVER_SHA1 = {
     "table": "f8f2ecd1832a90b09b5c4e5b980d98c233a6f2ea",
     "doc": "48e4ef92fb5cfa6f624537080580fd16c4f89ea5",
 }
-
-
-def cover_document(rng, d, m, nsym, k):
-    """A valid cover document of order d whose populated residues span the
-    subgroup of index m.  The symbol at residue m closes d*L = sum_i i*[D_i]
-    with the witness class L' = (d/m)L - sum_i (i/m)[D_i] = (2k, 0)."""
-    torsion = [2 * m, 4 * m]
-
-    def rand_class():
-        return ([rng.randint(-9, 9), rng.randint(-9, 9)],
-                [rng.randrange(t) for t in torsion])
-
-    L = rand_class()
-    items = [(rng.randrange(m, d, m), rand_class()) for _ in range(nsym - 1)]
-    terms = [(d // m, L)] + [(-(i // m), c) for i, c in items]
-    free = [sum(n * c[0][j] for n, c in terms) for j in range(2)]
-    tors = [(sum(n * c[1][j] for n, c in terms) - (2 * k, 0)[j]) % t
-            for j, t in enumerate(torsion)]
-    items.append((m, (free, tors)))
-    divisors: dict = {}
-    for s, (i, (cf, ct)) in enumerate(items):
-        divisors.setdefault(str(i), []).append(
-            {"symbol": "D%d" % s, "class": {"free": cf, "torsion": ct}})
-    return {"order": d, "picard": {"free_rank": 2, "torsion": torsion},
-            "L": {"free": L[0], "torsion": L[1]}, "divisors": divisors}
 
 
 def scrambled_graph_document(rng, d, vertices, links, pinched):
@@ -1250,32 +1117,11 @@ GRAPH_DOC_SHA1 = {
 
 
 class TestFrozenStdout:
-    def check(self, capsys, digest, *argv):
-        code, out, _ = run(capsys, *argv)
+    @pytest.mark.parametrize("command", digests.SUITE)
+    def test_command(self, capsys, command):
+        code, out, _ = run(capsys, *command.split())
         assert code == 0
-        assert hashlib.sha1(out.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize("g", sorted(SING_SHA1))
-    def test_sing(self, capsys, g):
-        self.check(capsys, SING_SHA1[g], "sing", "--genus", str(g))
-
-    @pytest.mark.parametrize("g,d", sorted(ADMISSIBLE_SHA1))
-    def test_admissible(self, capsys, g, d):
-        self.check(capsys, ADMISSIBLE_SHA1[g, d], "admissible", "--genus", str(g), "--order", str(d))
-
-    @pytest.mark.parametrize("g,d,fmt", sorted(GRAPHS_SHA1))
-    def test_graphs(self, capsys, g, d, fmt):
-        self.check(capsys, GRAPHS_SHA1[g, d, fmt], "graphs", "--genus", str(g),
-                   "--order", str(d), "--format", fmt)
-
-    @pytest.mark.parametrize("command,g,dmax", sorted(SURVEY_SHA1))
-    def test_survey(self, capsys, command, g, dmax):
-        self.check(capsys, SURVEY_SHA1[command, g, dmax], command, "--genus", str(g),
-                   "--dmax", str(dmax))
-
-    @pytest.mark.parametrize("argv", sorted(DOC_SHA1))
-    def test_doc(self, capsys, argv):
-        self.check(capsys, DOC_SHA1[argv], *argv, "--format", "doc")
+        assert hashlib.sha1(out.encode()).hexdigest() == digests.SUITE[command]
 
     @pytest.mark.parametrize("fmt", sorted(COVER_SHA1))
     def test_cover_check(self, capsys, tmp_path, fmt):
@@ -1283,7 +1129,7 @@ class TestFrozenStdout:
         out = ""
         for spec in COVER_SPECS:
             path = tmp_path / "cover.json"
-            path.write_text(json.dumps(cover_document(rng, *spec)), encoding="utf-8")
+            path.write_text(json.dumps(digests.cover_document(rng, *spec)), encoding="utf-8")
             code, text, _ = run(capsys, "cover", "check", "--input", str(path),
                                 "--format", fmt)
             assert code == 0
@@ -1314,6 +1160,28 @@ class TestFrozenStdout:
         else:
             assert codes.count(0) >= 20 and set(codes) == {0, 2}
         assert hashlib.sha1(out.encode()).hexdigest() == GRAPH_DOC_SHA1[command, fmt]
+
+
+class TestDigestTable:
+    """The digest table without running a command, so that a typo in a
+    smoke-only entry or an edit to the README fails here, not only in the
+    smoke checks."""
+
+    def test_every_key_parses(self, tmp_path):
+        parser = cli.build_parser()
+        for command in {**digests.SUITE, **digests.SMOKE}:
+            parser.parse_args(digests.argv(command, str(tmp_path)))
+
+    def test_no_key_twice(self):
+        assert not digests.SUITE.keys() & digests.SMOKE.keys()
+
+    def test_every_value_is_a_sha1(self):
+        for digest in {**digests.SUITE, **digests.SMOKE}.values():
+            assert re.fullmatch("[0-9a-f]{40}", digest)
+
+    def test_readme_documents_parse(self):
+        graph, cover = map(json.loads, digests.readme_documents())
+        assert "vertices" in graph and "divisors" in cover
 
 
 class TestReentrantMain:
